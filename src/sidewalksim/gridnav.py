@@ -1,14 +1,14 @@
-"""Occupancy-grid helpers: free-space rasterization, BFS connectivity, Dijkstra fields."""
+"""Occupancy-grid helpers: free-space rasterization, connectivity, Dijkstra fields."""
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ckernel
 from .walkmap import WalkableMap
 
 NAV_RESOLUTION = 0.25  # meters per cell for reachability and planning grids
@@ -44,14 +44,16 @@ class OccupancyGrid:
 
 def free_space_grid(wmap: WalkableMap, obstacles=(), resolution: float = NAV_RESOLUTION,
                     inflate: float = 0.0) -> OccupancyGrid:
-    """Rasterize walkable-minus-obstacles, inflating obstacle footprints by `inflate`."""
-    minx, miny, maxx, maxy = wmap.bounds
-    nx = max(1, int(math.ceil((maxx - minx) / resolution)))
-    ny = max(1, int(math.ceil((maxy - miny) / resolution)))
+    """Rasterize walkable-minus-obstacles, inflating obstacle footprints by `inflate`.
+
+    The walkable raster is the map's cached one; obstacles are stamped onto a
+    copy, so callers may modify the returned grid.
+    """
+    minx, miny = wmap.bounds[0], wmap.bounds[1]
+    free = wmap.cell_centers_inside(resolution).copy()
+    ny, nx = free.shape
     xs = minx + (np.arange(nx) + 0.5) * resolution
     ys = miny + (np.arange(ny) + 0.5) * resolution
-    gx, gy = np.meshgrid(xs, ys)
-    free = wmap.contains_points(gx.ravel(), gy.ravel()).reshape(ny, nx)
 
     for ob in obstacles:
         if ob.kind == "cylinder":
@@ -64,8 +66,8 @@ def free_space_grid(wmap: WalkableMap, obstacles=(), resolution: float = NAV_RES
         r1 = min(ny, int((ob.y + reach - miny) / resolution) + 2)
         if c0 >= c1 or r0 >= r1:
             continue
-        sub_x = gx[r0:r1, c0:c1]
-        sub_y = gy[r0:r1, c0:c1]
+        sub_x = xs[None, c0:c1]
+        sub_y = ys[r0:r1, None]
         if ob.kind == "cylinder":
             near = (sub_x - ob.x) ** 2 + (sub_y - ob.y) ** 2 <= reach * reach
         else:
@@ -110,32 +112,14 @@ def eroded(grid: OccupancyGrid) -> OccupancyGrid:
                          resolution=grid.resolution)
 
 
-_NEIGHBORS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-
-
 def bfs_connected(grid: OccupancyGrid, start_cell, goal_cell) -> bool:
-    """8-connected flood fill; endpoints must be free cells."""
+    """8-connected reachability of the goal from the start; endpoints must be free cells."""
     if not (grid.in_bounds(*start_cell) and grid.in_bounds(*goal_cell)):
         return False
     free = grid.free
     if not (free[start_cell] and free[goal_cell]):
         return False
-    if start_cell == goal_cell:
-        return True
-    seen = np.zeros_like(free)
-    seen[start_cell] = True
-    queue = deque([start_cell])
-    ny, nx = free.shape
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in _NEIGHBORS8:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < ny and 0 <= cc < nx and free[rr, cc] and not seen[rr, cc]:
-                if (rr, cc) == goal_cell:
-                    return True
-                seen[rr, cc] = True
-                queue.append((rr, cc))
-    return False
+    return bool(np.isfinite(_distances(grid, start_cell)[goal_cell]))
 
 
 def interpolate_distance(grid: OccupancyGrid, dist: np.ndarray,
@@ -169,6 +153,45 @@ def dijkstra_distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
 
     8-connected, diagonal moves cost sqrt(2) * resolution.
     """
+    return _distances(grid, source_cell)
+
+
+# -- compiled Dijkstra kernel ----------------------------------------------------
+#
+# _gridnav.c is built and loaded through _ckernel on the first field. When no
+# kernel can be built, fields come from _dijkstra_heapq, which returns the same
+# values bit for bit, only slower.
+
+# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
+_KERNEL = _ckernel.Kernel("_gridnav.c", "grid_dijkstra", "piiiiddp", "heapq Dijkstra")
+
+
+def _distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
+    """The Dijkstra field behind dijkstra_distances and bfs_connected.
+
+    Both public functions call this rather than each other, so a wrapper
+    placed on either one sees only the calls made to it.
+    """
+    kernel = _KERNEL.load()
+    if kernel is None:
+        return _dijkstra_heapq(grid, source_cell)
+    free = grid.free
+    if not grid.in_bounds(*source_cell) or not free[source_cell]:
+        return np.full(free.shape, np.inf)
+    cells = np.ascontiguousarray(free, dtype=bool)
+    ny, nx = cells.shape
+    dist = np.empty((ny, nx))
+    if kernel(cells.ctypes.data, ny, nx, int(source_cell[0]), int(source_cell[1]),
+              grid.resolution, math.sqrt(2.0) * grid.resolution, dist.ctypes.data):
+        raise MemoryError("grid Dijkstra kernel could not allocate its heap")
+    return dist
+
+
+_NEIGHBORS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def _dijkstra_heapq(grid: OccupancyGrid, source_cell) -> np.ndarray:
+    """Pure-Python fallback for the compiled kernel, and its reference: identical fields."""
     free = grid.free
     ny, nx = free.shape
     dist = np.full((ny, nx), np.inf)

@@ -7,19 +7,14 @@ that vectorized output matches per-point brute force exactly.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import shutil
-import tempfile
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import geometry
+from . import _ckernel, geometry
 from .world import WorldState, AgentState
 
 _HAVE_NUMBA = False  # always False; kept because benchmark reports read the name
@@ -170,74 +165,12 @@ def _ray_units(n_rays: int):
 
 # -- compiled raycast kernel ---------------------------------------------------
 #
-# _raycast.c is compiled on first use with the C compiler found on PATH into
-# __pycache__ beside this module, then loaded through ctypes. Without a
-# compiler (or when the build or the load fails) raycast uses the numpy path,
-# which returns the same ranges bit for bit, only slower.
+# _raycast.c is built and loaded through _ckernel on the first raycast. When no
+# kernel can be built, raycast uses the numpy path, which returns the same
+# ranges bit for bit, only slower.
 
-_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_raycast.c")
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_KERNEL_COMPILERS = ("cc", "gcc", "clang")
-_UNLOADED = object()
-_kernel_fn = _UNLOADED       # the ctypes function, or None once found unavailable
-
-
-def _build_kernel() -> str:
-    """Path of the shared object built from the current source and flags.
-
-    The file name carries a hash of both, so a stale object is never loaded.
-    A build writes a private temporary file and renames it into place, so
-    processes building at the same time never see a partial object. Raises
-    OSError when no object can be built.
-    """
-    # imported here, not at module level: hashlib loads OpenSSL, which would
-    # slow down every import of the package for a build that rarely runs
-    import hashlib
-    import subprocess
-
-    with open(_KERNEL_SOURCE, "rb") as f:
-        key = hashlib.sha256(f.read() + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
-    cache_dir = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__")
-    target = os.path.join(cache_dir, f"_raycast-{key}.so")
-    if os.path.exists(target):
-        return target
-    compiler = next(filter(None, map(shutil.which, _KERNEL_COMPILERS)), None)
-    if compiler is None:
-        raise OSError(f"no C compiler on PATH (tried {', '.join(_KERNEL_COMPILERS)})")
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="_raycast-", suffix=".so.tmp", dir=cache_dir)
-    os.close(fd)
-    try:
-        subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, _KERNEL_SOURCE, "-lm"],
-                       check=True, capture_output=True, timeout=120)
-        os.replace(tmp, target)
-    except subprocess.CalledProcessError as exc:
-        raise OSError(f"{compiler} failed: {exc.stderr.decode(errors='replace')[-500:]}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise OSError(f"{compiler} timed out") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return target
-
-
-def _kernel():
-    """The compiled raycast loop, built and loaded once per process; None if unavailable."""
-    global _kernel_fn
-    if _kernel_fn is _UNLOADED:
-        try:
-            fn = ctypes.CDLL(_build_kernel()).raycast_loop
-        except OSError as exc:
-            warnings.warn(f"compiled raycast unavailable, using the numpy path: {exc}",
-                          RuntimeWarning, stacklevel=3)
-            fn = None
-        else:
-            d, ptr, i64 = ctypes.c_double, ctypes.c_void_p, ctypes.c_int64
-            fn.argtypes = (d, d, d, d, ptr, i64, d, ptr, i64, ptr, ptr, i64,
-                           ptr, ptr, i64, ptr, i64, ptr)
-            fn.restype = ctypes.c_int
-        _kernel_fn = fn
-    return _kernel_fn
+# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
+_KERNEL = _ckernel.Kernel("_raycast.c", "raycast_loop", "ddddpidpippippipip", "numpy path")
 
 
 def _kernel_world_args(world: WorldState) -> tuple:
@@ -341,7 +274,7 @@ def raycast(world: WorldState, n_rays: int, max_range: float,
                 if ob.contains(ox, oy):
                     return np.zeros(n_rays)
 
-    kernel = _kernel() if use_compiled else None
+    kernel = _KERNEL.load() if use_compiled else None
     if kernel is None:
         return _raycast_numpy(world, ox, oy, ch, sh, units, max_range)
     args, _ = world.obstacle_derived("raycast_kernel_args", _kernel_world_args)

@@ -88,6 +88,7 @@ class WalkableMap:
         total = areas.sum()
         self._area_weights = areas / total if total > 0 else None
         self._grid = self._build_grid()
+        self._rasters: dict[float, np.ndarray] = {}
 
     def _build_grid(self):
         grid: dict[tuple[int, int], list[int]] = {}
@@ -207,16 +208,26 @@ class WalkableMap:
                 return (x, y)
         raise GeometryError("failed to sample a walkable point")
 
+    def cell_centers_inside(self, resolution: float) -> np.ndarray:
+        """Read-only (ny, nx) union membership of the centers of the square
+        cells of side `resolution` that tile the bounds from (minx, miny);
+        computed once per resolution."""
+        inside = self._rasters.get(resolution)
+        if inside is None:
+            minx, miny, maxx, maxy = self.bounds
+            nx = max(1, int(math.ceil((maxx - minx) / resolution)))
+            ny = max(1, int(math.ceil((maxy - miny) / resolution)))
+            xs = minx + (np.arange(nx) + 0.5) * resolution
+            ys = miny + (np.arange(ny) + 0.5) * resolution
+            gx, gy = np.meshgrid(xs, ys)
+            inside = self.contains_points(gx.ravel(), gy.ravel()).reshape(ny, nx)
+            inside.setflags(write=False)
+            self._rasters[resolution] = inside
+        return inside
+
     def walkable_area(self, resolution: float = 0.25) -> float:
         """Union area estimated by counting walkable cell centers."""
-        minx, miny, maxx, maxy = self.bounds
-        nx = max(1, int(math.ceil((maxx - minx) / resolution)))
-        ny = max(1, int(math.ceil((maxy - miny) / resolution)))
-        xs = minx + (np.arange(nx) + 0.5) * resolution
-        ys = miny + (np.arange(ny) + 0.5) * resolution
-        gx, gy = np.meshgrid(xs, ys)
-        inside = self.contains_points(gx.ravel(), gy.ravel())
-        return float(inside.sum()) * resolution * resolution
+        return float(self.cell_centers_inside(resolution).sum()) * resolution * resolution
 
     def to_dict(self) -> dict:
         return {

@@ -1,0 +1,178 @@
+from collections import deque
+
+import numpy as np
+import pytest
+
+from sidewalksim import _ckernel, gridnav, suites
+from sidewalksim.gridnav import (
+    _NEIGHBORS8,
+    OccupancyGrid,
+    bfs_connected,
+    dijkstra_distances,
+    eroded,
+    free_space_grid,
+)
+from sidewalksim.walkmap import generate_synthetic_map
+from sidewalksim.world import Obstacle, populate_obstacles
+
+from tests.test_sensors import needs_c_compiler
+
+
+def make_grid(free) -> OccupancyGrid:
+    return OccupancyGrid(free=np.asarray(free, dtype=bool), minx=0.0, miny=0.0,
+                         resolution=0.25)
+
+
+def random_grid(rng, ny, nx, p_free) -> OccupancyGrid:
+    return make_grid(rng.random((ny, nx)) < p_free)
+
+
+# -- oracles ---------------------------------------------------------------------
+
+
+def bfs_oracle(grid, start_cell, goal_cell) -> bool:
+    """8-connected flood fill; endpoints must be free cells."""
+    if not (grid.in_bounds(*start_cell) and grid.in_bounds(*goal_cell)):
+        return False
+    free = grid.free
+    if not (free[start_cell] and free[goal_cell]):
+        return False
+    if start_cell == goal_cell:
+        return True
+    seen = np.zeros_like(free)
+    seen[start_cell] = True
+    queue = deque([start_cell])
+    ny, nx = free.shape
+    while queue:
+        r, c = queue.popleft()
+        for dr, dc in _NEIGHBORS8:
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < ny and 0 <= cc < nx and free[rr, cc] and not seen[rr, cc]:
+                if (rr, cc) == goal_cell:
+                    return True
+                seen[rr, cc] = True
+                queue.append((rr, cc))
+    return False
+
+
+# -- compiled Dijkstra vs the heapq reference ------------------------------------
+
+
+def suite_grids():
+    """Raw and eroded grids over every suite map, at three inflations."""
+    rng = np.random.default_rng(2024)
+    for cfg in suites.training_suite() + suites.validation_suite():
+        for _ in range(5):
+            obstacles = populate_obstacles(cfg.map, float(rng.uniform(0.0, 8.0)), rng)
+            for inflate in (0.0, 0.3, 0.48):
+                grid = free_space_grid(cfg.map, obstacles, inflate=inflate)
+                yield grid
+                yield eroded(grid)
+
+
+@needs_c_compiler
+def test_kernel_fields_equal_heapq_on_suite_grids():
+    assert gridnav._KERNEL.load() is not None, "the Dijkstra kernel failed to build or load"
+    rng = np.random.default_rng(7)
+    checked = 0
+    for grid in suite_grids():
+        free_cells = np.argwhere(grid.free)
+        if not len(free_cells):
+            continue
+        source = tuple(int(v) for v in free_cells[rng.integers(len(free_cells))])
+        fast = dijkstra_distances(grid, source)
+        assert np.array_equal(fast, gridnav._dijkstra_heapq(grid, source))
+        checked += 1
+    assert checked >= 500
+
+
+@needs_c_compiler
+@pytest.mark.parametrize("free, source", [
+    ([[True, False, True]], (0, 1)),          # blocked source
+    ([[True, True], [True, True]], (2, 0)),   # source below the grid
+    ([[True, True], [True, True]], (0, -1)),  # source left of the grid
+    ([[True]], (0, 0)),                       # 1x1
+    ([[False]], (0, 0)),
+    ([[True] * 9], (0, 4)),                   # 1xN
+    ([[True, True, False, True]], (0, 0)),    # 1xN cut in two
+    ([[True]] * 7, (6, 0)),                   # Nx1
+    ([[True, True, False, True, True],        # two components
+      [True, True, False, True, True],
+      [True, True, False, True, True]], (1, 0)),
+])
+def test_kernel_fields_equal_heapq_on_edge_cases(free, source):
+    assert gridnav._KERNEL.load() is not None
+    grid = make_grid(free)
+    fast = dijkstra_distances(grid, source)
+    reference = gridnav._dijkstra_heapq(grid, source)
+    assert fast.shape == grid.shape
+    assert np.array_equal(fast, reference)
+    if not (grid.in_bounds(*source) and grid.free[source]):
+        assert np.isinf(fast).all()
+
+
+def test_two_components_leave_the_other_unreachable():
+    grid = make_grid(np.ones((4, 7), dtype=bool))
+    grid.free[:, 3] = False
+    dist = dijkstra_distances(grid, (0, 0))
+    assert np.isfinite(dist[:, :3]).all()
+    assert np.isinf(dist[:, 3:]).all()
+    assert dist[0, 1] == 0.25 and dist[1, 1] == np.sqrt(2.0) * 0.25
+
+
+def test_failed_kernel_build_warns_and_returns_heapq_field(monkeypatch):
+    def failing_build(source):
+        raise OSError("cc failed: error: unknown type name")
+
+    monkeypatch.setattr(_ckernel, "build", failing_build)
+    monkeypatch.setattr(gridnav._KERNEL, "fn", _ckernel._UNLOADED)
+    grid = random_grid(np.random.default_rng(3), 30, 40, 0.7)
+    source = tuple(int(v) for v in np.argwhere(grid.free)[0])
+    with pytest.warns(RuntimeWarning, match="heapq Dijkstra"):
+        dist = dijkstra_distances(grid, source)
+    assert gridnav._KERNEL.fn is None
+    assert np.array_equal(dist, gridnav._dijkstra_heapq(grid, source))
+
+
+# -- connectivity ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bfs_connected_matches_flood_fill_oracle(seed):
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng, int(rng.integers(1, 30)), int(rng.integers(1, 30)),
+                       float(rng.uniform(0.3, 0.6)))
+    ny, nx = grid.shape
+    free_cells = [tuple(int(v) for v in cell) for cell in np.argwhere(grid.free)]
+
+    def endpoint():
+        # a free cell, or any cell up to two outside the grid (blocked ones included)
+        if free_cells and rng.random() < 0.6:
+            return free_cells[rng.integers(len(free_cells))]
+        return (int(rng.integers(-2, ny + 2)), int(rng.integers(-2, nx + 2)))
+
+    for _ in range(80):
+        start = endpoint()
+        goal = start if rng.random() < 0.1 else endpoint()
+        assert bfs_connected(grid, start, goal) == bfs_oracle(grid, start, goal)
+
+
+def test_bfs_connected_start_equals_goal():
+    grid = make_grid([[True, False], [False, False]])
+    assert bfs_connected(grid, (0, 0), (0, 0))
+    assert not bfs_connected(grid, (1, 1), (1, 1))
+    assert not bfs_connected(grid, (2, 0), (2, 0))
+
+
+# -- free-space raster cache -----------------------------------------------------
+
+
+def test_free_space_grid_survives_mutation_of_a_returned_grid():
+    wmap = generate_synthetic_map("L-shape", 16.0, 3.5, seed=15)
+    x, y = wmap.sample_walkable_point(np.random.default_rng(0))
+    for obstacles in ((), [Obstacle(kind="cylinder", x=x, y=y, radius=0.5)]):
+        expected = free_space_grid(wmap, obstacles, inflate=0.3).free.copy()
+        assert expected.any() and not expected.all()
+        returned = free_space_grid(wmap, obstacles, inflate=0.3)
+        returned.free[:] = ~returned.free
+        assert np.array_equal(free_space_grid(wmap, obstacles, inflate=0.3).free, expected)

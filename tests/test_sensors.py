@@ -5,7 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from sidewalksim import sensors
+from sidewalksim import _ckernel, sensors
 from sidewalksim.geometry import normalize_angle, point_in_polygon
 from sidewalksim.sensors import (
     BEV_RESOLUTION,
@@ -24,8 +24,8 @@ from tests.test_world import make_world
 
 
 needs_c_compiler = pytest.mark.skipif(
-    not any(map(shutil.which, sensors._KERNEL_COMPILERS)),
-    reason="no C compiler on PATH to build the raycast kernel")
+    not any(map(shutil.which, _ckernel.COMPILERS)),
+    reason="no C compiler on PATH to build the C kernels")
 
 
 # -- oracles -------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_raycast_matches_marching_oracle(seed):
 @needs_c_compiler
 @pytest.mark.parametrize("seed", [20, 21, 22])
 def test_raycast_compiled_matches_numpy(seed):
-    assert sensors._kernel() is not None, "the raycast kernel failed to build or load"
+    assert sensors._KERNEL.load() is not None, "the raycast kernel failed to build or load"
     w = random_world(seed)
     for n_rays, max_range in ((64, 6.0), (272, 6.0), (64, 9.0)):
         fast = raycast(w, n_rays, max_range, use_compiled=True)
@@ -235,37 +235,40 @@ def test_raycast_compiled_matches_numpy_grazing_rect_corners(big_plane):
 
 
 def test_raycast_falls_back_to_numpy_when_kernel_build_fails(monkeypatch):
-    def failing_build():
+    def failing_build(source):
         raise OSError("cc failed: error: unknown type name")
 
-    monkeypatch.setattr(sensors, "_build_kernel", failing_build)
-    monkeypatch.setattr(sensors, "_kernel_fn", sensors._UNLOADED)
+    monkeypatch.setattr(_ckernel, "build", failing_build)
+    monkeypatch.setattr(sensors._KERNEL, "fn", _ckernel._UNLOADED)
     w = random_world(20)
     with pytest.warns(RuntimeWarning, match="numpy path"):
         ranges = raycast(w, 64, 6.0)
-    assert sensors._kernel_fn is None
+    assert sensors._KERNEL.fn is None
     assert np.array_equal(ranges, raycast(w, 64, 6.0, use_compiled=False))
 
 
+# The build helper is shared by every C kernel of the package; these tests
+# cover it once, through the raycast source.
+
+
 @needs_c_compiler
-def test_kernel_compile_error_raises_oserror_and_leaves_no_object(tmp_path, monkeypatch):
+def test_kernel_compile_error_raises_oserror_and_leaves_no_object(tmp_path):
     broken = tmp_path / "_raycast.c"
     broken.write_text("int raycast_loop(void) { return }\n")
-    monkeypatch.setattr(sensors, "_KERNEL_SOURCE", str(broken))
     with pytest.raises(OSError, match="failed"):
-        sensors._build_kernel()
+        _ckernel.build(str(broken))
     assert list((tmp_path / "__pycache__").iterdir()) == []
 
 
 @needs_c_compiler
 def test_current_kernel_is_reused_without_compiling(monkeypatch):
-    path = sensors._build_kernel()
+    path = _ckernel.build(sensors._KERNEL.source)
 
     def no_compile(*args, **kwargs):
         raise AssertionError("compiled although the built kernel is current")
 
     monkeypatch.setattr(subprocess, "run", no_compile)
-    assert sensors._build_kernel() == path
+    assert _ckernel.build(sensors._KERNEL.source) == path
 
 
 def test_raycast_rotational_consistency():
