@@ -1,4 +1,4 @@
-"""Build and load the package's C kernels (_raycast.c, _gridnav.c).
+"""Build and load the package's C kernels (_raycast.c, _gridnav.c, _walkmap.c).
 
 A kernel is compiled on first use with the C compiler found on PATH into
 __pycache__ beside its source, then loaded through ctypes. Without a compiler,

@@ -56,10 +56,7 @@ def free_space_grid(wmap: WalkableMap, obstacles=(), resolution: float = NAV_RES
     ys = miny + (np.arange(ny) + 0.5) * resolution
 
     for ob in obstacles:
-        if ob.kind == "cylinder":
-            reach = ob.radius + inflate
-        else:
-            reach = math.hypot(ob.half_w, ob.half_h) + inflate
+        reach = ob.reach + inflate
         c0 = max(0, int((ob.x - reach - minx) / resolution) - 1)
         c1 = min(nx, int((ob.x + reach - minx) / resolution) + 2)
         r0 = max(0, int((ob.y - reach - miny) / resolution) - 1)

@@ -80,10 +80,7 @@ def render_bev_frame(world: WorldState) -> np.ndarray:
     c, s = math.cos(agent.heading), math.sin(agent.heading)
     half = BEV_SIZE / 2.0
     for ob in world.obstacles:
-        if ob.kind == "cylinder":
-            reach = ob.radius
-        else:
-            reach = math.hypot(ob.half_w, ob.half_h)
+        reach = ob.reach
         # pixel window holding the obstacle's bbox: every bbox point lies within
         # reach*sqrt(2) of the center; one extra pixel absorbs rounding
         rx, ry = ob.x - agent.x, ob.y - agent.y
@@ -179,15 +176,13 @@ def _kernel_world_args(world: WorldState) -> tuple:
     The arrays are checked for dtype and contiguity and returned with the
     arguments, so whoever caches the arguments also keeps the buffers alive.
     """
-    circles, rect_segs = world.obstacle_arrays()
-    is_rect = [ob.kind != "cylinder" for ob in world.obstacles]
-    rect_bounds = world.obstacle_bounds()[is_rect] if any(is_rect) else np.zeros((0, 3))
-    if len(rect_segs) != 4 * len(rect_bounds):
+    tables = world.obstacle_tables()
+    if len(tables.rect_segments) != 4 * len(tables.rect_bounds):
         raise ValueError("expected four sides per rectangular obstacle")
     edges, edge_poly, bboxes = world.map.edge_table()
-    arrays = (np.ascontiguousarray(circles, dtype=np.float64),
-              np.ascontiguousarray(rect_segs, dtype=np.float64),
-              np.ascontiguousarray(rect_bounds, dtype=np.float64),
+    arrays = (np.ascontiguousarray(tables.circles, dtype=np.float64),
+              np.ascontiguousarray(tables.rect_segments, dtype=np.float64),
+              np.ascontiguousarray(tables.rect_bounds, dtype=np.float64),
               np.ascontiguousarray(edges, dtype=np.float64),
               np.ascontiguousarray(edge_poly, dtype=np.int64),
               np.ascontiguousarray(bboxes, dtype=np.float64))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from . import geometry
+from . import _ckernel, geometry
 from .errors import GeometryError, MapFormatError
 
 MAP_SCHEMA_VERSION = 1
@@ -89,6 +89,13 @@ class WalkableMap:
         self._area_weights = areas / total if total > 0 else None
         self._grid = self._build_grid()
         self._rasters: dict[float, np.ndarray] = {}
+        self._kernel_args = None  # data addresses for _walkmap.c, built on first use
+
+    def __getstate__(self):
+        # data addresses are valid only in the process that took them
+        state = self.__dict__.copy()
+        state["_kernel_args"] = None
+        return state
 
     def _build_grid(self):
         grid: dict[tuple[int, int], list[int]] = {}
@@ -115,7 +122,30 @@ class WalkableMap:
         return self._grid.get(self._cell(x, y), [])
 
     def is_walkable(self, x: float, y: float) -> bool:
-        """True iff the point lies inside at least one polygon (grid-indexed)."""
+        """True iff the point lies inside at least one polygon.
+
+        Answered by the compiled kernel (_walkmap.c) when one can be built,
+        else by the grid-indexed loop, which classifies every point alike.
+        """
+        kernel = _KERNEL.load()
+        if kernel is None:
+            return self._is_walkable_indexed(x, y)
+        cached = self._kernel_args
+        if cached is None:
+            cached = self._kernel_args = self._build_kernel_args()
+        return kernel(x, y, *cached[0]) != 0
+
+    def _build_kernel_args(self) -> tuple:
+        """(data addresses and row counts of the edge table, the arrays they
+        point into); whoever keeps the addresses keeps the arrays alive."""
+        arrays = (np.ascontiguousarray(self._edges, dtype=np.float64),
+                  np.ascontiguousarray(self._edge_poly, dtype=np.int64),
+                  np.ascontiguousarray(self._bboxes, dtype=np.float64))
+        e, ep, b = arrays
+        return (e.ctypes.data, ep.ctypes.data, len(e), b.ctypes.data, len(b)), arrays
+
+    def _is_walkable_indexed(self, x: float, y: float) -> bool:
+        """Pure-Python fallback for the compiled kernel, and its reference."""
         for pid in self.candidate_polygons(x, y):
             if geometry.point_in_polygon(x, y, self.polygons[pid]):
                 return True
@@ -265,6 +295,16 @@ class WalkableMap:
             and len(self.polygons) == len(other.polygons)
             and all(np.array_equal(a, b) for a, b in zip(self.polygons, other.polygons))
         )
+
+
+# -- compiled membership kernel ----------------------------------------------------
+#
+# _walkmap.c is built and loaded through _ckernel on the first is_walkable call.
+# When no kernel can be built, is_walkable runs the grid-indexed loop, which
+# returns the same answers, only slower. contains_points stays numpy.
+
+# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
+_KERNEL = _ckernel.Kernel("_walkmap.c", "point_walkable", "ddppipi", "grid-indexed loop")
 
 
 def build_walkable_map(net: SidewalkNetwork, cell_size: float = DEFAULT_CELL_SIZE,

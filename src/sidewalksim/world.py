@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import normalize_angle, point_oriented_rect_distance
+from .geometry import normalize_angle, oriented_rects_corners, point_oriented_rect_distance
 from .walkmap import WalkableMap
 
 SPEED_MIN = -0.10   # meters per step, backward
@@ -72,6 +72,13 @@ class Obstacle:
     def is_pedestrian(self) -> bool:
         return self.speed > 0.0
 
+    @property
+    def reach(self) -> float:
+        """Bounding radius: the footprint lies in the disc of this radius at (x, y)."""
+        if self.kind == "cylinder":
+            return self.radius
+        return math.hypot(self.half_w, self.half_h)
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind, "x": self.x, "y": self.y, "radius": self.radius,
@@ -116,28 +123,21 @@ class WorldState:
     def invalidate_obstacle_cache(self):
         self._obstacle_cache.clear()
 
-    def obstacle_arrays(self):
-        """Cached primitive arrays for vectorized sensing.
+    def obstacle_tables(self) -> ObstacleTables:
+        """Cached obstacle arrays for vectorized sensing and broad-phase tests.
 
-        Returns (circle centers+radii (C,3), rect segment rows (S,4)).
-        Pedestrian motion invalidates the cache each step.
+        Built in one pass over the obstacles; pedestrian motion invalidates the
+        cache each step.
         """
         cached = self._obstacle_cache.get("arrays")
-        if cached is not None:
-            return cached
-        circles = []
-        rect_segments = []
-        for ob in self.obstacles:
-            if ob.kind == "cylinder":
-                circles.append((ob.x, ob.y, ob.radius))
-            else:
-                corners = _rect_corners(ob)
-                nxt = np.roll(corners, -1, axis=0)
-                rect_segments.append(np.hstack([corners, nxt]))
-        circ = np.array(circles) if circles else np.zeros((0, 3))
-        segs = np.vstack(rect_segments) if rect_segments else np.zeros((0, 4))
-        self._obstacle_cache["arrays"] = (circ, segs)
-        return circ, segs
+        if cached is None:
+            cached = self._obstacle_cache["arrays"] = _build_obstacle_tables(self.obstacles)
+        return cached
+
+    def obstacle_arrays(self):
+        """(circle centers+radii (C,3), rect segment rows (S,4)), cached."""
+        tables = self.obstacle_tables()
+        return tables.circles, tables.rect_segments
 
     def obstacle_derived(self, key: str, build):
         """Cached `build(self)` for data derived from the obstacles.
@@ -151,24 +151,31 @@ class WorldState:
 
     def obstacle_bounds(self) -> np.ndarray:
         """Cached (x, y, bounding radius) per obstacle for broad-phase tests."""
-        cached = self._obstacle_cache.get("bounds")
-        if cached is not None:
-            return cached
-        rows = []
-        for ob in self.obstacles:
-            reach = ob.radius if ob.kind == "cylinder" else math.hypot(ob.half_w, ob.half_h)
-            rows.append((ob.x, ob.y, reach))
-        bounds = np.array(rows) if rows else np.zeros((0, 3))
-        self._obstacle_cache["bounds"] = bounds
-        return bounds
+        return self.obstacle_tables().bounds
 
 
-def _rect_corners(ob: Obstacle) -> np.ndarray:
-    c, s = math.cos(ob.yaw), math.sin(ob.yaw)
-    local = np.array([[-ob.half_w, -ob.half_h], [ob.half_w, -ob.half_h],
-                      [ob.half_w, ob.half_h], [-ob.half_w, ob.half_h]])
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([ob.x, ob.y])
+class ObstacleTables(NamedTuple):
+    circles: np.ndarray        # (C, 3) x, y, radius of each cylinder
+    rect_segments: np.ndarray  # (4R, 4) sides (x1, y1, x2, y2) of each cuboid, CCW
+    bounds: np.ndarray         # (N, 3) x, y, reach of each obstacle
+    rect_bounds: np.ndarray    # (R, 3) the rows of bounds that belong to cuboids
+
+
+def _build_obstacle_tables(obstacles) -> ObstacleTables:
+    # one row per obstacle; cos, sin and hypot come from math, as in the scalar
+    # code, because numpy's may round differently
+    rows = np.array([(ob.x, ob.y, ob.reach, ob.radius, ob.half_w, ob.half_h,
+                      math.cos(ob.yaw), math.sin(ob.yaw), ob.kind != "cylinder")
+                     for ob in obstacles], dtype=float).reshape(-1, 9)
+    is_rect = rows[:, 8] != 0.0
+    rects = rows[is_rect]
+    corners = oriented_rects_corners(rects[:, 0], rects[:, 1], rects[:, 4], rects[:, 5],
+                                     rects[:, 6], rects[:, 7])
+    sides = np.concatenate([corners, corners[:, [1, 2, 3, 0]]], axis=2)
+    return ObstacleTables(circles=rows[~is_rect][:, [0, 1, 3]],
+                          rect_segments=sides.reshape(-1, 4),
+                          bounds=rows[:, :3].copy(),
+                          rect_bounds=rects[:, :3].copy())
 
 
 def populate_obstacles(wmap: WalkableMap, density: float, rng: np.random.Generator,

@@ -1,8 +1,16 @@
+import shutil
+
 import numpy as np
 import pytest
 
+from sidewalksim import _ckernel
 from sidewalksim.episode import EpisodeConfig
 from sidewalksim.walkmap import WalkableMap, generate_synthetic_map
+
+
+needs_c_compiler = pytest.mark.skipif(
+    not any(map(shutil.which, _ckernel.COMPILERS)),
+    reason="no C compiler on PATH to build the C kernels")
 
 
 @pytest.fixture

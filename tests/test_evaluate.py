@@ -54,9 +54,12 @@ def test_evaluate_reproducible(corridor_long):
 
 
 def test_workers_do_not_change_report(corridor_long):
-    cfg = make_config(corridor_long, obstacle_density=4.0)
-    serial = evaluate(OracleTeacher(), [cfg], 6, seed=7, workers=1)
-    parallel = evaluate(OracleTeacher(), [cfg], 6, seed=7, workers=2)
+    # the pool pickles each job's config, map included; pedestrians make the
+    # workers query the map's membership kernel every step
+    cfgs = [make_config(corridor_long, obstacle_density=4.0),
+            make_config(corridor_long, obstacle_density=4.0, pedestrian_fraction=0.5)]
+    serial = evaluate(OracleTeacher(), cfgs, 6, seed=7, workers=1)
+    parallel = evaluate(OracleTeacher(), cfgs, 6, seed=7, workers=2)
     assert serial.to_dict(include_episodes=True) == parallel.to_dict(include_episodes=True)
 
 

@@ -102,6 +102,23 @@ def test_point_oriented_rect_distance():
     assert d == pytest.approx(1.0 - math.sqrt(0.5))
 
 
+def test_batched_rect_corners_equal_scalar():
+    rng = np.random.default_rng(11)
+    n = 2000
+    cx, cy = rng.uniform(-60.0, 60.0, (2, n))
+    half_w, half_h = rng.uniform(0.05, 3.0, (2, n))
+    yaw = rng.uniform(-math.pi, math.pi, n)
+    yaw[:6] = [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, -0.0]
+    cos_yaw = np.array([math.cos(a) for a in yaw])
+    sin_yaw = np.array([math.sin(a) for a in yaw])
+    batch = geometry.oriented_rects_corners(cx, cy, half_w, half_h, cos_yaw, sin_yaw)
+    scalar = [geometry.oriented_rect_corners(cx[i], cy[i], half_w[i], half_h[i], yaw[i])
+              for i in range(n)]
+    assert np.array_equal(batch, np.stack(scalar))
+    empty = geometry.oriented_rects_corners(*np.zeros((6, 0)))
+    assert empty.shape == (0, 4, 2)
+
+
 def test_buffer_single_segment_exact_area():
     polys = geometry.buffer_polyline([(0.0, 0.0), (10.0, 0.0)], 3.0)
     assert len(polys) == 1

@@ -15,7 +15,7 @@ from sidewalksim.gridnav import (
 from sidewalksim.walkmap import generate_synthetic_map
 from sidewalksim.world import Obstacle, populate_obstacles
 
-from tests.test_sensors import needs_c_compiler
+from tests.conftest import needs_c_compiler
 
 
 def make_grid(free) -> OccupancyGrid:

@@ -1,5 +1,4 @@
 import math
-import shutil
 import subprocess
 
 import numpy as np
@@ -20,12 +19,8 @@ from sidewalksim.sensors import (
 from sidewalksim.walkmap import WalkableMap, generate_synthetic_map
 from sidewalksim.world import AgentState, Obstacle, WorldState
 
+from tests.conftest import needs_c_compiler
 from tests.test_world import make_world
-
-
-needs_c_compiler = pytest.mark.skipif(
-    not any(map(shutil.which, _ckernel.COMPILERS)),
-    reason="no C compiler on PATH to build the C kernels")
 
 
 # -- oracles -------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
 import math
+import pickle
+import warnings
 
+import numpy as np
 import pytest
 
+from sidewalksim import _ckernel, suites, walkmap
 from sidewalksim.errors import GeometryError, MapFormatError
 from sidewalksim.geometry import point_in_polygon
 from sidewalksim.walkmap import (
@@ -13,6 +17,7 @@ from sidewalksim.walkmap import (
     load_map,
     save_map,
 )
+from tests.conftest import needs_c_compiler
 
 
 def walkable_bruteforce(wmap, x, y):
@@ -77,13 +82,89 @@ def test_walkable_at_perpendicular_distances():
     assert not wmap.is_walkable(5.0, 1.6)
 
 
+def adversarial_points(wmap):
+    """Points on the polygons' boundaries and bboxes, and one ulp either side.
+
+    Vertices, edge midpoints, quarter points of horizontal edges, and the
+    corners and side midpoints of every polygon bbox.
+    """
+    base = []
+    for poly, (bx0, by0, bx1, by1) in zip(wmap.polygons, wmap._bboxes):
+        nxt = np.roll(poly, -1, axis=0)
+        base.extend(poly)
+        base.extend((poly + nxt) / 2.0)
+        for (ax, ay), (bx, by) in zip(poly, nxt):
+            if ay == by:
+                base.extend((ax + f * (bx - ax), ay) for f in (0.25, 0.75))
+        base.extend([(bx0, by0), (bx1, by0), (bx1, by1), (bx0, by1),
+                     ((bx0 + bx1) / 2.0, by0), ((bx0 + bx1) / 2.0, by1),
+                     (bx0, (by0 + by1) / 2.0), (bx1, (by0 + by1) / 2.0)])
+    points = []
+    for x, y in base:
+        for sx in (-np.inf, None, np.inf):
+            for sy in (-np.inf, None, np.inf):
+                px = x if sx is None else np.nextafter(x, sx)
+                py = y if sy is None else np.nextafter(y, sy)
+                points.append((float(px), float(py)))
+    return points
+
+
+@needs_c_compiler
 def test_index_matches_bruteforce(rng):
-    wmap = generate_synthetic_map("grid", 28.0, 4.0, seed=5)
+    assert walkmap._KERNEL.load() is not None, "the membership kernel failed to build or load"
+    configs = suites.training_suite() + suites.validation_suite() + [suites.bench_config()]
+    maps = [generate_synthetic_map("grid", 28.0, 4.0, seed=5)] + [cfg.map for cfg in configs]
+    checked = inside = 0
+    for wmap in maps:
+        minx, miny, maxx, maxy = wmap.bounds
+        xs = rng.uniform(minx - 1, maxx + 1, 2_000)
+        ys = rng.uniform(miny - 1, maxy + 1, 2_000)
+        points = list(zip(xs.tolist(), ys.tolist())) + adversarial_points(wmap)
+        px, py = np.array(points).T
+        bulk = wmap.contains_points(px, py)
+        for (x, y), in_bulk in zip(points, bulk):
+            expected = walkable_bruteforce(wmap, x, y)
+            assert wmap.is_walkable(x, y) == expected, (x, y)
+            assert wmap._is_walkable_indexed(x, y) == expected, (x, y)
+            assert in_bulk == expected, (x, y)
+            inside += expected
+        checked += len(points)
+    assert checked > 40_000 and 0.2 < inside / checked < 0.8
+
+
+def test_failed_kernel_build_warns_once_and_uses_indexed_loop(monkeypatch, rng):
+    def failing_build(source):
+        raise OSError("cc failed: error: unknown type name")
+
+    monkeypatch.setattr(_ckernel, "build", failing_build)
+    monkeypatch.setattr(walkmap._KERNEL, "fn", _ckernel._UNLOADED)
+    wmap = generate_synthetic_map("L-shape", 15.0, 3.5, seed=2)
+    points = list(zip(rng.uniform(-1.0, 16.0, 500).tolist(),
+                      rng.uniform(-3.0, 16.0, 500).tolist())) + adversarial_points(wmap)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        answers = [wmap.is_walkable(x, y) for x, y in points]
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "grid-indexed loop" in messages[0]
+    assert walkmap._KERNEL.fn is None
+    assert answers == [walkable_bruteforce(wmap, x, y) for x, y in points]
+    assert any(answers) and not all(answers)
+
+
+def test_map_pickled_after_query_answers_identically(rng):
+    wmap = generate_synthetic_map("grid", 26.0, None, seed=9)
     minx, miny, maxx, maxy = wmap.bounds
-    xs = rng.uniform(minx - 1, maxx + 1, 10_000)
-    ys = rng.uniform(miny - 1, maxy + 1, 10_000)
-    for x, y in zip(xs, ys):
-        assert wmap.is_walkable(x, y) == walkable_bruteforce(wmap, x, y)
+    points = list(zip(rng.uniform(minx, maxx, 2_000).tolist(),
+                      rng.uniform(miny, maxy, 2_000).tolist()))
+    answers = [wmap.is_walkable(x, y) for x, y in points]
+    data = pickle.dumps(wmap)
+    del wmap
+    clone = pickle.loads(data)
+    # cached data addresses are valid only in the process and for the arrays
+    # they were taken from, so they must not travel with the map
+    assert clone._kernel_args is None
+    assert [clone.is_walkable(x, y) for x, y in points] == answers
+    assert any(answers) and not all(answers)
 
 
 def test_contains_points_matches_scalar(rng):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidewalksim import suites
+from sidewalksim.geometry import oriented_rect_corners
 from sidewalksim.world import (
     SPEED_MAX,
     SPEED_MIN,
@@ -194,3 +196,62 @@ def test_rng_state_serializable(corridor):
     import json
 
     json.dumps(state, default=str)  # round-trippable structure
+
+
+def obstacle_tables_oracle(obstacles):
+    """Per-obstacle loop over the shapes: circles (C, 3), rect sides (4R, 4),
+    bounds (N, 3) and the cuboid rows of bounds (R, 3)."""
+    circles, sides, bounds, rect_bounds = [], [], [], []
+    for ob in obstacles:
+        if ob.kind == "cylinder":
+            circles.append((ob.x, ob.y, ob.radius))
+            bounds.append((ob.x, ob.y, ob.radius))
+        else:
+            corners = oriented_rect_corners(ob.x, ob.y, ob.half_w, ob.half_h, ob.yaw)
+            sides.append(np.hstack([corners, np.roll(corners, -1, axis=0)]))
+            bounds.append((ob.x, ob.y, math.hypot(ob.half_w, ob.half_h)))
+            rect_bounds.append(bounds[-1])
+    return (np.array(circles).reshape(-1, 3),
+            np.vstack(sides) if sides else np.zeros((0, 4)),
+            np.array(bounds).reshape(-1, 3),
+            np.array(rect_bounds).reshape(-1, 3))
+
+
+def assert_tables_match_oracle(world):
+    circles, sides, bounds, rect_bounds = obstacle_tables_oracle(world.obstacles)
+    got_circles, got_sides = world.obstacle_arrays()
+    assert got_circles.shape == circles.shape and np.array_equal(got_circles, circles)
+    assert got_sides.shape == sides.shape and np.array_equal(got_sides, sides)
+    assert np.array_equal(world.obstacle_bounds(), bounds)
+    assert np.array_equal(world.obstacle_tables().rect_bounds, rect_bounds)
+    for ob, row in zip(world.obstacles, bounds):
+        assert ob.reach == row[2]
+
+
+def test_obstacle_tables_match_per_obstacle_loop_while_pedestrians_move():
+    rng = np.random.default_rng(31)
+    configs = suites.training_suite() + suites.validation_suite() + [suites.bench_config()]
+    pedestrians = 0
+    for cfg in configs:
+        obstacles = populate_obstacles(cfg.map, cfg.obstacle_density, rng,
+                                       pedestrian_fraction=0.5)
+        pedestrians += sum(ob.is_pedestrian for ob in obstacles)
+        x, y = cfg.map.sample_walkable_point(rng)
+        w = make_world(cfg.map, x, y, obstacles=obstacles, seed=int(rng.integers(1 << 30)))
+        for _ in range(60):
+            assert_tables_match_oracle(w)
+            step_dynamics(w, Action(0.0, 0.0))
+    assert pedestrians > 100
+
+
+@pytest.mark.parametrize("kinds", [(), ("cylinder",) * 3, ("cuboid",) * 3])
+def test_obstacle_tables_of_single_kind_worlds(big_plane, kinds):
+    obstacles = [Obstacle(kind=kind, x=1.5 * i, y=-0.5 * i, radius=0.2 + 0.1 * i,
+                          half_w=0.3, half_h=0.1 + 0.2 * i, yaw=0.7 * i - 1.0)
+                 for i, kind in enumerate(kinds)]
+    w = make_world(big_plane, obstacles=obstacles)
+    assert_tables_match_oracle(w)
+    circles, sides = w.obstacle_arrays()
+    assert circles.shape == (kinds.count("cylinder"), 3)
+    assert sides.shape == (4 * kinds.count("cuboid"), 4)
+    assert w.obstacle_bounds().shape == (len(kinds), 3)
