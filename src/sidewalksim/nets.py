@@ -85,20 +85,6 @@ class StudentNet:
         g_b1 = d_z1.sum(axis=0)
         return loss, [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3]
 
-    def kink_margins(self, x: np.ndarray, target: np.ndarray) -> float:
-        """Smallest distance of any pre-activation or residual to its kink."""
-        x = np.atleast_2d(x)
-        z1, _, z2, _, y = self._forward_cache(x)
-        resid = y - np.atleast_2d(target)
-        return float(min(np.abs(z1).min(), np.abs(z2).min(), np.abs(resid).min()))
-
-    def activation_signature(self, x: np.ndarray, target: np.ndarray):
-        """Sign pattern of both rectifier layers and the L1 residual."""
-        x = np.atleast_2d(x)
-        z1, _, z2, _, y = self._forward_cache(x)
-        resid = y - np.atleast_2d(target)
-        return (z1 > 0.0, z2 > 0.0, np.sign(resid))
-
     # flat parameter views, used by the finite-difference checks and model IO
 
     def get_flat(self) -> np.ndarray:

@@ -6,14 +6,18 @@ so episode and evaluation code never special-cases it.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ckernel
 from .errors import NoPathError
 from .geometry import normalize_angle
 from .gridnav import (
+    _NEIGHBORS8,
     NAV_RESOLUTION,
     OccupancyGrid,
     dijkstra_distances,
@@ -80,6 +84,13 @@ class DistanceField:
     grid: OccupancyGrid
     values: np.ndarray           # (ny, nx) meters
     goal: tuple[float, float]
+    _kernel_args = None  # not a dataclass field: built on the first lookahead
+
+    def __getstate__(self):
+        # data addresses are valid only in the process that took them
+        state = self.__dict__.copy()
+        state.pop("_kernel_args", None)
+        return state
 
     def value_at_cell(self, row: int, col: int) -> float:
         if not self.grid.in_bounds(row, col):
@@ -88,32 +99,6 @@ class DistanceField:
 
     def distance_at(self, x: float, y: float) -> float:
         return self.value_at_cell(*self.grid.cell_of(x, y))
-
-    def descent_direction(self, x: float, y: float) -> float:
-        """Heading of steepest descent at (x, y).
-
-        Bilinear interpolation over the four surrounding cell centers; falls
-        back to the best finite neighbor when blocked cells corrupt the
-        stencil. Raises NoPathError when the agent's cell has no finite value
-        anywhere nearby.
-        """
-        grid, vals = self.grid, self.values
-        res = grid.resolution
-        u = (x - grid.minx) / res - 0.5
-        v = (y - grid.miny) / res - 0.5
-        c0 = int(math.floor(u))
-        r0 = int(math.floor(v))
-        fu = u - c0
-        fv = v - r0
-        q = [self.value_at_cell(r0, c0), self.value_at_cell(r0, c0 + 1),
-             self.value_at_cell(r0 + 1, c0), self.value_at_cell(r0 + 1, c0 + 1)]
-        if all(math.isfinite(t) for t in q):
-            v00, v10, v01, v11 = q
-            gx = ((v10 - v00) * (1.0 - fv) + (v11 - v01) * fv) / res
-            gy = ((v01 - v00) * (1.0 - fu) + (v11 - v10) * fu) / res
-            if gx != 0.0 or gy != 0.0:
-                return math.atan2(-gy, -gx)
-        return self._best_neighbor_direction(x, y)
 
     def _best_neighbor_direction(self, x: float, y: float, rings: int = 2) -> float:
         row, col = self.grid.cell_of(x, y)
@@ -139,16 +124,52 @@ class DistanceField:
         Walks cell-to-cell along the steepest finite descent and keeps the
         last path point with free line of sight from (x, y), so steering at
         it never cuts through blocked cells. Reaching the goal cell snaps to
-        the exact goal. Raises NoPathError when no finite cell is adjacent to
-        the agent.
+        the exact goal. From a blocked or off-grid cell, steps one cell
+        toward the best nearby cell instead. Raises NoPathError when no
+        finite cell is near the agent.
+
+        The walk runs in the compiled kernel (_gridnav.c) when one can be
+        built, else in _lookahead_walk, which returns the same points.
         """
+        kernel = _LOOKAHEAD.load()
+        if kernel is None:
+            target = self._lookahead_walk(x, y, lookahead)
+        else:
+            cached = self._kernel_args
+            if cached is None:
+                cached = self._kernel_args = self._build_kernel_args()
+            out = cached[1]
+            target = (out[0], out[1]) if kernel(x, y, lookahead, *cached[0]) == 0 else None
+        if target is not None:
+            return target
+        # blocked or off-grid start: nudge onto the best nearby cell first
+        direction = self._best_neighbor_direction(x, y)
+        step = self.grid.resolution
+        return (x + step * math.cos(direction), y + step * math.sin(direction))
+
+    def _build_kernel_args(self) -> tuple:
+        """(the kernel's arguments after x, y and lookahead, its output
+        buffer, the arrays the addresses point into); whoever keeps the
+        addresses keeps the arrays alive."""
+        grid = self.grid
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        free = np.ascontiguousarray(grid.free, dtype=bool)
+        if values.ndim != 2 or free.shape != values.shape:
+            raise ValueError(f"field {values.shape} does not match its grid {free.shape}")
+        out = (ctypes.c_double * 2)()
+        ny, nx = values.shape
+        args = (values.ctypes.data, free.ctypes.data, ny, nx, grid.minx, grid.miny,
+                grid.resolution, self.goal[0], self.goal[1], ctypes.addressof(out))
+        return args, out, (values, free)
+
+    def _lookahead_walk(self, x: float, y: float,
+                        lookahead: float) -> tuple[float, float] | None:
+        """Pure-Python fallback for the compiled walk, and its reference;
+        None when the start cell is blocked or off the grid."""
         grid, vals = self.grid, self.values
         row, col = grid.cell_of(x, y)
         if not (grid.in_bounds(row, col) and math.isfinite(vals[row, col])):
-            # nudge onto the best nearby cell first
-            direction = self._best_neighbor_direction(x, y)
-            step = grid.resolution
-            return (x + step * math.cos(direction), y + step * math.sin(direction))
+            return None
         ny, nx = vals.shape
         px, py = x, y
         travelled = 0.0
@@ -157,30 +178,35 @@ class DistanceField:
         while travelled < lookahead:
             best_val = vals[cur]
             nxt = None
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    rr, cc = cur[0] + dr, cur[1] + dc
-                    if 0 <= rr < ny and 0 <= cc < nx and vals[rr, cc] < best_val:
-                        best_val = vals[rr, cc]
-                        nxt = (rr, cc)
+            for dr, dc in _NEIGHBORS8:
+                rr, cc = cur[0] + dr, cur[1] + dc
+                if 0 <= rr < ny and 0 <= cc < nx and vals[rr, cc] < best_val:
+                    best_val = vals[rr, cc]
+                    nxt = (rr, cc)
             if nxt is None:
                 # local minimum: the goal cell itself
                 if target is None or line_of_sight(grid, x, y, self.goal[0], self.goal[1]):
                     return self.goal
                 return target
             cx, cy = grid.center_of(*nxt)
-            if target is None or line_of_sight(grid, x, y, cx, cy):
-                candidate = (cx, cy)
-                if target is None or candidate != target:
-                    target = candidate
-            else:
+            if target is not None and not line_of_sight(grid, x, y, cx, cy):
                 break  # path curls out of sight; steer at the last visible point
+            target = (cx, cy)
             travelled += math.hypot(cx - px, cy - py)
             px, py = cx, cy
             cur = nxt
         return target if target is not None else (px, py)
+
+
+# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
+_LOOKAHEAD = _ckernel.Kernel("_gridnav.c", "grid_lookahead", "dddppiidddddp",
+                             "Python lookahead walk")
+# The kernel measures lengths with a port of CPython 3.11's math.hypot. Other
+# interpreters round some lengths differently, so there the walk stays in
+# Python to return the same points as math.hypot would.
+_HYPOT_PORTED = sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11)
+if not _HYPOT_PORTED:
+    _LOOKAHEAD.fn = None
 
 
 def build_distance_field(wmap: WalkableMap, obstacles, goal: tuple[float, float],
@@ -388,11 +414,6 @@ def _teacher_step(field: DistanceField, obs: Observation, pose,
         # no-op actions deadlock; rotate toward the path until something clears
         yaw = YAW_LIMIT if misalign >= 0.0 else -YAW_LIMIT
     return Action(speed, yaw), reflex
-
-
-def teacher_act(field: DistanceField, obs: Observation, pose) -> Action:
-    """Single stateless steering step (no reflex hysteresis)."""
-    return _teacher_step(field, obs, pose, engaged=False)[0]
 
 
 class OracleTeacher(Policy):

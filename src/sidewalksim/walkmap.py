@@ -146,6 +146,8 @@ class WalkableMap:
 
     def _is_walkable_indexed(self, x: float, y: float) -> bool:
         """Pure-Python fallback for the compiled kernel, and its reference."""
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False  # inside no polygon, and no grid cell to look up
         for pid in self.candidate_polygons(x, y):
             if geometry.point_in_polygon(x, y, self.polygons[pid]):
                 return True

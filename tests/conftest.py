@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from sidewalksim import _ckernel
+from sidewalksim import _ckernel, planner
 from sidewalksim.episode import EpisodeConfig
 from sidewalksim.walkmap import WalkableMap, generate_synthetic_map
 
@@ -11,6 +11,10 @@ from sidewalksim.walkmap import WalkableMap, generate_synthetic_map
 needs_c_compiler = pytest.mark.skipif(
     not any(map(shutil.which, _ckernel.COMPILERS)),
     reason="no C compiler on PATH to build the C kernels")
+
+needs_ported_hypot = pytest.mark.skipif(
+    not planner._HYPOT_PORTED,
+    reason="the lookahead kernel ports math.hypot of CPython 3.11 and runs only there")
 
 
 @pytest.fixture

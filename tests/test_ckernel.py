@@ -1,6 +1,8 @@
 import ctypes
 import importlib
 import pkgutil
+import shutil
+import subprocess
 import tomllib
 from pathlib import Path
 
@@ -42,3 +44,13 @@ def test_every_c_source_builds_and_exports_its_kernel():
         library = ctypes.CDLL(_ckernel.build(str(source)))
         for kernel in kernels[source]:
             assert getattr(library, kernel.symbol)
+
+
+@needs_c_compiler
+def test_every_c_source_compiles_without_warnings():
+    compiler = next(filter(None, map(shutil.which, _ckernel.COMPILERS)))
+    for source in sorted(PACKAGE.glob("*.c")):
+        result = subprocess.run(
+            [compiler, *_ckernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+             str(source)], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, f"{source.name}:\n{result.stderr}"

@@ -23,6 +23,22 @@ def finite_difference_grad(net, x, y, coords, h=1e-5):
     return grads
 
 
+def kink_margins(net, x, target) -> float:
+    """Smallest distance of any pre-activation or residual to its kink."""
+    x = np.atleast_2d(x)
+    z1, _, z2, _, y = net._forward_cache(x)
+    resid = y - np.atleast_2d(target)
+    return float(min(np.abs(z1).min(), np.abs(z2).min(), np.abs(resid).min()))
+
+
+def activation_signature(net, x, target):
+    """Sign pattern of both rectifier layers and the L1 residual."""
+    x = np.atleast_2d(x)
+    z1, _, z2, _, y = net._forward_cache(x)
+    resid = y - np.atleast_2d(target)
+    return (z1 > 0.0, z2 > 0.0, np.sign(resid))
+
+
 def signatures_match(net, x, y, i, h):
     """True when both perturbed points keep every kink on the same side."""
     flat = net.get_flat()
@@ -32,8 +48,8 @@ def signatures_match(net, x, y, i, h):
     for delta in (h, -h):
         flat[i] = orig + delta
         net.set_flat(flat)
-        sigs.append(net.activation_signature(x, y))
-        margins.append(net.kink_margins(x, y))
+        sigs.append(activation_signature(net, x, y))
+        margins.append(kink_margins(net, x, y))
     flat[i] = orig
     net.set_flat(flat)
     a, b = sigs

@@ -1,8 +1,12 @@
+import itertools
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
 
+from sidewalksim import _ckernel, gridnav, planner, suites
 from sidewalksim.episode import Episode, run_episode
 from sidewalksim.errors import NoPathError
 from sidewalksim.gridnav import (
@@ -12,19 +16,33 @@ from sidewalksim.gridnav import (
     line_of_sight,
 )
 from sidewalksim.planner import (
+    FIELD_MARGIN,
     ConstantPolicy,
     OracleTeacher,
     ScriptedPolicy,
+    _field_on_grid,
+    _teacher_step,
     build_distance_field,
     frontal_clearance,
-    teacher_act,
 )
 from sidewalksim.sensors import Observation, PrivilegedObs, raycast
 from sidewalksim.walkmap import generate_synthetic_map
-from sidewalksim.world import SPEED_MAX, SPEED_MIN, YAW_LIMIT, Obstacle
+from sidewalksim.world import (
+    AGENT_RADIUS,
+    SPEED_MAX,
+    SPEED_MIN,
+    YAW_LIMIT,
+    Obstacle,
+    populate_obstacles,
+)
 
-from tests.conftest import make_config
+from tests.conftest import make_config, needs_c_compiler, needs_ported_hypot
 from tests.test_world import make_world
+
+
+def teacher_act(field, obs, pose):
+    """Single stateless steering step (no reflex hysteresis)."""
+    return _teacher_step(field, obs, pose, engaged=False)[0]
 
 
 def privileged_obs(world, goal):
@@ -116,6 +134,136 @@ def test_field_unreachable_is_inf(corridor):
 def test_field_goal_not_walkable_raises(corridor):
     with pytest.raises(NoPathError):
         build_distance_field(corridor, (), (10.0, 10.0))
+
+
+# -- compiled lookahead walk vs the Python reference ------------------------------
+
+
+def suite_fields():
+    """Plain and eroded teacher fields over every suite map at density 5."""
+    rng = np.random.default_rng(11)
+    configs = suites.training_suite(5.0) + suites.validation_suite(5.0) + [suites.bench_config(5.0)]
+    for cfg in configs:
+        for _ in range(2):
+            obstacles = populate_obstacles(cfg.map, cfg.obstacle_density, rng)
+            goal = cfg.map.sample_walkable_point(rng)
+            grid = free_space_grid(cfg.map, obstacles, inflate=AGENT_RADIUS + FIELD_MARGIN)
+            for g in (grid, eroded(grid)):
+                field = _field_on_grid(g, goal)
+                if field is not None:
+                    yield field
+
+
+def points_in_cells(rng, grid, cells, k):
+    """k uniform points, each inside a randomly drawn cell of `cells`."""
+    if not len(cells):
+        return []
+    rows, cols = cells[rng.integers(len(cells), size=k)].T
+    xs = grid.minx + (cols + rng.random(k)) * grid.resolution
+    ys = grid.miny + (rows + rng.random(k)) * grid.resolution
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+def lookahead_points(rng, field):
+    """Points on the goal cell, on any finite cell, next to blocked cells, on
+    cells whose lowest neighbours tie, and anywhere in or just outside the grid."""
+    grid, vals = field.grid, field.values
+    ny, nx = vals.shape
+    padded = np.pad(vals, 1, constant_values=np.inf)
+    neighbours = np.stack([padded[1 + dr:1 + dr + ny, 1 + dc:1 + dc + nx]
+                           for dr, dc in gridnav._NEIGHBORS8])
+    lowest = neighbours.min(axis=0)
+    finite = np.isfinite(vals)
+    near_blocked = finite & ~np.isfinite(neighbours).all(axis=0)
+    tied = finite & (lowest < vals) & ((neighbours == lowest).sum(axis=0) >= 2)
+    xs = rng.uniform(grid.minx - 1.0, grid.minx + nx * grid.resolution + 1.0, 40)
+    ys = rng.uniform(grid.miny - 1.0, grid.miny + ny * grid.resolution + 1.0, 40)
+    return {
+        "goal cell": points_in_cells(rng, grid, np.argwhere(vals == 0.0), 6),
+        "first step": points_in_cells(rng, grid, np.argwhere(finite), 40),
+        "next to blocked": points_in_cells(rng, grid, np.argwhere(near_blocked), 30),
+        "tie": points_in_cells(rng, grid, np.argwhere(tied), 20),
+        "anywhere": list(zip(xs.tolist(), ys.tolist())),
+    }
+
+
+def lookahead_outcome(field, x, y, lookahead):
+    try:
+        return field.lookahead_point(x, y, lookahead)
+    except NoPathError:
+        return "NoPathError"
+
+
+@needs_c_compiler
+@needs_ported_hypot
+def test_kernel_lookahead_equals_python_walk_on_suite_fields(monkeypatch):
+    assert planner._LOOKAHEAD.load() is not None, "the lookahead kernel failed to build or load"
+    rng = np.random.default_rng(3)
+    sight_failures = []
+
+    def recording_line_of_sight(*args):
+        seen = gridnav.line_of_sight(*args)
+        sight_failures.append(not seen)
+        return seen
+
+    counts = dict.fromkeys(("goal cell", "first step", "next to blocked", "tie", "anywhere",
+                            "out of sight", "nudged"), 0)
+    for field in suite_fields():
+        for kind, points in lookahead_points(rng, field).items():
+            for x, y in points:
+                lookahead = float(rng.choice([0.3, 0.75, 1.2, rng.uniform(0.0, 3.0)]))
+                if kind == "first step":
+                    # stop exactly after the first step, as math.hypot measures
+                    # it: a length off by one ulp takes the walk a step further
+                    cx, cy = field._lookahead_walk(x, y, 1e-9)
+                    lookahead = math.hypot(cx - x, cy - y)
+                fast = lookahead_outcome(field, x, y, lookahead)
+                sight_failures.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(planner._LOOKAHEAD, "fn", None)
+                    m.setattr(planner, "line_of_sight", recording_line_of_sight)
+                    reference = lookahead_outcome(field, x, y, lookahead)
+                assert fast == reference, (kind, x, y, lookahead)
+                assert reference == "NoPathError" or all(type(v) is float for v in fast)
+                counts[kind] += 1
+                counts["out of sight"] += any(sight_failures)
+                counts["nudged"] += field._lookahead_walk(x, y, lookahead) is None
+    assert sum(counts[k] for k in ("goal cell", "first step", "next to blocked", "tie",
+                                   "anywhere")) >= 2000
+    assert min(counts.values()) >= 50, counts
+
+
+def test_failed_kernel_build_warns_once_and_walks_in_python(monkeypatch):
+    fields = list(itertools.islice(suite_fields(), 6))
+    rng = np.random.default_rng(8)
+    queries = [(field, x, y, 1.2) for field in fields
+               for points in lookahead_points(rng, field).values() for x, y in points]
+    expected = [lookahead_outcome(*q) for q in queries]
+
+    def failing_build(source):
+        raise OSError("cc failed: error: unknown type name")
+
+    monkeypatch.setattr(_ckernel, "build", failing_build)
+    monkeypatch.setattr(planner._LOOKAHEAD, "fn", _ckernel._UNLOADED)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        answers = [lookahead_outcome(*q) for q in queries]
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "Python lookahead walk" in messages[0]
+    assert planner._LOOKAHEAD.fn is None
+    assert answers == expected
+
+
+def test_field_pickled_after_lookahead_answers_identically():
+    field = next(suite_fields())
+    rng = np.random.default_rng(5)
+    points = [p for pts in lookahead_points(rng, field).values() for p in pts]
+    answers = [lookahead_outcome(field, x, y, 1.2) for x, y in points]
+    clone = pickle.loads(pickle.dumps(field))
+    # cached data addresses are valid only in the process and for the arrays
+    # they were taken from, so they must not travel with the field
+    assert clone._kernel_args is None
+    assert [lookahead_outcome(clone, x, y, 1.2) for x, y in points] == answers
 
 
 # -- teacher steering --------------------------------------------------------------

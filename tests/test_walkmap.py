@@ -151,6 +151,18 @@ def test_failed_kernel_build_warns_once_and_uses_indexed_loop(monkeypatch, rng):
     assert any(answers) and not all(answers)
 
 
+@needs_c_compiler
+def test_non_finite_points_are_not_walkable_on_both_paths():
+    assert walkmap._KERNEL.load() is not None
+    wmap = suites.validation_suite()[6].map
+    x, y = wmap.sample_walkable_point(np.random.default_rng(4))
+    assert wmap.is_walkable(x, y) and wmap._is_walkable_indexed(x, y)
+    for bad in (math.nan, math.inf, -math.inf):
+        for point in ((bad, y), (x, bad), (bad, bad)):
+            assert not wmap.is_walkable(*point), point
+            assert not wmap._is_walkable_indexed(*point), point
+
+
 def test_map_pickled_after_query_answers_identically(rng):
     wmap = generate_synthetic_map("grid", 26.0, None, seed=9)
     minx, miny, maxx, maxy = wmap.bounds
