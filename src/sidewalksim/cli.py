@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", default=None)
     p.add_argument("--modes", nargs="+", default=list(BENCH_MODES), choices=BENCH_MODES)
     p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--density", type=float, default=6.0)
+    p.add_argument("--density", type=float, default=suites.BENCH_OBSTACLE_DENSITY)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)
 

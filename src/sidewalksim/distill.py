@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .episode import Episode, EpisodeConfig
+from .episode import Episode, EpisodeConfig, episode_seed
 from .errors import NoPathError, PrefillStallError, TrainingDivergedError
 from .nets import Adam, StudentNet
 from .planner import OracleTeacher, Policy
@@ -170,10 +170,8 @@ def _episode_stream(configs: list[EpisodeConfig], seed: int, obs_mode: str = "bo
     """Endless deterministic stream of episodes cycling over the config list."""
     i = 0
     while True:
-        child = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        ep_seed = int(child.generate_state(1)[0])
-        cfg = replace(configs[i % len(configs)], seed=ep_seed, obs_mode=obs_mode,
-                      render_bev=False)
+        cfg = replace(configs[i % len(configs)], seed=episode_seed(seed, i),
+                      obs_mode=obs_mode, render_bev=False)
         yield Episode(cfg)
         i += 1
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -11,7 +11,6 @@ import numpy as np
 from . import sensors, world as world_mod
 from .errors import EpisodeTerminatedError, MapTooSmallError
 from .gridnav import (
-    NAV_RESOLUTION,
     bfs_connected,
     dijkstra_distances,
     free_space_grid,
@@ -117,46 +116,40 @@ class EpisodeConfig:
             raise ValueError(f"obs_mode must be one of {OBS_MODES}")
 
     def to_dict(self) -> dict:
-        d = {
-            "map": self.map.to_dict(),
-            "seed": self.seed,
-            "obstacle_density": self.obstacle_density,
-            "pedestrian_fraction": self.pedestrian_fraction,
-            "max_steps": self.max_steps,
-            "success_radius": self.success_radius,
-            "goal_distance_range": list(self.goal_distance_range),
-            "footprint_radius": self.footprint_radius,
-            "gps_sigma": self.gps_sigma,
-            "gps_latency": self.gps_latency,
-            "obs_mode": self.obs_mode,
-            "render_bev": self.render_bev,
-            "geodesic_reward": self.geodesic_reward,
-            "max_geodesic": self.max_geodesic,
-            "waypoints": self.waypoints,
-            "start": list(self.start) if self.start else None,
-        }
+        """Every field in declaration order, JSON-ready: the map as its dict,
+        tuples as lists."""
+        d = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, WalkableMap):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            d[f.name] = value
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeConfig":
-        return cls(
-            map=WalkableMap.from_dict(d["map"]),
-            seed=int(d["seed"]),
-            obstacle_density=float(d["obstacle_density"]),
-            pedestrian_fraction=float(d["pedestrian_fraction"]),
-            max_steps=int(d["max_steps"]),
-            success_radius=float(d["success_radius"]),
-            goal_distance_range=tuple(d["goal_distance_range"]),
-            footprint_radius=float(d["footprint_radius"]),
-            gps_sigma=float(d["gps_sigma"]),
-            gps_latency=int(d["gps_latency"]),
-            obs_mode=d["obs_mode"],
-            render_bev=bool(d["render_bev"]),
-            geodesic_reward=bool(d["geodesic_reward"]),
-            max_geodesic=d.get("max_geodesic"),
-            waypoints=[tuple(w) for w in d["waypoints"]] if d.get("waypoints") else None,
-            start=tuple(d["start"]) if d.get("start") else None,
-        )
+        """Inverse of to_dict; an Optional field may be missing and reads as None."""
+        kwargs = {}
+        for f in fields(cls):
+            value = d.get(f.name) if f.type.startswith("Optional[") else d[f.name]
+            kwargs[f.name] = _FIELD_READERS[f.type](value)
+        return cls(**kwargs)
+
+
+# how from_dict reads a JSON value, by the annotation of the EpisodeConfig field
+_FIELD_READERS = {
+    "WalkableMap": WalkableMap.from_dict,
+    "int": int,
+    "float": float,
+    "bool": bool,
+    "str": str,
+    "tuple[float, float]": tuple,
+    "Optional[float]": lambda v: v,
+    "Optional[list[tuple[float, float]]]": lambda v: [tuple(w) for w in v] if v else None,
+    "Optional[tuple[float, float, float]]": lambda v: tuple(v) if v else None,
+}
 
 
 @dataclass
@@ -182,14 +175,6 @@ class EpisodeResult(NamedTuple):
     reward_total: float
     steps: int
     trajectory: list[tuple[float, float, float]]
-
-
-def is_reachable(wmap: WalkableMap, a: tuple[float, float], b: tuple[float, float],
-                 obstacles=(), agent_radius: float = world_mod.AGENT_RADIUS,
-                 resolution: float = NAV_RESOLUTION) -> bool:
-    """Connectivity on the inflated free-space grid between the two points."""
-    grid = free_space_grid(wmap, obstacles, resolution=resolution, inflate=agent_radius)
-    return bfs_connected(grid, grid.cell_of(a[0], a[1]), grid.cell_of(b[0], b[1]))
 
 
 def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator,
@@ -219,6 +204,11 @@ def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator,
     raise MapTooSmallError(
         f"no start/goal pair with separation in [{lo}, {hi}] m found in {max_tries} tries"
     )
+
+
+def episode_seed(root_seed: int, index: int) -> int:
+    """Deterministic per-episode seed, independent of execution order."""
+    return int(np.random.SeedSequence(entropy=root_seed, spawn_key=(index,)).generate_state(1)[0])
 
 
 class Episode:

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .episode import Episode, EpisodeConfig, run_episode
+from .episode import Episode, EpisodeConfig, episode_seed, run_episode
 from .errors import ReplayIntegrityError
 from .world import Action
 
@@ -57,11 +57,6 @@ class EvalReport:
         ]
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
-
-
-def episode_seed(root_seed: int, index: int) -> int:
-    """Deterministic per-episode seed, independent of execution order."""
-    return int(np.random.SeedSequence(entropy=root_seed, spawn_key=(index,)).generate_state(1)[0])
 
 
 def _run_indexed_episode(args):

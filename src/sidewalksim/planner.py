@@ -25,7 +25,7 @@ from .gridnav import (
     free_space_grid,
     line_of_sight,
 )
-from .sensors import Observation, PRIVILEGED_LIDAR_RAYS
+from .sensors import Observation
 from .walkmap import WalkableMap
 from .world import AGENT_RADIUS, Action, SPEED_MAX, SPEED_MIN, YAW_LIMIT
 
@@ -35,6 +35,7 @@ CLEARANCE_RELEASE = 1.2    # hysteresis factor: back up until threshold * this
 FRONTAL_HALF_ANGLE = math.radians(23.0)
 CORRIDOR_HALF_WIDTH = 0.35  # lateral band that counts as "in the way"
 TURN_AWAY = 0.35           # extra yaw away from the blocking side while reversing
+REAR_MIN_CLEARANCE = 0.3   # backing room required before the reflex may reverse
 LOOKAHEAD = 1.2            # meters of descent path the teacher steers toward
 
 
@@ -58,25 +59,6 @@ class ConstantPolicy(Policy):
         return self.action
 
 
-class ScriptedPolicy(Policy):
-    """Cycles through a fixed list of actions, ignoring observations."""
-
-    def __init__(self, actions):
-        if not actions:
-            raise ValueError("need at least one action")
-        self.actions = [Action(a[0], a[1]) if not isinstance(a, Action) else a
-                        for a in actions]
-        self._i = 0
-
-    def reset(self, context) -> None:
-        self._i = 0
-
-    def act(self, obs: Observation) -> Action:
-        a = self.actions[self._i % len(self.actions)]
-        self._i += 1
-        return a
-
-
 @dataclass
 class DistanceField:
     """Geodesic meters-to-goal on a uniform grid; inf marks blocked cells."""
@@ -96,9 +78,6 @@ class DistanceField:
         if not self.grid.in_bounds(row, col):
             return math.inf
         return float(self.values[row, col])
-
-    def distance_at(self, x: float, y: float) -> float:
-        return self.value_at_cell(*self.grid.cell_of(x, y))
 
     def _best_neighbor_direction(self, x: float, y: float, rings: int = 2) -> float:
         row, col = self.grid.cell_of(x, y)
@@ -283,74 +262,46 @@ def _nearest_free_cell(grid: OccupancyGrid, cell, max_rings: int = 6):
     return None
 
 
-def _frontal_rays(n_rays: int, half_angle: float):
-    k = np.arange(n_rays)
-    ang = 2.0 * math.pi * k / n_rays
-    ang = np.where(ang > math.pi, ang - 2.0 * math.pi, ang)
-    idx = np.nonzero(np.abs(ang) <= half_angle)[0]
-    return idx, np.cos(ang[idx]), np.sin(ang[idx])
+_TWO_PI = 2.0 * math.pi
 
 
-_FRONTAL64, _FRONTAL64_COS, _FRONTAL64_SIN = _frontal_rays(
-    PRIVILEGED_LIDAR_RAYS, FRONTAL_HALF_ANGLE)
+def corridor_hit(lidar: np.ndarray, bearing: float, half_angle: float) -> tuple[float, float]:
+    """(depth, lateral offset) of the nearest lidar hit in the corridor toward a bearing.
 
-
-def _rear_rays(n_rays: int, half_angle: float):
-    k = np.arange(n_rays)
-    ang = 2.0 * math.pi * k / n_rays
-    rel = np.abs(normalize_vec(ang - math.pi))
-    idx = np.nonzero(rel <= half_angle)[0]
-    back = ang[idx] - math.pi
-    return idx, np.cos(back), np.sin(back)
-
-
-def normalize_vec(a: np.ndarray) -> np.ndarray:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
-
-
-_REAR64, _REAR64_COS, _REAR64_SIN = _rear_rays(PRIVILEGED_LIDAR_RAYS, FRONTAL_HALF_ANGLE)
-REAR_MIN_CLEARANCE = 0.3  # backing room required before the reflex may reverse
-
-
-def rear_clearance(lidar: np.ndarray) -> float:
-    """Backward distance to the nearest hit in the reversing corridor."""
-    r = lidar[_REAR64]
-    back = r * _REAR64_COS
-    lat = r * _REAR64_SIN
-    in_band = np.abs(lat) < CORRIDOR_HALF_WIDTH
-    if not in_band.any():
-        return math.inf
-    return float(back[in_band].min())
-
-
-def frontal_clearance(lidar: np.ndarray) -> tuple[float, float]:
-    """(forward distance, lateral offset) of the nearest hit in the travel corridor.
-
-    Hits whose lateral offset exceeds the corridor half-width pass by and do
-    not count. Returns (inf, 0.0) when the corridor is clear.
+    Ray j leaves at 2*pi*j/n from the heading; only rays within `half_angle`
+    of `bearing` (relative to the heading) count, and of their hits only those
+    less than CORRIDOR_HALF_WIDTH to the side of the bearing: wider ones pass
+    by. Depth is measured along the bearing, the offset leftward of it. Ties
+    go to the lowest ray index. Returns (inf, 0.0) when the corridor is clear.
     """
-    r = lidar[_FRONTAL64]
-    fwd = r * _FRONTAL64_COS
-    lat = r * _FRONTAL64_SIN
-    in_band = np.abs(lat) < CORRIDOR_HALF_WIDTH
-    if not in_band.any():
-        return math.inf, 0.0
-    i = int(np.argmin(np.where(in_band, fwd, np.inf)))
-    return float(fwd[i]), float(lat[i])
-
-
-def corridor_clearance(lidar: np.ndarray, rel_bearing: float) -> float:
-    """Nearest hit depth inside a footprint-wide corridor toward a bearing."""
     n = len(lidar)
-    ang = 2.0 * math.pi * np.arange(n) / n - rel_bearing
-    ahead = np.cos(ang)
-    keep = ahead > 0.0
-    fwd = lidar * ahead
-    lat = lidar * np.sin(ang)
-    in_band = keep & (np.abs(lat) < CORRIDOR_HALF_WIDTH)
-    if not in_band.any():
-        return math.inf
-    return float(fwd[in_band].min())
+    # visit only the window of rays that can lie within half_angle, in
+    # ascending index order; floor and ceil keep the window a superset of the
+    # rays the exact angle test below accepts
+    lo = math.floor((bearing - half_angle) * n / _TWO_PI)
+    hi = math.ceil((bearing + half_angle) * n / _TWO_PI)
+    if hi - lo + 1 >= n:
+        window = range(n)
+    else:
+        lo %= n
+        hi %= n
+        window = range(lo, hi + 1) if lo <= hi else [*range(hi + 1), *range(lo, n)]
+    ranges = lidar.tolist()  # Python floats index and multiply faster than numpy scalars
+    depth, lateral = math.inf, 0.0
+    for j in window:
+        a = _TWO_PI * j / n - bearing
+        if a > math.pi:
+            a -= _TWO_PI
+        elif a <= -math.pi:
+            a += _TWO_PI
+        if abs(a) <= half_angle:
+            r = ranges[j]
+            lat = r * math.sin(a)
+            if abs(lat) < CORRIDOR_HALF_WIDTH:
+                d = r * math.cos(a)
+                if d < depth:
+                    depth, lateral = d, lat
+    return depth, lateral
 
 
 def _teacher_step(field: DistanceField, obs: Observation, pose,
@@ -372,7 +323,7 @@ def _teacher_step(field: DistanceField, obs: Observation, pose,
     homing = False
     if goal_dist <= LOOKAHEAD and obs.privileged is not None:
         bearing = normalize_angle(math.atan2(gy - y, gx - x) - heading)
-        if corridor_clearance(obs.privileged.lidar, bearing) > goal_dist:
+        if corridor_hit(obs.privileged.lidar, bearing, math.pi / 2)[0] > goal_dist:
             homing = True  # the corridor to the goal is empty: go straight in
     if homing:
         tx, ty = gx, gy
@@ -392,13 +343,14 @@ def _teacher_step(field: DistanceField, obs: Observation, pose,
         speed = min(speed, max(0.08, 0.6 * goal_dist))  # tighter final turns
 
     reflex = False
-    if obs.privileged is not None and len(obs.privileged.lidar) == PRIVILEGED_LIDAR_RAYS:
-        clearance, hit_lat = frontal_clearance(obs.privileged.lidar)
+    if obs.privileged is not None:
+        lidar = obs.privileged.lidar
+        clearance, hit_lat = corridor_hit(lidar, 0.0, FRONTAL_HALF_ANGLE)
         threshold = CLEARANCE_THRESHOLD * (CLEARANCE_RELEASE if engaged else 1.0)
         if clearance < threshold and clearance < goal_dist:
             reflex = True
             speed = SPEED_MIN
-            if rear_clearance(obs.privileged.lidar) < REAR_MIN_CLEARANCE:
+            if corridor_hit(lidar, math.pi, FRONTAL_HALF_ANGLE)[0] < REAR_MIN_CLEARANCE:
                 speed = 0.0  # no room behind: pivot in place instead
             if abs(misalign) <= TURN_AWAY:
                 # path agrees with heading, so the blocker is off-plan

@@ -239,8 +239,7 @@ def _raycast_numpy(world, ox, oy, ch, sh, units, max_range):
     return np.minimum(t_cap, t_boundary)
 
 
-def raycast(world: WorldState, n_rays: int, max_range: float,
-            use_compiled: bool = True) -> np.ndarray:
+def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
     """Ranges to the nearest obstacle boundary or walkable-area boundary.
 
     Ray k leaves at heading + 2*pi*k/n_rays. Obstacle surfaces use analytic
@@ -251,7 +250,7 @@ def raycast(world: WorldState, n_rays: int, max_range: float,
 
     The compiled kernel (_raycast.c) and the numpy path implement the same
     algorithm with the same arithmetic and return identical ranges; the numpy
-    path runs when use_compiled is False or no kernel could be built.
+    path runs when no kernel could be built.
     """
     if n_rays < 1 or max_range <= 0.0:
         raise ValueError("n_rays >= 1 and max_range > 0 required")
@@ -269,7 +268,7 @@ def raycast(world: WorldState, n_rays: int, max_range: float,
                 if ob.contains(ox, oy):
                     return np.zeros(n_rays)
 
-    kernel = _KERNEL.load() if use_compiled else None
+    kernel = _KERNEL.load()
     if kernel is None:
         return _raycast_numpy(world, ox, oy, ch, sh, units, max_range)
     args, _ = world.obstacle_derived("raycast_kernel_args", _kernel_world_args)

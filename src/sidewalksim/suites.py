@@ -6,6 +6,7 @@ from .episode import EpisodeConfig
 from .walkmap import generate_synthetic_map
 
 DEFAULT_OBSTACLE_DENSITY = 5.0  # per 100 m^2
+BENCH_OBSTACLE_DENSITY = 8.0    # per 100 m^2, on the throughput benchmark's map
 
 # (kind, length, width, geometry seed); sizes leave room for 10-15 m goals
 _TRAIN_SPECS = [
@@ -53,7 +54,7 @@ def obstacle_free_suite(**overrides):
     return _configs(_VAL_SPECS, 0.0, **overrides)
 
 
-def bench_config(density: float = 8.0) -> EpisodeConfig:
+def bench_config(density: float = BENCH_OBSTACLE_DENSITY) -> EpisodeConfig:
     """A busy grid map: representative load for the throughput benchmark."""
     wmap = generate_synthetic_map("grid", 24.0, 4.5, seed=7)
     return EpisodeConfig(map=wmap, obstacle_density=density)

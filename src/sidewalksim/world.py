@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -80,12 +80,9 @@ class Obstacle:
         return math.hypot(self.half_w, self.half_h)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "x": self.x, "y": self.y, "radius": self.radius,
-            "half_w": self.half_w, "half_h": self.half_h, "yaw": self.yaw,
-            "speed": self.speed, "heading": self.heading,
-            "reseed_period": self.reseed_period,
-        }
+        # not dataclasses.asdict, whose recursive deep copy is several times
+        # slower; this runs for every obstacle on every episode reset
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def contains(self, px: float, py: float) -> bool:
         if self.kind == "cylinder":
@@ -115,10 +112,6 @@ class WorldState:
     rng: np.random.Generator
     step_count: int = 0
     _obstacle_cache: dict = field(default_factory=dict, repr=False)
-
-    def rng_state(self) -> dict:
-        """Serializable snapshot of the generator state."""
-        return self.rng.bit_generator.state
 
     def invalidate_obstacle_cache(self):
         self._obstacle_cache.clear()

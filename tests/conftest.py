@@ -6,6 +6,7 @@ import pytest
 from sidewalksim import _ckernel, planner
 from sidewalksim.episode import EpisodeConfig
 from sidewalksim.walkmap import WalkableMap, generate_synthetic_map
+from sidewalksim.world import Action
 
 
 needs_c_compiler = pytest.mark.skipif(
@@ -44,3 +45,22 @@ def make_config(wmap, **kw):
     kw.setdefault("obs_mode", "privileged")
     kw.setdefault("render_bev", False)
     return EpisodeConfig(map=wmap, **kw)
+
+
+class ScriptedPolicy(planner.Policy):
+    """Cycles through a fixed list of actions, ignoring observations."""
+
+    def __init__(self, actions):
+        if not actions:
+            raise ValueError("need at least one action")
+        self.actions = [Action(a[0], a[1]) if not isinstance(a, Action) else a
+                        for a in actions]
+        self._i = 0
+
+    def reset(self, context) -> None:
+        self._i = 0
+
+    def act(self, obs):
+        a = self.actions[self._i % len(self.actions)]
+        self._i += 1
+        return a

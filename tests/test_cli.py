@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from sidewalksim.cli import main
+from sidewalksim import suites
+from sidewalksim.cli import build_parser, main
 from sidewalksim.walkmap import load_map
 
 OSM_SAMPLE = """<?xml version="1.0"?>
@@ -156,6 +157,11 @@ def test_bench_cli_smoke(tmp_path):
                 "--steps", 1000, "--report", report_path]) == 0
     doc = json.loads(report_path.read_text())
     assert set(doc["steps_per_second"]) == {"none", "lidar_only"}
+
+
+def test_bench_cli_default_density_is_the_bench_config_density():
+    args = build_parser().parse_args(["bench"])
+    assert args.density == suites.bench_config().obstacle_density
 
 
 def test_distill_cli_micro(tmp_path):

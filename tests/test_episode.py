@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,17 +13,24 @@ from sidewalksim.episode import (
     WaypointRoute,
     advance_waypoint,
     compute_reward,
-    is_reachable,
     run_episode,
     sample_start_goal,
 )
 from sidewalksim.errors import EpisodeTerminatedError, MapTooSmallError
+from sidewalksim.gridnav import NAV_RESOLUTION, bfs_connected, free_space_grid
 from sidewalksim.planner import ConstantPolicy
 from sidewalksim.walkmap import WalkableMap, generate_synthetic_map
-from sidewalksim.world import Action, Obstacle
+from sidewalksim.world import AGENT_RADIUS, Action, Obstacle
 
 from tests.conftest import make_config
 from tests.test_walkmap import walkable_bruteforce
+
+
+def is_reachable(wmap, a, b, obstacles=(), agent_radius=AGENT_RADIUS,
+                 resolution=NAV_RESOLUTION):
+    """Connectivity on the inflated free-space grid between the two points."""
+    grid = free_space_grid(wmap, obstacles, resolution=resolution, inflate=agent_radius)
+    return bfs_connected(grid, grid.cell_of(a[0], a[1]), grid.cell_of(b[0], b[1]))
 
 
 def fine_grid_reachable(wmap, a, b, obstacles, agent_radius=0.35, resolution=0.05):
@@ -294,14 +303,45 @@ def test_step_outcome_determinism(corridor_long):
     assert run() == run()
 
 
+# log headers carry the config, and criterion 7 compares logs byte for byte
+FULL_CONFIG_JSON = (
+    '{"map": {"version": 1, "origin": [0.0, 0.0], "cell_size": 1.0, "polygons": '
+    '[[[0.0, 3.0], [0.0, 0.0], [20.0, 0.0], [20.0, 3.0]]], "bounds": [0.0, 0.0, 20.0, 3.0]}, '
+    '"seed": 5, "obstacle_density": 2.5, "pedestrian_fraction": 0.25, "max_steps": 90, '
+    '"success_radius": 0.4, "goal_distance_range": [6.0, 9.0], "footprint_radius": 0.3, '
+    '"gps_sigma": 0.3, "gps_latency": 2, "obs_mode": "both", "render_bev": false, '
+    '"geodesic_reward": true, "max_geodesic": null, "waypoints": [[4.0, 1.5], [12.0, 1.5]], '
+    '"start": [1.0, 1.5, 0.25]}')
+
+
+def full_config(wmap):
+    """Every field away from its default."""
+    return EpisodeConfig(map=wmap, seed=5, obstacle_density=2.5, pedestrian_fraction=0.25,
+                         max_steps=90, success_radius=0.4, goal_distance_range=(6.0, 9.0),
+                         footprint_radius=0.3, gps_sigma=0.3, gps_latency=2, obs_mode="both",
+                         render_bev=False, geodesic_reward=True, max_geodesic=None,
+                         waypoints=[(4.0, 1.5), (12.0, 1.5)], start=(1.0, 1.5, 0.25))
+
+
 def test_config_round_trip(corridor):
-    cfg = make_config(corridor, seed=5, obstacle_density=2.5, gps_sigma=0.3)
-    back = EpisodeConfig.from_dict(cfg.to_dict())
-    assert back.map == cfg.map
-    assert back.seed == cfg.seed
-    assert back.obstacle_density == cfg.obstacle_density
-    assert back.goal_distance_range == cfg.goal_distance_range
-    assert back.gps_sigma == cfg.gps_sigma
+    for cfg in (make_config(corridor, seed=5, obstacle_density=2.5, gps_sigma=0.3),
+                full_config(corridor)):
+        back = EpisodeConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        for f in dataclasses.fields(EpisodeConfig):
+            got, want = getattr(back, f.name), getattr(cfg, f.name)
+            assert got == want and type(got) is type(want), f.name
+    assert json.dumps(full_config(corridor).to_dict()) == FULL_CONFIG_JSON
+
+
+def test_config_from_dict_coerces_types_and_defaults_max_geodesic(corridor):
+    d = full_config(corridor).to_dict()
+    d.update(seed=5.0, obstacle_density=2, max_steps=90.0, gps_latency=True, render_bev=0)
+    del d["max_geodesic"]
+    back = EpisodeConfig.from_dict(d)
+    assert (back.seed, back.obstacle_density, back.max_steps, back.gps_latency,
+            back.render_bev, back.max_geodesic) == (5, 2.0, 90, 1, False, None)
+    assert [type(v) for v in (back.seed, back.obstacle_density, back.max_steps,
+                              back.gps_latency, back.render_bev)] == [int, float, int, int, bool]
 
 
 def test_observation_modes(corridor_long):

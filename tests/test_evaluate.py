@@ -11,10 +11,10 @@ from sidewalksim.evaluate import (
     replay,
     write_pgm,
 )
-from sidewalksim.planner import ConstantPolicy, OracleTeacher, ScriptedPolicy
+from sidewalksim.planner import ConstantPolicy, OracleTeacher
 from sidewalksim.walkmap import generate_synthetic_map
 
-from tests.conftest import make_config
+from tests.conftest import ScriptedPolicy, make_config
 
 
 def straight_dash_config(seed=0):

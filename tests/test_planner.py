@@ -16,14 +16,15 @@ from sidewalksim.gridnav import (
     line_of_sight,
 )
 from sidewalksim.planner import (
+    CORRIDOR_HALF_WIDTH,
     FIELD_MARGIN,
+    FRONTAL_HALF_ANGLE,
     ConstantPolicy,
     OracleTeacher,
-    ScriptedPolicy,
     _field_on_grid,
     _teacher_step,
     build_distance_field,
-    frontal_clearance,
+    corridor_hit,
 )
 from sidewalksim.sensors import Observation, PrivilegedObs, raycast
 from sidewalksim.walkmap import generate_synthetic_map
@@ -36,13 +37,17 @@ from sidewalksim.world import (
     populate_obstacles,
 )
 
-from tests.conftest import make_config, needs_c_compiler, needs_ported_hypot
+from tests.conftest import ScriptedPolicy, make_config, needs_c_compiler, needs_ported_hypot
 from tests.test_world import make_world
 
 
 def teacher_act(field, obs, pose):
     """Single stateless steering step (no reflex hysteresis)."""
     return _teacher_step(field, obs, pose, engaged=False)[0]
+
+
+def distance_at(field, x, y):
+    return field.value_at_cell(*field.grid.cell_of(x, y))
 
 
 def privileged_obs(world, goal):
@@ -94,7 +99,7 @@ def test_bfs_connected_basic(corridor):
 
 def test_field_goal_cell_is_zero(corridor):
     field = build_distance_field(corridor, (), (15.0, 1.5))
-    assert field.distance_at(15.0, 1.5) == pytest.approx(0.0, abs=0.3)
+    assert distance_at(field, 15.0, 1.5) == pytest.approx(0.0, abs=0.3)
     cell = field.grid.cell_of(15.0, 1.5)
     assert field.values[cell] == 0.0
 
@@ -103,7 +108,7 @@ def test_field_monotone_along_corridor(corridor):
     goal = (18.0, 1.5)
     field = build_distance_field(corridor, (), goal)
     xs = np.linspace(1.0, 17.0, 30)
-    vals = [field.distance_at(x, 1.5) for x in xs]
+    vals = [distance_at(field, x, 1.5) for x in xs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # within the diagonal-metric factor of Euclidean distance
     for x, v in zip(xs, vals):
@@ -128,7 +133,7 @@ def test_field_neighbor_differences_bounded(corridor):
 def test_field_unreachable_is_inf(corridor):
     wall = Obstacle(kind="cuboid", x=10.0, y=1.5, half_w=0.3, half_h=1.6)
     field = build_distance_field(corridor, [wall], (18.0, 1.5))
-    assert math.isinf(field.distance_at(1.0, 1.5))
+    assert math.isinf(distance_at(field, 1.0, 1.5))
 
 
 def test_field_goal_not_walkable_raises(corridor):
@@ -266,6 +271,116 @@ def test_field_pickled_after_lookahead_answers_identically():
     assert [lookahead_outcome(clone, x, y, 1.2) for x, y in points] == answers
 
 
+# -- lidar corridor query ----------------------------------------------------------
+#
+# The teacher once ran three numpy queries with their own ray tables; they stay
+# here as the reference for corridor_hit. frontal_oracle and rear_oracle rotate
+# the rays as those did; homing_oracle keeps the rays with cos > 0 and does not
+# wrap the ray angle, so it may differ from corridor_hit in the last bits and
+# on rays lying exactly at +-90 degrees.
+
+
+def frontal_oracle(lidar, half_angle=FRONTAL_HALF_ANGLE):
+    n = len(lidar)
+    ang = 2.0 * math.pi * np.arange(n) / n
+    ang = np.where(ang > math.pi, ang - 2.0 * math.pi, ang)
+    idx = np.nonzero(np.abs(ang) <= half_angle)[0]
+    return _nearest_in_band(lidar[idx], ang[idx])
+
+
+def rear_oracle(lidar, half_angle=FRONTAL_HALF_ANGLE):
+    n = len(lidar)
+    ang = 2.0 * math.pi * np.arange(n) / n
+    rel = np.abs(((ang - math.pi) + math.pi) % (2.0 * math.pi) - math.pi)
+    idx = np.nonzero(rel <= half_angle)[0]
+    return _nearest_in_band(lidar[idx], ang[idx] - math.pi)
+
+
+def _nearest_in_band(r, ang):
+    fwd = r * np.cos(ang)
+    lat = r * np.sin(ang)
+    in_band = np.abs(lat) < CORRIDOR_HALF_WIDTH
+    if not in_band.any():
+        return math.inf, 0.0
+    i = int(np.argmin(np.where(in_band, fwd, np.inf)))
+    return float(fwd[i]), float(lat[i])
+
+
+def homing_oracle(lidar, rel_bearing):
+    n = len(lidar)
+    ang = 2.0 * math.pi * np.arange(n) / n - rel_bearing
+    ahead = np.cos(ang)
+    fwd = lidar * ahead
+    lat = lidar * np.sin(ang)
+    in_band = (ahead > 0.0) & (np.abs(lat) < CORRIDOR_HALF_WIDTH)
+    if not in_band.any():
+        return math.inf
+    return float(fwd[in_band].min())
+
+
+def random_lidar(rng, n):
+    """Ranges with ties (rounded, mirrored), runs at max range and blocked poses."""
+    kind = rng.integers(6)
+    if kind == 0:
+        return np.zeros(n)  # origin inside an obstacle: every ray reads 0
+    lidar = rng.uniform(0.0, 9.0, n) * rng.uniform(0.05, 1.0)
+    if kind in (1, 2):
+        lidar = np.round(lidar, int(rng.integers(0, 2)))
+    if kind == 2:
+        lidar[n - np.arange(1, n // 2)] = lidar[1:n // 2]  # ray j mirrors ray n - j
+    for _ in range(int(rng.integers(0, 4))):
+        start = int(rng.integers(n))
+        lidar[np.arange(start, start + int(rng.integers(1, n // 3))) % n] = 9.0
+    return lidar
+
+
+def test_corridor_hit_equals_the_numpy_oracles():
+    rng = np.random.default_rng(20)
+    counts = dict(frontal=0, rear=0, homing=0)
+    for trial in range(12_000):
+        n = 64 if trial < 10_000 else int(rng.choice([7, 33, 272]))
+        lidar = random_lidar(rng, n)
+        got = corridor_hit(lidar, 0.0, FRONTAL_HALF_ANGLE)
+        assert got == frontal_oracle(lidar), (trial, lidar.tolist())
+        counts["frontal"] += math.isfinite(got[0])
+        got = corridor_hit(lidar, math.pi, FRONTAL_HALF_ANGLE)
+        assert got == rear_oracle(lidar), (trial, lidar.tolist())
+        counts["rear"] += math.isfinite(got[0])
+        for bearing in (0.0, math.pi / 2, -math.pi / 2, math.pi, rng.uniform(-math.pi, math.pi)):
+            a = 2.0 * math.pi * np.arange(n) / n - bearing
+            # a ray exactly abeam of the bearing is kept by one rule and not
+            # the other; put it out of the band for both
+            abeam = np.abs(np.abs((a + math.pi) % (2.0 * math.pi) - math.pi) - math.pi / 2) < 1e-9
+            probe = np.where(abeam, 9.0, lidar)
+            want = homing_oracle(probe, bearing)
+            depth = corridor_hit(probe, bearing, math.pi / 2)[0]
+            assert depth == want or abs(depth - want) <= 1e-12, (trial, bearing, probe.tolist())
+            counts["homing"] += math.isfinite(want)
+    # the cases exercise hits as well as clear corridors
+    assert min(counts.values()) > 1000, counts
+
+
+def test_corridor_hit_ties_and_edges():
+    lidar = np.full(64, 9.0)
+    lidar[[1, 63, 31, 33]] = 0.5  # mirror pairs across the heading and the tail
+    front = corridor_hit(lidar, 0.0, FRONTAL_HALF_ANGLE)
+    assert front == frontal_oracle(lidar) and front[1] > 0.0  # the lower index, ray 1
+    rear = corridor_hit(lidar, math.pi, FRONTAL_HALF_ANGLE)
+    assert rear == rear_oracle(lidar) and rear[1] < 0.0  # ray 31
+    # rays 1 and 7 of 8 lie exactly on the edges of a 45-degree half-angle
+    half = 2.0 * math.pi / 8
+    for nearest, side in ((1, 1.0), (7, -1.0)):
+        lidar = np.full(8, 9.0)
+        lidar[[1, 7]] = 0.45
+        lidar[nearest] = 0.4
+        hit = corridor_hit(lidar, 0.0, half)
+        assert hit == frontal_oracle(lidar, half) and hit[1] * side > 0.0
+    # a hit exactly on the edge of the band passes by: ray 0 at 9 m stays nearest
+    lidar = np.full(64, 9.0)
+    lidar[16] = CORRIDOR_HALF_WIDTH  # abeam, so the lateral offset equals the range
+    assert corridor_hit(lidar, 0.0, math.pi / 2) == (9.0, 0.0)
+
+
 # -- teacher steering --------------------------------------------------------------
 
 
@@ -294,7 +409,8 @@ def test_teacher_reverses_on_blocked_front(big_plane):
     field = build_distance_field(big_plane, [ob], goal, start=(0.0, 0.0))
     w = make_world(big_plane, 0.0, 0.0, 0.0, obstacles=[ob])
     obs = privileged_obs(w, goal)
-    assert frontal_clearance(obs.privileged.lidar)[0] == pytest.approx(0.5, abs=1e-9)
+    assert corridor_hit(obs.privileged.lidar, 0.0, FRONTAL_HALF_ANGLE)[0] == pytest.approx(
+        0.5, abs=1e-9)
     action = teacher_act(field, obs, (0.0, 0.0, 0.0))
     assert action.speed == SPEED_MIN
 

@@ -204,17 +204,18 @@ def test_raycast_matches_marching_oracle(seed):
 
 @needs_c_compiler
 @pytest.mark.parametrize("seed", [20, 21, 22])
-def test_raycast_compiled_matches_numpy(seed):
+def test_raycast_compiled_matches_numpy(seed, monkeypatch):
     assert sensors._KERNEL.load() is not None, "the raycast kernel failed to build or load"
     w = random_world(seed)
-    for n_rays, max_range in ((64, 6.0), (272, 6.0), (64, 9.0)):
-        fast = raycast(w, n_rays, max_range, use_compiled=True)
-        reference = raycast(w, n_rays, max_range, use_compiled=False)
-        assert np.array_equal(fast, reference)
+    cases = ((64, 6.0), (272, 6.0), (64, 9.0))
+    fast = [raycast(w, n_rays, max_range) for n_rays, max_range in cases]
+    monkeypatch.setattr(sensors._KERNEL, "fn", None)
+    for (n_rays, max_range), ranges in zip(cases, fast):
+        assert np.array_equal(ranges, raycast(w, n_rays, max_range))
 
 
 @needs_c_compiler
-def test_raycast_compiled_matches_numpy_grazing_rect_corners(big_plane):
+def test_raycast_compiled_matches_numpy_grazing_rect_corners(big_plane, monkeypatch):
     # one corner sits where a ray from the origin is tangent to the bounding
     # disc, so a dense fan grazes it at the rim, where the kernel skips rays
     half_w, half_h = 0.5, 0.3
@@ -223,8 +224,9 @@ def test_raycast_compiled_matches_numpy_grazing_rect_corners(big_plane):
     w = make_world(big_plane, 0.0, 0.0, 0.0,
                    obstacles=[Obstacle(kind="cuboid", x=3.0, y=0.0, half_w=half_w,
                                        half_h=half_h, yaw=yaw)])
-    fast = raycast(w, 20000, 9.0, use_compiled=True)
-    reference = raycast(w, 20000, 9.0, use_compiled=False)
+    fast = raycast(w, 20000, 9.0)
+    monkeypatch.setattr(sensors._KERNEL, "fn", None)
+    reference = raycast(w, 20000, 9.0)
     assert (reference < 9.0).any()
     assert np.array_equal(fast, reference)
 
@@ -239,7 +241,7 @@ def test_raycast_falls_back_to_numpy_when_kernel_build_fails(monkeypatch):
     with pytest.warns(RuntimeWarning, match="numpy path"):
         ranges = raycast(w, 64, 6.0)
     assert sensors._KERNEL.fn is None
-    assert np.array_equal(ranges, raycast(w, 64, 6.0, use_compiled=False))
+    assert np.array_equal(ranges, raycast(w, 64, 6.0))
 
 
 # The build helper is shared by every C kernel of the package; these tests

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -191,10 +192,8 @@ def test_pedestrians_never_teleport(corridor):
 
 def test_rng_state_serializable(corridor):
     w = make_world(corridor, 1.0, 1.5)
-    state = w.rng_state()
+    state = w.rng.bit_generator.state
     assert isinstance(state, dict)
-    import json
-
     json.dumps(state, default=str)  # round-trippable structure
 
 
@@ -255,3 +254,12 @@ def test_obstacle_tables_of_single_kind_worlds(big_plane, kinds):
     assert circles.shape == (kinds.count("cylinder"), 3)
     assert sides.shape == (4 * kinds.count("cuboid"), 4)
     assert w.obstacle_bounds().shape == (len(kinds), 3)
+
+
+def test_obstacle_to_dict_bytes():
+    # log headers carry these dicts, and replay compares them with a fresh reset
+    ob = Obstacle(kind="cuboid", x=1.0, y=2.0, half_w=0.3, half_h=0.2, yaw=0.1,
+                  speed=0.12, heading=-0.5, reseed_period=25)
+    assert json.dumps(ob.to_dict()) == (
+        '{"kind": "cuboid", "x": 1.0, "y": 2.0, "radius": 0.0, "half_w": 0.3, "half_h": 0.2, '
+        '"yaw": 0.1, "speed": 0.12, "heading": -0.5, "reseed_period": 25}')
