@@ -2,7 +2,8 @@
  *
  * Each expression mirrors the numpy path in sensors.py (ray directions,
  * geometry.rays_segments_t, geometry.ray_circle_t, WalkableMap.edges_near and
- * WalkableMap.contains_points_bulk) operation for operation. Terms that do not
+ * the WalkableMap.contains_points / geometry.points_in_polygon crossing test)
+ * operation for operation. Terms that do not
  * depend on the ray are computed once per call with the same expressions, and
  * a ray skips rectangles it provably misses (RECT_CULL_MARGIN). Built with
  * -ffp-contract=off so no multiply-add is fused, the two paths return

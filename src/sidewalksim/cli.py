@@ -35,14 +35,18 @@ def _parse_policy(spec: str):
     return distill_mod.StudentPolicy(net), "realistic"
 
 
+def _load_map_dir(map_dir: str) -> list:
+    paths = sorted(glob.glob(os.path.join(map_dir, "*.json")))
+    if not paths:
+        raise SidewalkSimError(f"no map files in {map_dir}")
+    return [load_map(p) for p in paths]
+
+
 def _load_maps(args) -> list:
     if getattr(args, "map", None):
         return [load_map(args.map)]
     if getattr(args, "map_dir", None):
-        paths = sorted(glob.glob(os.path.join(args.map_dir, "*.json")))
-        if not paths:
-            raise SidewalkSimError(f"no map files in {args.map_dir}")
-        return [load_map(p) for p in paths]
+        return _load_map_dir(args.map_dir)
     raise SidewalkSimError("one of --map or --map-dir is required")
 
 
@@ -106,18 +110,16 @@ def cmd_distill(args) -> int:
     config = distill_mod.TrainConfig(**overrides)
 
     if args.map_dir:
-        maps = _load_maps(args)
         train_configs = [EpisodeConfig(map=m, obstacle_density=args.density,
                                        obs_mode="both", render_bev=False)
-                         for m in maps]
+                         for m in _load_map_dir(args.map_dir)]
     else:
         train_configs = suites.training_suite(args.density, obs_mode="both",
                                               render_bev=False)
     if args.val_map_dir:
-        val_maps = [load_map(p) for p in
-                    sorted(glob.glob(os.path.join(args.val_map_dir, "*.json")))]
         val_configs = [EpisodeConfig(map=m, obstacle_density=args.density,
-                                     obs_mode="realistic") for m in val_maps]
+                                     obs_mode="realistic")
+                       for m in _load_map_dir(args.val_map_dir)]
     else:
         val_configs = suites.validation_suite(args.density, obs_mode="realistic")
 

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .episode import Episode, EpisodeConfig, episode_seed
-from .errors import NoPathError, PrefillStallError, TrainingDivergedError
+from .episode import Episode, EpisodeConfig, episode_seed, run_episode
+from .errors import PrefillStallError, TrainingDivergedError
 from .nets import Adam, StudentNet
 from .planner import OracleTeacher, Policy
 from .sensors import (
@@ -176,36 +176,37 @@ def _episode_stream(configs: list[EpisodeConfig], seed: int, obs_mode: str = "bo
         i += 1
 
 
+class _LabelingPolicy(Policy):
+    """`driver` acts while `teacher` labels every state it is shown."""
+
+    def __init__(self, driver: Policy, teacher: OracleTeacher, episode_id: int):
+        self.driver = driver
+        self.teacher = teacher
+        self.episode_id = episode_id
+        self.transitions: list[Transition] = []
+
+    def reset(self, context) -> None:
+        self.teacher.reset(context)
+        if self.driver is not self.teacher:
+            self.driver.reset(context)
+
+    def act(self, obs: Observation) -> Action:
+        label = self.teacher.act(obs)
+        action = label if self.driver is self.teacher else self.driver.act(obs)
+        self.transitions.append(Transition(
+            features=flatten_realistic(obs.realistic).astype(np.float32),
+            action=normalize_action(label),
+            episode_id=self.episode_id,
+            step_index=len(self.transitions),
+        ))
+        return action
+
+
 def _run_labeled_episode(episode: Episode, driver: Policy, teacher: OracleTeacher,
                          episode_id: int):
     """Roll one episode with `driver` acting, teacher labeling every state."""
-    obs = episode.reset()
-    try:
-        teacher.reset(episode.context())
-        if driver is not teacher:
-            driver.reset(episode.context())
-    except NoPathError:
-        return "timeout", []
-    transitions = []
-    outcome = "timeout"
-    for step_index in range(episode.config.max_steps):
-        try:
-            label = teacher.act(obs)
-            action = label if driver is teacher else driver.act(obs)
-        except NoPathError:
-            break
-        transitions.append(Transition(
-            features=flatten_realistic(obs.realistic).astype(np.float32),
-            action=normalize_action(label),
-            episode_id=episode_id,
-            step_index=step_index,
-        ))
-        out = episode.step(action)
-        obs = out.observation
-        if out.terminal is not None:
-            outcome = out.terminal
-            break
-    return outcome, transitions
+    policy = _LabelingPolicy(driver, teacher, episode_id)
+    return run_episode(episode, policy).outcome, policy.transitions
 
 
 def prefill(dataset: AggregatedDataset, teacher: OracleTeacher,

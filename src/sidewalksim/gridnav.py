@@ -61,22 +61,8 @@ def free_space_grid(wmap: WalkableMap, obstacles=(), resolution: float = NAV_RES
         c1 = min(nx, int((ob.x + reach - minx) / resolution) + 2)
         r0 = max(0, int((ob.y - reach - miny) / resolution) - 1)
         r1 = min(ny, int((ob.y + reach - miny) / resolution) + 2)
-        if c0 >= c1 or r0 >= r1:
-            continue
-        sub_x = xs[None, c0:c1]
-        sub_y = ys[r0:r1, None]
-        if ob.kind == "cylinder":
-            near = (sub_x - ob.x) ** 2 + (sub_y - ob.y) ** 2 <= reach * reach
-        else:
-            oc, osn = math.cos(ob.yaw), math.sin(ob.yaw)
-            dx = sub_x - ob.x
-            dy = sub_y - ob.y
-            lx = dx * oc + dy * osn
-            ly = -dx * osn + dy * oc
-            qx = np.clip(lx, -ob.half_w, ob.half_w)
-            qy = np.clip(ly, -ob.half_h, ob.half_h)
-            near = (lx - qx) ** 2 + (ly - qy) ** 2 <= inflate * inflate
-        free[r0:r1, c0:c1] &= ~near
+        if c0 < c1 and r0 < r1:
+            free[r0:r1, c0:c1] &= ~ob.covers(xs[None, c0:c1], ys[r0:r1, None], inflate)
     return OccupancyGrid(free=free, minx=minx, miny=miny, resolution=resolution)
 
 

@@ -99,18 +99,8 @@ def render_bev_frame(world: WorldState) -> np.ndarray:
         # restrict the membership test to pixels inside the obstacle's bbox
         box = ((px >= ob.x - reach) & (px <= ob.x + reach)
                & (py >= ob.y - reach) & (py <= ob.y + reach) & window)
-        if not box.any():
-            continue
-        dx = px[box] - ob.x
-        dy = py[box] - ob.y
-        if ob.kind == "cylinder":
-            inside = dx * dx + dy * dy <= ob.radius * ob.radius
-        else:
-            oc, osn = math.cos(ob.yaw), math.sin(ob.yaw)
-            lx = dx * oc + dy * osn
-            ly = -dx * osn + dy * oc
-            inside = (np.abs(lx) <= ob.half_w) & (np.abs(ly) <= ob.half_h)
-        window[box] = ~inside
+        if box.any():
+            window[box] = ~ob.covers(px[box], py[box])
     return good.astype(np.uint8)
 
 
@@ -199,7 +189,7 @@ def _raycast_numpy(world, ox, oy, ch, sh, units, max_range):
     dirs[:, 0] = ch * units[0] - sh * units[1]  # cos(heading + base)
     dirs[:, 1] = sh * units[0] + ch * units[1]  # sin(heading + base)
     circles, rect_segs = world.obstacle_arrays()
-    edges, edge_onehot = world.map.edges_near(ox, oy, max_range)
+    edges = world.map.edges_near(ox, oy, max_range)
     n_rect = len(rect_segs)
 
     # one segment battery covers obstacle rectangles and map edges together
@@ -231,8 +221,7 @@ def _raycast_numpy(world, ox, oy, ch, sh, units, max_range):
     mids = (padded[:, :-1] + padded[:, 1:]) * 0.5
     px = ox + mids * dirs[:, 0:1]
     py = oy + mids * dirs[:, 1:2]
-    blocked = ~world.map.contains_points_bulk(
-        px.ravel(), py.ravel(), edges, edge_onehot).reshape(mids.shape)
+    blocked = ~world.map.contains_points(px.ravel(), py.ravel()).reshape(mids.shape)
     hit_any = blocked.any(axis=1)
     first = np.argmax(blocked, axis=1)
     t_boundary = np.where(hit_any, padded[np.arange(n_rays), first], np.inf)

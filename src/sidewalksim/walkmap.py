@@ -81,9 +81,6 @@ class WalkableMap:
             edge_poly.append(np.full(len(p), pid))
         self._edges = np.vstack(edges)
         self._edge_poly = np.concatenate(edge_poly)
-        # dense edge -> polygon indicator for crossing-parity queries
-        self._edge_onehot = np.zeros((len(self._edge_poly), len(self.polygons)))
-        self._edge_onehot[np.arange(len(self._edge_poly)), self._edge_poly] = 1.0
         areas = np.array([geometry.polygon_area(p) for p in self.polygons])
         total = areas.sum()
         self._area_weights = areas / total if total > 0 else None
@@ -180,12 +177,13 @@ class WalkableMap:
         return inside
 
     def edges_near(self, x: float, y: float, radius: float):
-        """Edges within a box around (x, y): (rows (E, 4), parity matrix).
+        """Every edge (E, 4) of each polygon whose bbox meets the box of
+        half-side `radius` around (x, y).
 
-        Crossing-parity queries stay exact as long as every edge of any
-        polygon that can contain a query point is present; an edge-level bbox
-        cut would break that, so the cut is per polygon here and the parity
-        kernel gets the full edge set of each retained polygon.
+        The cut is per polygon, not per edge, because the compiled raycast
+        tests crossing parity on these edges and needs every edge of a polygon
+        that can contain a probe; the numpy raycast classifies its probes with
+        contains_points, which runs points_in_polygon's arithmetic.
         """
         b = self._bboxes
         near = (
@@ -195,7 +193,7 @@ class WalkableMap:
             & (b[:, 3] >= y - radius)
         )
         mask = near[self._edge_poly]
-        return self._edges[mask], self._edge_onehot[mask]
+        return self._edges[mask]
 
     def edge_table(self):
         """Every polygon edge (E, 4), its polygon id (E,), and the polygon bboxes (P, 4).
@@ -203,29 +201,6 @@ class WalkableMap:
         Edges are grouped by polygon in polygon order, as edges_near returns them.
         """
         return self._edges, self._edge_poly, self._bboxes
-
-    @staticmethod
-    def contains_points_bulk(px: np.ndarray, py: np.ndarray,
-                             edges: np.ndarray, edge_onehot: np.ndarray) -> np.ndarray:
-        """Union membership for few points against a pre-gathered edge set.
-
-        One vectorized crossing test over all (point, edge) pairs, reduced to
-        per-polygon parity via the edge indicator matrix; elementwise
-        arithmetic matches points_in_polygon, so classifications agree
-        exactly. Intended for probe batches much smaller than a BEV frame.
-        """
-        if edges.size == 0:
-            return np.zeros(px.shape, dtype=bool)
-        ax, ay = edges[:, 0], edges[:, 1]
-        bx, by = edges[:, 2], edges[:, 3]
-        pyc = py[:, None]
-        pxc = px[:, None]
-        crossing = (ay <= pyc) != (by <= pyc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (pyc - ay) / (by - ay)
-            crossing &= pxc < ax + t * (bx - ax)
-        counts = crossing.astype(float) @ edge_onehot
-        return (counts.astype(np.int64) & 1).any(axis=1)
 
     def sample_walkable_point(self, rng, max_tries: int = 200) -> tuple[float, float]:
         """Uniform-ish walkable point: area-weighted polygon, then bbox rejection."""

@@ -84,6 +84,26 @@ class Obstacle:
         # slower; this runs for every obstacle on every episode reset
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def covers(self, px, py, margin: float = 0.0):
+        """Elementwise: is each point within `margin` of the footprint?
+
+        The footprint test behind the BEV frame (margin 0) and the planner's
+        inflated occupancy grid; `contains` stays a separate scalar oracle.
+        """
+        dx = px - self.x
+        dy = py - self.y
+        if self.kind == "cylinder":
+            reach = self.radius + margin
+            return dx * dx + dy * dy <= reach * reach
+        oc, osn = math.cos(self.yaw), math.sin(self.yaw)
+        lx = dx * oc + dy * osn
+        ly = -dx * osn + dy * oc
+        # gap outside the box along each local axis; a nonzero gap squares to a
+        # nonzero value, so margin 0 is exactly |lx| <= half_w & |ly| <= half_h
+        ex = np.maximum(np.abs(lx) - self.half_w, 0.0)
+        ey = np.maximum(np.abs(ly) - self.half_h, 0.0)
+        return ex * ex + ey * ey <= margin * margin
+
     def contains(self, px: float, py: float) -> bool:
         if self.kind == "cylinder":
             dx, dy = px - self.x, py - self.y

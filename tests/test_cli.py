@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sidewalksim import distill as distill_mod
 from sidewalksim import suites
 from sidewalksim.cli import build_parser, main
 from sidewalksim.walkmap import load_map
@@ -190,3 +191,26 @@ def test_distill_cli_micro(tmp_path):
     # the trained model drives the eval and rollout surfaces
     assert run(["eval", "--policy", model, "--map-dir", map_dir,
                 "--episodes", 2, "--density", 3]) == 0
+
+
+@pytest.mark.parametrize("empty_flag", ["--map-dir", "--val-map-dir"])
+def test_distill_empty_map_dir_exits_config_error_before_any_episode(
+        tmp_path, capsys, monkeypatch, empty_flag):
+    def no_run(*args, **kwargs):
+        raise AssertionError("distillation started despite an empty map directory")
+
+    monkeypatch.setattr(distill_mod, "dagger_run", no_run)
+    map_dir = tmp_path / "maps"
+    map_dir.mkdir()
+    run(["gen-map", "--kind", "corridor", "--length", 30, "--width", 3.5,
+         "--out", map_dir / "m1.json"])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    dirs = {"--map-dir": map_dir, "--val-map-dir": map_dir, empty_flag: empty}
+    model = tmp_path / "model.json"
+    argv = ["distill", "--out", model]
+    for flag, path in dirs.items():
+        argv += [flag, path]
+    assert run(argv) == 2
+    assert f"no map files in {empty}" in capsys.readouterr().err
+    assert not model.exists()

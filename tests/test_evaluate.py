@@ -174,10 +174,16 @@ def test_bench_rejects_tiny_step_counts(corridor):
 
 def test_bench_rate_stable_across_seeds():
     # repeated measurement with different action scripts; generous slack for
-    # a noisy shared machine
+    # a noisy shared machine. The seeds run in alternating order and each
+    # keeps its best of three, so a burst of outside load slows one run, not
+    # the rate compared.
     cfg = make_config(generate_synthetic_map("corridor", 30.0, 3.5, seed=4),
                       obstacle_density=3.0)
-    a = bench(cfg, modes=("lidar_only",), n_steps=2000, seed=1).steps_per_second
-    b = bench(cfg, modes=("lidar_only",), n_steps=2000, seed=2).steps_per_second
-    ratio = a["lidar_only"] / b["lidar_only"]
+    best = {1: 0.0, 2: 0.0}
+    for _ in range(3):
+        for seed in best:
+            rate = bench(cfg, modes=("lidar_only",), n_steps=2000,
+                         seed=seed).steps_per_second["lidar_only"]
+            best[seed] = max(best[seed], rate)
+    ratio = best[1] / best[2]
     assert 0.65 < ratio < 1.55

@@ -196,6 +196,59 @@ def test_bfs_connected_start_equals_goal():
     assert not bfs_connected(grid, (2, 0), (2, 0))
 
 
+# -- free-space raster -----------------------------------------------------------
+
+
+def free_space_grid_oracle(wmap, obstacles, resolution, inflate) -> np.ndarray:
+    """Per-kind stamping: disc of radius + inflate, or cells within `inflate`
+    of the rectangle's clamp point, over the same cell window."""
+    minx, miny = wmap.bounds[0], wmap.bounds[1]
+    free = wmap.cell_centers_inside(resolution).copy()
+    ny, nx = free.shape
+    xs = minx + (np.arange(nx) + 0.5) * resolution
+    ys = miny + (np.arange(ny) + 0.5) * resolution
+    for ob in obstacles:
+        reach = ob.reach + inflate
+        c0 = max(0, int((ob.x - reach - minx) / resolution) - 1)
+        c1 = min(nx, int((ob.x + reach - minx) / resolution) + 2)
+        r0 = max(0, int((ob.y - reach - miny) / resolution) - 1)
+        r1 = min(ny, int((ob.y + reach - miny) / resolution) + 2)
+        if c0 >= c1 or r0 >= r1:
+            continue
+        sub_x = xs[None, c0:c1]
+        sub_y = ys[r0:r1, None]
+        if ob.kind == "cylinder":
+            near = (sub_x - ob.x) ** 2 + (sub_y - ob.y) ** 2 <= reach * reach
+        else:
+            oc, osn = math.cos(ob.yaw), math.sin(ob.yaw)
+            dx = sub_x - ob.x
+            dy = sub_y - ob.y
+            lx = dx * oc + dy * osn
+            ly = -dx * osn + dy * oc
+            qx = np.clip(lx, -ob.half_w, ob.half_w)
+            qy = np.clip(ly, -ob.half_h, ob.half_h)
+            near = (lx - qx) ** 2 + (ly - qy) ** 2 <= inflate * inflate
+        free[r0:r1, c0:c1] &= ~near
+    return free
+
+
+def test_free_space_grid_equals_per_kind_stamping_oracle():
+    configs = suites.training_suite() + suites.validation_suite() + [suites.bench_config()]
+    blocked = 0
+    for ci, cfg in enumerate(configs):
+        for density in (3.0, 8.0):
+            rng = np.random.default_rng(100 * ci + int(density))
+            obstacles = populate_obstacles(cfg.map, density, rng, pedestrian_fraction=0.3)
+            for inflate in (0.0, 0.3, 0.35, 0.48):
+                got = free_space_grid(cfg.map, obstacles, inflate=inflate).free
+                want = free_space_grid_oracle(cfg.map, obstacles, gridnav.NAV_RESOLUTION,
+                                              inflate)
+                assert np.array_equal(got, want), (ci, density, inflate)
+                blocked += int((cfg.map.cell_centers_inside(gridnav.NAV_RESOLUTION)
+                                & ~got).sum())
+    assert blocked > 10_000  # the obstacles really stamp cells
+
+
 # -- free-space raster cache -----------------------------------------------------
 
 

@@ -263,3 +263,72 @@ def test_obstacle_to_dict_bytes():
     assert json.dumps(ob.to_dict()) == (
         '{"kind": "cuboid", "x": 1.0, "y": 2.0, "radius": 0.0, "half_w": 0.3, "half_h": 0.2, '
         '"yaw": 0.1, "speed": 0.12, "heading": -0.5, "reseed_period": 25}')
+
+
+def footprint_probes(ob) -> np.ndarray:
+    """(N, 2) points on the boundary of the footprint, each also moved 1 ulp
+    either way in x and in y: cuboid vertices and edge midpoints, or points
+    around a cylinder's rim."""
+    if ob.kind == "cylinder":
+        a = np.linspace(-math.pi, math.pi, 48, endpoint=False)
+        base = np.column_stack([ob.x + ob.radius * np.cos(a), ob.y + ob.radius * np.sin(a)])
+    else:
+        corners = oriented_rect_corners(ob.x, ob.y, ob.half_w, ob.half_h, ob.yaw)
+        base = np.vstack([corners, (corners + np.roll(corners, -1, axis=0)) / 2.0])
+    probes = [base]
+    for axis in (0, 1):
+        for toward in (-np.inf, np.inf):
+            moved = base.copy()
+            moved[:, axis] = np.nextafter(moved[:, axis], toward)
+            probes.append(moved)
+    return np.vstack(probes)
+
+
+def covers_test_obstacles(rng):
+    obstacles = [Obstacle(kind="cuboid", x=0.0, y=0.0, half_w=0.3, half_h=0.2),
+                 Obstacle(kind="cuboid", x=1.25, y=-2.5, half_w=0.15, half_h=0.5,
+                          yaw=math.pi / 2),
+                 Obstacle(kind="cylinder", x=0.0, y=0.0, radius=0.15),
+                 Obstacle(kind="cylinder", x=3.1, y=-0.7, radius=0.5)]
+    for i in range(40):
+        size = rng.uniform(0.15, 0.5, size=3)
+        x, y = rng.uniform(-20.0, 20.0, size=2)
+        if i % 2:
+            obstacles.append(Obstacle(kind="cuboid", x=x, y=y, half_w=size[0],
+                                      half_h=size[1], yaw=rng.uniform(-math.pi, math.pi)))
+        else:
+            obstacles.append(Obstacle(kind="cylinder", x=x, y=y, radius=size[2]))
+    return obstacles
+
+
+def test_covers_at_margin_zero_equals_contains_on_the_boundary():
+    rng = np.random.default_rng(8)
+    inside = outside = 0
+    for ob in covers_test_obstacles(rng):
+        probes = footprint_probes(ob)
+        got = ob.covers(probes[:, 0], probes[:, 1])
+        want = np.array([ob.contains(float(px), float(py)) for px, py in probes])
+        assert np.array_equal(got, want), ob
+        inside += int(want.sum())
+        outside += int((~want).sum())
+    assert inside > 1000 and outside > 1000  # the probes straddle the boundary
+
+
+def test_inflated_cuboid_covers_within_margin_of_its_rounded_corners():
+    rng = np.random.default_rng(9)
+    checked = 0
+    for ob in covers_test_obstacles(rng):
+        if ob.kind != "cuboid":
+            continue
+        for margin in (0.3, 0.35, 0.48):
+            corners = oriented_rect_corners(ob.x, ob.y, ob.half_w, ob.half_h, ob.yaw)
+            a = rng.uniform(-math.pi, math.pi, size=(4, 200))
+            r = margin + rng.uniform(-0.05, 0.05, size=(4, 200))
+            px = (corners[:, 0:1] + r * np.cos(a)).ravel()
+            py = (corners[:, 1:2] + r * np.sin(a)).ravel()
+            dist = np.array([ob.distance_to(float(x), float(y)) for x, y in zip(px, py)])
+            clear = np.abs(dist - margin) > 1e-12  # hypot and squares may round apart
+            got = ob.covers(px, py, margin)
+            assert np.array_equal(got[clear], dist[clear] <= margin), (ob, margin)
+            checked += int(clear.sum())
+    assert checked > 10_000
