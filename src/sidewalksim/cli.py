@@ -79,16 +79,6 @@ def cmd_gen_map(args) -> int:
     return EXIT_OK
 
 
-def cmd_rollout(args) -> int:
-    policy, obs_mode = _parse_policy(args.policy)
-    configs = _episode_configs(args, obs_mode)
-    log_dir = args.log or args.log_dir
-    report = evaluate(policy, configs, args.episodes, seed=args.seed,
-                      workers=args.workers, log_dir=log_dir)
-    print(report.table(args.policy))
-    return EXIT_OK
-
-
 def cmd_collect(args) -> int:
     policy, _ = _parse_policy(args.policy)
     configs = _episode_configs(args, "both")
@@ -141,10 +131,11 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """`eval`, and `rollout`, which takes --log for --log-dir and writes no report."""
     policy, obs_mode = _parse_policy(args.policy)
     configs = _episode_configs(args, obs_mode)
     report = evaluate(policy, configs, args.episodes, seed=args.seed,
-                      workers=args.workers, log_dir=args.log_dir)
+                      workers=args.workers, log_dir=args.log or args.log_dir)
     print(report.table(args.policy))
     if args.report:
         with open(args.report, "w") as f:
@@ -207,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=10)
     p.add_argument("--density", type=float, default=0.0)
     p.add_argument("--log", default=None, help="episode log directory")
-    p.set_defaults(func=cmd_rollout)
+    p.set_defaults(func=cmd_eval, report=None)
 
     p = sub.add_parser("collect", parents=[common],
                        help="student rollouts with teacher labels")
@@ -236,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--density", type=float, default=suites.DEFAULT_OBSTACLE_DENSITY)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, log=None)
 
     p = sub.add_parser("bench", parents=[common], help="steps/second by observation mode")
     p.add_argument("--map", default=None)

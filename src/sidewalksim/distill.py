@@ -210,15 +210,14 @@ def _run_labeled_episode(episode: Episode, driver: Policy, teacher: OracleTeache
 
 
 def prefill(dataset: AggregatedDataset, teacher: OracleTeacher,
-            configs: list[EpisodeConfig], count: int, seed: int = 0,
-            max_episodes: Optional[int] = None) -> AggregatedDataset:
+            configs: list[EpisodeConfig], count: int, seed: int = 0) -> AggregatedDataset:
     """Fill the dataset with transitions from successful teacher episodes only."""
     if count < 0:
         raise ValueError("count must be >= 0")
     if count == 0:
         dataset.record_round(0)
         return dataset
-    budget = max_episodes if max_episodes is not None else max(100, count)
+    budget = max(100, count)
     stream = _episode_stream(configs, seed)
     stored = 0
     episodes_run = 0

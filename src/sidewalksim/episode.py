@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
@@ -178,8 +179,7 @@ class EpisodeResult(NamedTuple):
 
 
 def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator,
-                      distance_range: tuple[float, float] = GOAL_DISTANCE_RANGE,
-                      max_tries: int = START_GOAL_MAX_TRIES):
+                      distance_range: tuple[float, float] = GOAL_DISTANCE_RANGE):
     """Walkable start pose and goal point, separation within range, connected.
 
     Raises MapTooSmallError when no admissible pair is found within the retry
@@ -187,7 +187,7 @@ def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator,
     """
     lo, hi = distance_range
     grid = free_space_grid(wmap, (), inflate=0.0)
-    for _ in range(max_tries):
+    for _ in range(START_GOAL_MAX_TRIES):
         sx, sy = wmap.sample_walkable_point(rng)
         heading = float(rng.uniform(-math.pi, math.pi))
         r = float(rng.uniform(lo, hi))
@@ -202,7 +202,8 @@ def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator,
             continue
         return (sx, sy, heading), (gx, gy)
     raise MapTooSmallError(
-        f"no start/goal pair with separation in [{lo}, {hi}] m found in {max_tries} tries"
+        f"no start/goal pair with separation in [{lo}, {hi}] m found in "
+        f"{START_GOAL_MAX_TRIES} tries"
     )
 
 
@@ -222,7 +223,8 @@ class Episode:
         self.goal: Optional[tuple[float, float]] = None
         self.route: Optional[WaypointRoute] = None
         self.terminal: Optional[str] = None
-        self._bev_history = sensors.BevHistory()
+        # earlier BEV frames, most recent first
+        self._bev_history = deque(maxlen=sensors.BEV_STACK - 1)
         self._gps: Optional[sensors.GpsNoiseModel] = None
         self._d_last = 0.0
         self._geodesic = None
@@ -374,8 +376,8 @@ class Episode:
         if mode in ("privileged", "both"):
             bev = None
             if cfg.render_bev:
-                bev = sensors.render_bev(self.world, self._bev_history.frames())
-                self._bev_history.push(bev[0])
+                bev = sensors.render_bev(self.world, self._bev_history)
+                self._bev_history.appendleft(bev[0])
             blid = sensors.raycast(self.world, sensors.PRIVILEGED_LIDAR_RAYS,
                                    sensors.PRIVILEGED_LIDAR_MAX_RANGE)
             gdd = sensors.compute_gdd(self.world.agent, self.current_target())

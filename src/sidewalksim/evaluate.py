@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -31,18 +31,9 @@ class EvalReport:
     episodes: list[dict]
 
     def to_dict(self, include_episodes: bool = False) -> dict:
-        d = {
-            "n_episodes": self.n_episodes,
-            "success_rate": self.success_rate,
-            "collision_rate": self.collision_rate,
-            "sidewalk_violation_rate": self.sidewalk_violation_rate,
-            "timeout_rate": self.timeout_rate,
-            "mean_episode_length": self.mean_episode_length,
-            "mean_reward": self.mean_reward,
-        }
-        if include_episodes:
-            d["episodes"] = self.episodes
-        return d
+        """Every field in declaration order; `episodes` only on request."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if include_episodes or f.name != "episodes"}
 
     def table(self, label: str = "policy") -> str:
         rows = [
@@ -65,7 +56,7 @@ def _run_indexed_episode(args):
     episode = Episode(cfg)
     result = run_episode(episode, policy)
     if log_path is not None:
-        write_episode_log(log_path, cfg, episode.log_rows, episode=episode)
+        write_episode_log(log_path, episode)
     return {
         "index": index,
         "outcome": result.outcome,
@@ -118,21 +109,19 @@ def evaluate(policy, configs: list[EpisodeConfig], n_episodes: int, seed: int = 
 # -- episode logs ------------------------------------------------------------
 
 
-def write_episode_log(path, config: EpisodeConfig, rows: list[dict],
-                      episode: Episode | None = None) -> None:
+def write_episode_log(path, episode: Episode) -> None:
     """JSONL: one header record with config + seed, then one record per step.
 
     The header also carries the start pose, goal, and initial obstacle list
     for inspection without re-simulation.
     """
-    header = {"config": config.to_dict(), "seed": config.seed}
-    if episode is not None:
-        header["start"] = list(episode.start_pose)
-        header["goal"] = list(episode.goal)
-        header["obstacles"] = episode.initial_obstacles
+    config = episode.config
+    header = {"config": config.to_dict(), "seed": config.seed,
+              "start": list(episode.start_pose), "goal": list(episode.goal),
+              "obstacles": episode.initial_obstacles}
     with open(path, "w") as f:
         f.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for row in rows:
+        for row in episode.log_rows:
             f.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 

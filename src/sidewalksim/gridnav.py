@@ -42,28 +42,28 @@ class OccupancyGrid:
                 self.miny + (row + 0.5) * self.resolution)
 
 
-def free_space_grid(wmap: WalkableMap, obstacles=(), resolution: float = NAV_RESOLUTION,
-                    inflate: float = 0.0) -> OccupancyGrid:
-    """Rasterize walkable-minus-obstacles, inflating obstacle footprints by `inflate`.
+def free_space_grid(wmap: WalkableMap, obstacles=(), inflate: float = 0.0) -> OccupancyGrid:
+    """Rasterize walkable-minus-obstacles at NAV_RESOLUTION, inflating obstacle
+    footprints by `inflate`.
 
     The walkable raster is the map's cached one; obstacles are stamped onto a
     copy, so callers may modify the returned grid.
     """
     minx, miny = wmap.bounds[0], wmap.bounds[1]
-    free = wmap.cell_centers_inside(resolution).copy()
+    free = wmap.cell_centers_inside(NAV_RESOLUTION).copy()
     ny, nx = free.shape
-    xs = minx + (np.arange(nx) + 0.5) * resolution
-    ys = miny + (np.arange(ny) + 0.5) * resolution
+    xs = minx + (np.arange(nx) + 0.5) * NAV_RESOLUTION
+    ys = miny + (np.arange(ny) + 0.5) * NAV_RESOLUTION
 
     for ob in obstacles:
         reach = ob.reach + inflate
-        c0 = max(0, int((ob.x - reach - minx) / resolution) - 1)
-        c1 = min(nx, int((ob.x + reach - minx) / resolution) + 2)
-        r0 = max(0, int((ob.y - reach - miny) / resolution) - 1)
-        r1 = min(ny, int((ob.y + reach - miny) / resolution) + 2)
+        c0 = max(0, int((ob.x - reach - minx) / NAV_RESOLUTION) - 1)
+        c1 = min(nx, int((ob.x + reach - minx) / NAV_RESOLUTION) + 2)
+        r0 = max(0, int((ob.y - reach - miny) / NAV_RESOLUTION) - 1)
+        r1 = min(ny, int((ob.y + reach - miny) / NAV_RESOLUTION) + 2)
         if c0 < c1 and r0 < r1:
             free[r0:r1, c0:c1] &= ~ob.covers(xs[None, c0:c1], ys[r0:r1, None], inflate)
-    return OccupancyGrid(free=free, minx=minx, miny=miny, resolution=resolution)
+    return OccupancyGrid(free=free, minx=minx, miny=miny, resolution=NAV_RESOLUTION)
 
 
 def line_of_sight(grid: OccupancyGrid, x0: float, y0: float, x1: float, y1: float) -> bool:

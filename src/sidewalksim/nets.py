@@ -41,13 +41,8 @@ class StudentNet:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Network output for a (B, 275) batch or a single (275,) vector."""
-        squeeze = x.ndim == 1
-        h = np.atleast_2d(x)
-        w1, b1, w2, b2, w3, b3 = self.params
-        a1 = np.maximum(h @ w1 + b1, 0.0)
-        a2 = np.maximum(a1 @ w2 + b2, 0.0)
-        out = np.tanh(a2 @ w3 + b3)
-        return out[0] if squeeze else out
+        out = self._forward_cache(np.atleast_2d(x))[-1]
+        return out[0] if x.ndim == 1 else out
 
     def _forward_cache(self, x: np.ndarray):
         w1, b1, w2, b2, w3, b3 = self.params
@@ -106,29 +101,24 @@ class StudentNet:
 class Adam:
     """Per-parameter adaptive steps with (0.9, 0.999) moment decay."""
 
-    def __init__(self, net: StudentNet, learning_rate: float = 1e-3,
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-                 eps: float = ADAM_EPS):
+    def __init__(self, net: StudentNet, learning_rate: float = 1e-3):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in net.params]
         self.v = [np.zeros_like(p) for p in net.params]
 
     def step(self, net: StudentNet, grads) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(net.params, grads, self.m, self.v):
             if not np.isfinite(g).all():
                 raise TrainingDivergedError("non-finite gradient")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 def save_model(net: StudentNet, norm: dict, path) -> None:

@@ -18,7 +18,6 @@ from .errors import NoPathError
 from .geometry import normalize_angle
 from .gridnav import (
     _NEIGHBORS8,
-    NAV_RESOLUTION,
     OccupancyGrid,
     dijkstra_distances,
     eroded as gridnav_eroded,
@@ -37,6 +36,8 @@ CORRIDOR_HALF_WIDTH = 0.35  # lateral band that counts as "in the way"
 TURN_AWAY = 0.35           # extra yaw away from the blocking side while reversing
 REAR_MIN_CLEARANCE = 0.3   # backing room required before the reflex may reverse
 LOOKAHEAD = 1.2            # meters of descent path the teacher steers toward
+NEAR_RINGS = 2             # cells searched around the agent for a finite field value
+GOAL_SNAP_RINGS = 6        # cells searched around a blocked goal for a free one
 
 
 class Policy:
@@ -79,12 +80,12 @@ class DistanceField:
             return math.inf
         return float(self.values[row, col])
 
-    def _best_neighbor_direction(self, x: float, y: float, rings: int = 2) -> float:
+    def _best_neighbor_direction(self, x: float, y: float) -> float:
         row, col = self.grid.cell_of(x, y)
         best = math.inf
         best_dir = None
-        for dr in range(-rings, rings + 1):
-            for dc in range(-rings, rings + 1):
+        for dr in range(-NEAR_RINGS, NEAR_RINGS + 1):
+            for dc in range(-NEAR_RINGS, NEAR_RINGS + 1):
                 val = self.value_at_cell(row + dr, col + dc)
                 if val < best:
                     cx, cy = self.grid.center_of(row + dr, col + dc)
@@ -189,11 +190,8 @@ if not _HYPOT_PORTED:
 
 
 def build_distance_field(wmap: WalkableMap, obstacles, goal: tuple[float, float],
-                         resolution: float = NAV_RESOLUTION,
-                         agent_radius: float = AGENT_RADIUS,
-                         margin: float = FIELD_MARGIN,
                          start=None) -> DistanceField:
-    """Dijkstra from the goal over agent-inflated free cells.
+    """Dijkstra from the goal over free cells inflated by AGENT_RADIUS + FIELD_MARGIN.
 
     Prefers a grid with one extra cell of wall margin; if that margin would
     leave the start disconnected (narrow passages), falls back to the plain
@@ -201,8 +199,7 @@ def build_distance_field(wmap: WalkableMap, obstacles, goal: tuple[float, float]
     """
     if not wmap.is_walkable(goal[0], goal[1]):
         raise NoPathError(f"goal {goal} is not on walkable area")
-    grid = free_space_grid(wmap, obstacles, resolution=resolution,
-                           inflate=agent_radius + margin)
+    grid = free_space_grid(wmap, obstacles, inflate=AGENT_RADIUS + FIELD_MARGIN)
     plain = _field_on_grid(grid, goal)
     if plain is None:
         raise NoPathError(f"no free cell near goal {goal}")
@@ -218,16 +215,16 @@ def build_distance_field(wmap: WalkableMap, obstacles, goal: tuple[float, float]
     return plain
 
 
-def _distance_near(field: DistanceField, point, rings: int = 2) -> float:
-    """Smallest start-to-goal estimate over cells within `rings` of the point.
+def _distance_near(field: DistanceField, point) -> float:
+    """Smallest start-to-goal estimate over cells within NEAR_RINGS of the point.
 
     The exact start cell may sit inside the wall margin; the agent can step
     sideways onto the path, so judge connectivity on the neighborhood.
     """
     row, col = field.grid.cell_of(point[0], point[1])
     best = math.inf
-    for dr in range(-rings, rings + 1):
-        for dc in range(-rings, rings + 1):
+    for dr in range(-NEAR_RINGS, NEAR_RINGS + 1):
+        for dc in range(-NEAR_RINGS, NEAR_RINGS + 1):
             val = field.value_at_cell(row + dr, col + dc)
             if math.isfinite(val):
                 cx, cy = field.grid.center_of(row + dr, col + dc)
@@ -244,9 +241,9 @@ def _field_on_grid(grid: OccupancyGrid, goal) -> DistanceField | None:
     return DistanceField(grid=grid, values=dijkstra_distances(grid, cell), goal=goal)
 
 
-def _nearest_free_cell(grid: OccupancyGrid, cell, max_rings: int = 6):
+def _nearest_free_cell(grid: OccupancyGrid, cell):
     row, col = cell
-    for ring in range(1, max_rings + 1):
+    for ring in range(1, GOAL_SNAP_RINGS + 1):
         best = None
         for dr in range(-ring, ring + 1):
             for dc in range(-ring, ring + 1):
@@ -371,9 +368,7 @@ def _teacher_step(field: DistanceField, obs: Observation, pose,
 class OracleTeacher(Policy):
     """Geometric stand-in for a learned privileged teacher."""
 
-    def __init__(self, agent_radius: float = AGENT_RADIUS, margin: float = FIELD_MARGIN):
-        self.agent_radius = agent_radius
-        self.margin = margin
+    def __init__(self):
         self.field: DistanceField | None = None
         self._map: WalkableMap | None = None
         self._engaged = False
@@ -381,11 +376,8 @@ class OracleTeacher(Policy):
     def reset(self, context) -> None:
         self._engaged = False
         self._map = context.map
-        self.field = build_distance_field(
-            context.map, context.obstacles, context.goal,
-            agent_radius=self.agent_radius, margin=self.margin,
-            start=(context.start[0], context.start[1]),
-        )
+        self.field = build_distance_field(context.map, context.obstacles, context.goal,
+                                          start=(context.start[0], context.start[1]))
 
     def act(self, obs: Observation) -> Action:
         if self.field is None:

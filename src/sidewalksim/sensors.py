@@ -118,22 +118,6 @@ def render_bev(world: WorldState, history=None) -> np.ndarray:
     return np.stack(frames)
 
 
-class BevHistory:
-    """Rolling store of previous BEV frames, owned by one episode."""
-
-    def __init__(self):
-        self._frames = deque(maxlen=BEV_STACK - 1)
-
-    def push(self, frame: np.ndarray):
-        self._frames.appendleft(frame)
-
-    def frames(self):
-        return list(self._frames)
-
-    def clear(self):
-        self._frames.clear()
-
-
 _RAY_UNIT_CACHE: dict = {}
 
 
@@ -248,7 +232,7 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
     units, units_ptr = _ray_units(n_rays)
     ch, sh = math.cos(agent.heading), math.sin(agent.heading)
 
-    bounds = world.obstacle_bounds()
+    bounds = world.obstacle_tables().bounds
     if len(bounds):
         dx = bounds[:, 0] - ox
         dy = bounds[:, 1] - oy

@@ -19,6 +19,9 @@ DEFAULT_CELL_SIZE = 1.0
 
 SIDEWALK_WIDTH_RANGE = (2.0, 5.0)  # meters, uniform sampling range
 
+SAMPLE_MAX_TRIES = 200  # bbox draws before sample_walkable_point gives up
+AREA_RESOLUTION = 0.25  # meters per cell of the walkable_area estimate
+
 
 class SidewalkNetwork:
     """Centerline polylines with per-polyline widths, in local meters."""
@@ -156,16 +159,14 @@ class WalkableMap:
         hit = (b[:, 0] <= maxx) & (b[:, 2] >= minx) & (b[:, 1] <= maxy) & (b[:, 3] >= miny)
         return list(np.nonzero(hit)[0])
 
-    def contains_points(self, px: np.ndarray, py: np.ndarray, polygon_ids=None) -> np.ndarray:
+    def contains_points(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Vectorized union membership for many points.
 
         Uses the same per-polygon arithmetic as is_walkable, so the two paths
         classify identically.
         """
-        if polygon_ids is None:
-            minx, maxx = float(px.min()), float(px.max())
-            miny, maxy = float(py.min()), float(py.max())
-            polygon_ids = self.polygons_in_region(minx, miny, maxx, maxy)
+        polygon_ids = self.polygons_in_region(float(px.min()), float(py.min()),
+                                              float(px.max()), float(py.max()))
         inside = np.zeros(px.shape, dtype=bool)
         for pid in polygon_ids:
             bx0, by0, bx1, by1 = self._bboxes[pid]
@@ -202,11 +203,11 @@ class WalkableMap:
         """
         return self._edges, self._edge_poly, self._bboxes
 
-    def sample_walkable_point(self, rng, max_tries: int = 200) -> tuple[float, float]:
+    def sample_walkable_point(self, rng) -> tuple[float, float]:
         """Uniform-ish walkable point: area-weighted polygon, then bbox rejection."""
         if self._area_weights is None:
             raise GeometryError("map has no area to sample from")
-        for _ in range(max_tries):
+        for _ in range(SAMPLE_MAX_TRIES):
             pid = int(rng.choice(len(self.polygons), p=self._area_weights))
             bx0, by0, bx1, by1 = self._bboxes[pid]
             x = float(rng.uniform(bx0, bx1))
@@ -232,9 +233,10 @@ class WalkableMap:
             self._rasters[resolution] = inside
         return inside
 
-    def walkable_area(self, resolution: float = 0.25) -> float:
+    def walkable_area(self) -> float:
         """Union area estimated by counting walkable cell centers."""
-        return float(self.cell_centers_inside(resolution).sum()) * resolution * resolution
+        return (float(self.cell_centers_inside(AREA_RESOLUTION).sum())
+                * AREA_RESOLUTION * AREA_RESOLUTION)
 
     def to_dict(self) -> dict:
         return {

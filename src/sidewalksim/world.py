@@ -22,6 +22,8 @@ START_CLEARANCE = 1.5               # obstacle-free disc kept around episode sta
 
 PEDESTRIAN_SPEED = 0.12       # meters per step
 PEDESTRIAN_RESEED_PERIOD = 25  # steps between heading re-draws
+PEDESTRIAN_LOOKAHEAD = 1.0     # meters ahead a re-drawn heading must stay walkable
+PEDESTRIAN_HEADING_TRIES = 8   # heading draws before keeping the last one
 
 
 @dataclass
@@ -162,10 +164,6 @@ class WorldState:
             value = self._obstacle_cache[key] = build(self)
         return value
 
-    def obstacle_bounds(self) -> np.ndarray:
-        """Cached (x, y, bounding radius) per obstacle for broad-phase tests."""
-        return self.obstacle_tables().bounds
-
 
 class ObstacleTables(NamedTuple):
     circles: np.ndarray        # (C, 3) x, y, radius of each cylinder
@@ -252,14 +250,13 @@ def step_dynamics(state: WorldState, action: Action) -> WorldState:
     return state
 
 
-def _walkable_heading(state: WorldState, ob: Obstacle, lookahead: float = 1.0,
-                      tries: int = 8) -> float:
+def _walkable_heading(state: WorldState, ob: Obstacle) -> float:
     """Random heading whose lookahead point stays walkable, if one is found."""
     heading = ob.heading
-    for _ in range(tries):
+    for _ in range(PEDESTRIAN_HEADING_TRIES):
         heading = float(state.rng.uniform(-math.pi, math.pi))
-        if state.map.is_walkable(ob.x + lookahead * math.cos(heading),
-                                 ob.y + lookahead * math.sin(heading)):
+        if state.map.is_walkable(ob.x + PEDESTRIAN_LOOKAHEAD * math.cos(heading),
+                                 ob.y + PEDESTRIAN_LOOKAHEAD * math.sin(heading)):
             break
     return heading
 
@@ -268,7 +265,7 @@ def collision_check(state: WorldState) -> CollisionReport:
     """Exact agent-disc vs obstacle-footprint intersection test."""
     agent = state.agent
     r = agent.footprint_radius
-    bounds = state.obstacle_bounds()
+    bounds = state.obstacle_tables().bounds
     if len(bounds):
         # cheap reject on bounding discs before the exact per-shape test
         dx = bounds[:, 0] - agent.x

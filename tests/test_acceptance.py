@@ -70,6 +70,7 @@ def test_criterion_1_teacher_success_rates(teacher_validation):
                    f"in {elapsed + elapsed_free:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_distillation(dagger_result):
     result, elapsed = dagger_result
     rep = result.report

@@ -17,7 +17,7 @@ from sidewalksim.episode import (
     sample_start_goal,
 )
 from sidewalksim.errors import EpisodeTerminatedError, MapTooSmallError
-from sidewalksim.gridnav import NAV_RESOLUTION, bfs_connected, free_space_grid
+from sidewalksim.gridnav import bfs_connected, free_space_grid
 from sidewalksim.planner import ConstantPolicy
 from sidewalksim.walkmap import WalkableMap, generate_synthetic_map
 from sidewalksim.world import AGENT_RADIUS, Action, Obstacle
@@ -26,10 +26,9 @@ from tests.conftest import make_config
 from tests.test_walkmap import walkable_bruteforce
 
 
-def is_reachable(wmap, a, b, obstacles=(), agent_radius=AGENT_RADIUS,
-                 resolution=NAV_RESOLUTION):
+def is_reachable(wmap, a, b, obstacles=(), agent_radius=AGENT_RADIUS):
     """Connectivity on the inflated free-space grid between the two points."""
-    grid = free_space_grid(wmap, obstacles, resolution=resolution, inflate=agent_radius)
+    grid = free_space_grid(wmap, obstacles, inflate=agent_radius)
     return bfs_connected(grid, grid.cell_of(a[0], a[1]), grid.cell_of(b[0], b[1]))
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sidewalksim import suites
 from sidewalksim.errors import ReplayIntegrityError
 from sidewalksim.evaluate import (
     bench,
@@ -51,6 +52,25 @@ def test_evaluate_reproducible(corridor_long):
     a = evaluate(OracleTeacher(), [cfg], 8, seed=11)
     b = evaluate(OracleTeacher(), [cfg], 8, seed=11)
     assert a.to_dict(include_episodes=True) == b.to_dict(include_episodes=True)
+
+
+TEACHER_REPORT_JSON = (
+    '{"n_episodes": 3, "success_rate": 1.0, "collision_rate": 0.0, '
+    '"sidewalk_violation_rate": 0.0, "timeout_rate": 0.0, '
+    '"mean_episode_length": 77.66666666666667, "mean_reward": 21.04692735730097, '
+    '"episodes": [{"index": 0, "outcome": "success", "reward": 20.69609400034328, "steps": 63}, '
+    '{"index": 1, "outcome": "success", "reward": 22.349947290709245, "steps": 67}, '
+    '{"index": 2, "outcome": "success", "reward": 20.094740780850383, "steps": 103}]}'
+)
+
+
+def test_teacher_report_bytes_pinned():
+    # one corridor, one L-shape and one grid map; key order and every value
+    cfgs = suites.validation_suite(5.0, obs_mode="privileged", render_bev=False)[::3]
+    report = evaluate(OracleTeacher(), cfgs, 3, seed=5)
+    full = report.to_dict(include_episodes=True)
+    assert json.dumps(full) == TEACHER_REPORT_JSON
+    assert list(report.to_dict().items()) == list(full.items())[:-1]
 
 
 def test_workers_do_not_change_report(corridor_long):

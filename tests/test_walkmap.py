@@ -8,7 +8,7 @@ import pytest
 
 from sidewalksim import _ckernel, suites, walkmap
 from sidewalksim.errors import GeometryError, MapFormatError
-from sidewalksim.geometry import point_in_polygon
+from sidewalksim.geometry import point_in_polygon, polygon_area
 from sidewalksim.walkmap import (
     SidewalkNetwork,
     WalkableMap,
@@ -279,3 +279,29 @@ def test_sample_walkable_point_is_walkable(corridor, rng):
     for _ in range(200):
         x, y = corridor.sample_walkable_point(rng)
         assert corridor.is_walkable(x, y)
+
+
+def test_sampler_accepts_only_inside_the_drawn_polygon():
+    # Replays the sampler's draws: an area-weighted polygon, a point uniform
+    # in its bbox, kept only when inside that same polygon. Where a sidewalk
+    # runs obliquely, as ingested streets do, its polygon's bbox covers parts
+    # of its neighbours, so some rejected candidates lie in the union; a union
+    # test such as is_walkable would keep them and change every layout drawn
+    # after them. (The synthetic suite maps are unions of axis-aligned
+    # rectangles, where the sampler never rejects.)
+    wmap = build_walkable_map(SidewalkNetwork([([(0.0, 0.0), (12.0, 0.0), (20.0, 8.0)], 3.0)]))
+    areas = np.array([polygon_area(p) for p in wmap.polygons])
+    weights = areas / areas.sum()
+    rng, replay = np.random.default_rng(21), np.random.default_rng(21)
+    rejected_in_union = 0
+    for _ in range(1000):
+        while True:
+            pid = int(replay.choice(len(wmap.polygons), p=weights))
+            poly = wmap.polygons[pid]
+            x = float(replay.uniform(poly[:, 0].min(), poly[:, 0].max()))
+            y = float(replay.uniform(poly[:, 1].min(), poly[:, 1].max()))
+            if point_in_polygon(x, y, poly):
+                break
+            rejected_in_union += walkable_bruteforce(wmap, x, y)
+        assert wmap.sample_walkable_point(rng) == (x, y)
+    assert rejected_in_union > 0

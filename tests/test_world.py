@@ -221,7 +221,7 @@ def assert_tables_match_oracle(world):
     got_circles, got_sides = world.obstacle_arrays()
     assert got_circles.shape == circles.shape and np.array_equal(got_circles, circles)
     assert got_sides.shape == sides.shape and np.array_equal(got_sides, sides)
-    assert np.array_equal(world.obstacle_bounds(), bounds)
+    assert np.array_equal(world.obstacle_tables().bounds, bounds)
     assert np.array_equal(world.obstacle_tables().rect_bounds, rect_bounds)
     for ob, row in zip(world.obstacles, bounds):
         assert ob.reach == row[2]
@@ -253,7 +253,7 @@ def test_obstacle_tables_of_single_kind_worlds(big_plane, kinds):
     circles, sides = w.obstacle_arrays()
     assert circles.shape == (kinds.count("cylinder"), 3)
     assert sides.shape == (4 * kinds.count("cuboid"), 4)
-    assert w.obstacle_bounds().shape == (len(kinds), 3)
+    assert w.obstacle_tables().bounds.shape == (len(kinds), 3)
 
 
 def test_obstacle_to_dict_bytes():
