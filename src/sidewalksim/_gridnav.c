@@ -9,7 +9,6 @@
  * keys leave the heap in, and the two implementations return bit-identical
  * fields.
  */
-#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -108,95 +107,12 @@ int grid_dijkstra(const unsigned char *free_cells, int64_t ny, int64_t nx,
  *
  * The body of planner.DistanceField._lookahead_walk and of
  * gridnav.line_of_sight, written with Python's expressions in Python's order.
- * Python's math.hypot is not libm's hypot (they differ in the last bit on
- * about 0.6 % of random pairs), so python_hypot below ports CPython 3.11's
- * two-argument vector_norm (Modules/mathmodule.c): Dekker's exact product,
- * a compensated sum and one differential correction.
+ * Lengths are sqrt(dx * dx + dy * dy) on both sides, not hypot: IEEE 754
+ * rounds *, + and sqrt correctly in C (built with -ffp-contract=off) and in
+ * Python alike, so both sides measure every length to the same double,
+ * whereas Python's math.hypot and libm's hypot differ in the last bit on
+ * some pairs.
  */
-
-struct double_length {
-    double hi;
-    double lo;
-};
-
-/* Compensated sum of a and b, |a| >= |b|: hi + lo == a + b exactly. */
-static struct double_length dl_fast_sum(double a, double b)
-{
-    double x = a + b;
-    double y = (a - x) + b;
-    return (struct double_length){x, y};
-}
-
-/* Veltkamp split of x into two 26-bit halves (Dekker 5.5 and 5.6). */
-static struct double_length dl_split(double x)
-{
-    double t = x * 134217729.0; /* 2 ** 27 + 1 */
-    double hi = t - (t - x);
-    double lo = x - hi;
-    return (struct double_length){hi, lo};
-}
-
-/* Exact product: hi + lo == x * y (Dekker 5.12, mul12). */
-static struct double_length dl_mul(double x, double y)
-{
-    struct double_length xx = dl_split(x);
-    struct double_length yy = dl_split(y);
-    double p = xx.hi * yy.hi;
-    double q = xx.hi * yy.lo + xx.lo * yy.hi;
-    double z = p + q;
-    double zz = p - z + q + xx.lo * yy.lo;
-    return (struct double_length){z, zz};
-}
-
-/* vector_norm for two finite non-negative coordinates of which max is the
- * larger, max > 0. */
-static double norm2(double a, double b, double max)
-{
-    int max_e;
-    frexp(max, &max_e);
-    if (max_e < -1023) /* ldexp(1.0, -max_e) would overflow */
-        return DBL_MIN * norm2(a / DBL_MIN, b / DBL_MIN, max / DBL_MIN);
-    double scale = ldexp(1.0, -max_e);
-    double csum = 1.0, frac1 = 0.0, frac2 = 0.0;
-    double vec[2] = {a, b};
-    struct double_length pr, sm;
-    for (int i = 0; i < 2; i++) {
-        double x = vec[i] * scale; /* lossless scaling */
-        pr = dl_mul(x, x);         /* lossless squaring */
-        sm = dl_fast_sum(csum, pr.hi);
-        csum = sm.hi;
-        frac1 += pr.lo;
-        frac2 += sm.lo;
-    }
-    double h = sqrt(csum - 1.0 + (frac1 + frac2));
-    pr = dl_mul(-h, h);
-    sm = dl_fast_sum(csum, pr.hi);
-    csum = sm.hi;
-    frac1 += pr.lo;
-    frac2 += sm.lo;
-    double x = csum - 1.0 + (frac1 + frac2);
-    h += x / (2.0 * h); /* differential correction */
-    return h / scale;
-}
-
-/* math.hypot(x, y) of CPython 3.11, bit for bit; exported for the tests. */
-double python_hypot(double x, double y)
-{
-    x = fabs(x);
-    y = fabs(y);
-    double max = 0.0;
-    if (x > max)
-        max = x;
-    if (y > max)
-        max = y;
-    if (isinf(max))
-        return max;
-    if (isnan(x) || isnan(y))
-        return NAN;
-    if (max == 0.0)
-        return max;
-    return norm2(x, y, max);
-}
 
 /* int(math.floor((v - origin) / res)) when it lies in [0, n), else -1. */
 static int64_t axis_cell(double v, double origin, double res, int64_t n)
@@ -215,13 +131,14 @@ struct grid {
  * free in-grid cells. */
 static int line_of_sight(const struct grid *g, double x0, double y0, double x1, double y1)
 {
-    double dist = python_hypot(x1 - x0, y1 - y0);
+    double dx = x1 - x0, dy = y1 - y0;
+    double dist = sqrt(dx * dx + dy * dy);
     double steps = ceil(dist / (g->res / 3.0));
     int64_t n = steps > 1.0 ? (int64_t)steps : 1;
     for (int64_t i = 0; i <= n; i++) {
         double t = (double)i / (double)n;
-        int64_t col = axis_cell(x0 + t * (x1 - x0), g->minx, g->res, g->nx);
-        int64_t row = axis_cell(y0 + t * (y1 - y0), g->miny, g->res, g->ny);
+        int64_t col = axis_cell(x0 + t * dx, g->minx, g->res, g->nx);
+        int64_t row = axis_cell(y0 + t * dy, g->miny, g->res, g->ny);
         if (col < 0 || row < 0 || !g->free_cells[row * g->nx + col])
             return 0;
     }
@@ -274,7 +191,8 @@ int grid_lookahead(double x, double y, double lookahead,
         target[0] = cx;
         target[1] = cy;
         have_target = 1;
-        travelled += python_hypot(cx - px, cy - py);
+        double dx = cx - px, dy = cy - py;
+        travelled += sqrt(dx * dx + dy * dy);
         px = cx;
         py = cy;
         row = next_row;

@@ -209,6 +209,20 @@ def bench(config: EpisodeConfig, modes=BENCH_MODES, n_steps: int = 5000,
 # -- replay and exports --------------------------------------------------------
 
 
+# what replay reads of a log: the keys of its header, of the header's config
+# (every field EpisodeConfig.from_dict requires) and of each step row
+_CONFIG_KEYS = tuple(f.name for f in fields(EpisodeConfig) if not f.type.startswith("Optional["))
+_ROW_KEYS = ("action", "pose", "reward", "terminal")
+
+
+def _require_keys(record, keys, where: str) -> None:
+    if not isinstance(record, dict):
+        raise ReplayIntegrityError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in record:
+            raise ReplayIntegrityError(f"{where} has no {key!r}")
+
+
 def replay(log_path, dump_bev_dir: Optional[str] = None,
            svg_path: Optional[str] = None) -> dict:
     """Re-simulate a log from its header and verify bit-identical trajectory.
@@ -217,6 +231,10 @@ def replay(log_path, dump_bev_dir: Optional[str] = None,
     one PGM per step (current BEV frame) and an overhead SVG of the run.
     """
     header, rows = read_episode_log(log_path)
+    _require_keys(header, ("config", "seed"), "log line 1")
+    _require_keys(header["config"], _CONFIG_KEYS, "the config on log line 1")
+    for i, row in enumerate(rows):
+        _require_keys(row, _ROW_KEYS, f"log line {i + 2}")
     config = EpisodeConfig.from_dict(header["config"])
     if config.seed != header["seed"]:
         raise ReplayIntegrityError("header seed does not match config seed")
@@ -255,7 +273,8 @@ def replay(log_path, dump_bev_dir: Optional[str] = None,
             frame = out.observation.privileged.bev[0]
             write_pgm(os.path.join(dump_bev_dir, f"bev_{i:04d}.pgm"), frame)
     if svg_path is not None:
-        goal = rows[-1]["goal"] if rows else list(episode.goal)
+        # the target the last step logged, which the re-simulation has reached again
+        goal = list(episode.current_target() if rows else episode.goal)
         write_trajectory_svg(svg_path, config.map, episode.world.obstacles,
                              trajectory, goal)
     return {"steps": len(rows), "ok": True, "terminal": rows[-1]["terminal"] if rows else None}

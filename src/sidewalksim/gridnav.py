@@ -68,14 +68,15 @@ def free_space_grid(wmap: WalkableMap, obstacles=(), inflate: float = 0.0) -> Oc
 
 def line_of_sight(grid: OccupancyGrid, x0: float, y0: float, x1: float, y1: float) -> bool:
     """True when the segment crosses only free cells (sampled at 1/3 cell)."""
-    dist = math.hypot(x1 - x0, y1 - y0)
+    dx, dy = x1 - x0, y1 - y0
+    dist = math.sqrt(dx * dx + dy * dy)  # not hypot: see _gridnav.c
     free = grid.free
     ny, nx = free.shape
     n = max(1, int(math.ceil(dist / (grid.resolution / 3.0))))
     for i in range(n + 1):
         t = i / n
-        x = x0 + t * (x1 - x0)
-        y = y0 + t * (y1 - y0)
+        x = x0 + t * dx
+        y = y0 + t * dy
         col = int(math.floor((x - grid.minx) / grid.resolution))
         row = int(math.floor((y - grid.miny) / grid.resolution))
         if not (0 <= row < ny and 0 <= col < nx) or not free[row, col]:

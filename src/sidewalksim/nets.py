@@ -29,11 +29,10 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 class StudentNet:
     """275-input, 2-output MLP; outputs live in (-1, 1) via tanh."""
 
-    def __init__(self, seed: int = 0, arch=ARCH):
-        self.arch = tuple(arch)
+    def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.params = []
-        for fan_in, fan_out in zip(self.arch[:-1], self.arch[1:]):
+        for fan_in, fan_out in zip(ARCH[:-1], ARCH[1:]):
             self.params.append(_glorot(rng, fan_in, fan_out))
             self.params.append(np.zeros(fan_out))
 
@@ -125,7 +124,7 @@ def save_model(net: StudentNet, norm: dict, path) -> None:
     """Write the versioned model JSON: architecture, flat weights, normalization."""
     doc = {
         "version": 1,
-        "arch": list(net.arch),
+        "arch": list(ARCH),
         "weights": [float(w) for w in net.get_flat()],
         "norm": norm,
     }
@@ -139,6 +138,9 @@ def load_model(path) -> tuple[StudentNet, dict]:
         doc = json.load(f)
     if doc.get("version") != 1:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    net = StudentNet(seed=0, arch=tuple(doc["arch"]))
+    arch = doc.get("arch")
+    if arch is None or tuple(arch) != ARCH:
+        raise ValueError(f"model architecture {arch!r} is not the student's {list(ARCH)}")
+    net = StudentNet(seed=0)
     net.set_flat(np.array(doc["weights"], dtype=float))
     return net, doc["norm"]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +171,8 @@ class DistanceField:
             if target is not None and not line_of_sight(grid, x, y, cx, cy):
                 break  # path curls out of sight; steer at the last visible point
             target = (cx, cy)
-            travelled += math.hypot(cx - px, cy - py)
+            dx, dy = cx - px, cy - py
+            travelled += math.sqrt(dx * dx + dy * dy)  # not hypot: see _gridnav.c
             px, py = cx, cy
             cur = nxt
         return target if target is not None else (px, py)
@@ -181,12 +181,6 @@ class DistanceField:
 # argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
 _LOOKAHEAD = _ckernel.Kernel("_gridnav.c", "grid_lookahead", "dddppiidddddp",
                              "Python lookahead walk")
-# The kernel measures lengths with a port of CPython 3.11's math.hypot. Other
-# interpreters round some lengths differently, so there the walk stays in
-# Python to return the same points as math.hypot would.
-_HYPOT_PORTED = sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11)
-if not _HYPOT_PORTED:
-    _LOOKAHEAD.fn = None
 
 
 def build_distance_field(wmap: WalkableMap, obstacles, goal: tuple[float, float],

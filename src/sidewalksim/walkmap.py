@@ -86,7 +86,11 @@ class WalkableMap:
         self._edge_poly = np.concatenate(edge_poly)
         areas = np.array([geometry.polygon_area(p) for p in self.polygons])
         total = areas.sum()
-        self._area_weights = areas / total if total > 0 else None
+        # the table Generator.choice(p=areas / total) builds on every call
+        self._area_cdf = None
+        if total > 0:
+            self._area_cdf = (areas / total).cumsum()
+            self._area_cdf /= self._area_cdf[-1]
         self._grid = self._build_grid()
         self._rasters: dict[float, np.ndarray] = {}
         self._kernel_args = None  # data addresses for _walkmap.c, built on first use
@@ -205,10 +209,12 @@ class WalkableMap:
 
     def sample_walkable_point(self, rng) -> tuple[float, float]:
         """Uniform-ish walkable point: area-weighted polygon, then bbox rejection."""
-        if self._area_weights is None:
+        cdf = self._area_cdf
+        if cdf is None:
             raise GeometryError("map has no area to sample from")
         for _ in range(SAMPLE_MAX_TRIES):
-            pid = int(rng.choice(len(self.polygons), p=self._area_weights))
+            # the polygon rng.choice(n, p=areas / total) picks, from the same draw
+            pid = int(cdf.searchsorted(rng.random(), side="right"))
             bx0, by0, bx1, by1 = self._bboxes[pid]
             x = float(rng.uniform(bx0, bx1))
             y = float(rng.uniform(by0, by1))

@@ -13,10 +13,6 @@ needs_c_compiler = pytest.mark.skipif(
     not any(map(shutil.which, _ckernel.COMPILERS)),
     reason="no C compiler on PATH to build the C kernels")
 
-needs_ported_hypot = pytest.mark.skipif(
-    not planner._HYPOT_PORTED,
-    reason="the lookahead kernel ports math.hypot of CPython 3.11 and runs only there")
-
 
 @pytest.fixture
 def corridor():

@@ -6,6 +6,8 @@ import subprocess
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import sidewalksim
 from sidewalksim import _ckernel
 
@@ -54,3 +56,15 @@ def test_every_c_source_compiles_without_warnings():
             [compiler, *_ckernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
              str(source)], capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, f"{source.name}:\n{result.stderr}"
+
+
+@needs_c_compiler
+@pytest.mark.skipif(shutil.which("nm") is None, reason="no nm on PATH to list exports")
+def test_every_built_object_exports_only_the_functions_its_kernels_load():
+    kernels = package_kernels()
+    for source in sorted(PACKAGE.glob("*.c")):
+        listing = subprocess.run(["nm", "-D", "--defined-only", _ckernel.build(str(source))],
+                                 capture_output=True, text=True, check=True, timeout=60)
+        exported = {fields[2] for fields in map(str.split, listing.stdout.splitlines())
+                    if len(fields) == 3 and fields[1] == "T"}
+        assert exported == {k.symbol for k in kernels.get(source, [])}, source.name

@@ -82,6 +82,24 @@ def test_replay_tampered_log_exits_three(tmp_path):
     assert run(["replay", "--log", log]) == 3
 
 
+@pytest.mark.parametrize("line, key", [(0, "config"), (1, "pose")])
+def test_replay_log_missing_a_key_exits_three(tmp_path, capsys, line, key):
+    map_path = tmp_path / "map.json"
+    run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5,
+         "--out", map_path])
+    log_dir = tmp_path / "logs"
+    run(["rollout", "--policy", "constant:0.2,0.0", "--map", map_path,
+         "--episodes", 1, "--seed", 8, "--log", log_dir])
+    log = sorted(log_dir.glob("*.jsonl"))[0]
+    lines = log.read_text().splitlines()
+    record = json.loads(lines[line])
+    del record[key]
+    lines[line] = json.dumps(record, separators=(",", ":"))
+    log.write_text("\n".join(lines) + "\n")
+    assert run(["replay", "--log", log]) == 3
+    assert f"log line {line + 1} has no {key!r}" in capsys.readouterr().err
+
+
 def test_replay_dump_outputs(tmp_path):
     map_path = tmp_path / "map.json"
     run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5,

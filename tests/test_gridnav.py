@@ -1,4 +1,3 @@
-import ctypes
 import math
 from collections import deque
 
@@ -17,7 +16,7 @@ from sidewalksim.gridnav import (
 from sidewalksim.walkmap import generate_synthetic_map
 from sidewalksim.world import Obstacle, populate_obstacles
 
-from tests.conftest import needs_c_compiler, needs_ported_hypot
+from tests.conftest import needs_c_compiler
 
 
 def make_grid(free) -> OccupancyGrid:
@@ -134,36 +133,6 @@ def test_failed_kernel_build_warns_and_returns_heapq_field(monkeypatch):
         dist = dijkstra_distances(grid, source)
     assert gridnav._KERNEL.fn is None
     assert np.array_equal(dist, gridnav._dijkstra_heapq(grid, source))
-
-
-# -- CPython's hypot, ported for the lookahead kernel ----------------------------
-
-
-@needs_c_compiler
-@needs_ported_hypot
-def test_kernel_hypot_equals_math_hypot():
-    library = ctypes.CDLL(_ckernel.build(gridnav._KERNEL.source))
-    hypot = library.python_hypot
-    hypot.argtypes = (ctypes.c_double, ctypes.c_double)
-    hypot.restype = ctypes.c_double
-    rng = np.random.default_rng(17)
-    n = 50_000
-    exponents = rng.integers(-330, 308, size=(n, 2))
-    spread = rng.uniform(-10.0, 10.0, (n, 2)) * np.exp2(np.log2(10.0) * exponents)
-    close = rng.uniform(-1.0, 1.0, (n, 1)) * 10.0 ** rng.integers(-5, 5, (n, 1))
-    close = np.hstack([close, close * rng.uniform(0.999, 1.001, (n, 1))])
-    grid_steps = rng.uniform(-3.0, 3.0, (n, 2))  # the lengths the walk measures
-    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
-                1.0, 1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
-    pairs = (np.vstack([spread, close, grid_steps]).tolist()
-             + [[a, b] for a in specials for b in specials])
-    assert len(pairs) >= 100_000
-    for x, y in pairs:
-        fast, reference = hypot(x, y), math.hypot(x, y)
-        if math.isnan(reference):
-            assert math.isnan(fast), (x, y)
-        else:
-            assert fast == reference and math.copysign(1.0, fast) == 1.0, (x, y)
 
 
 # -- connectivity ----------------------------------------------------------------

@@ -148,12 +148,12 @@ def test_model_save_load_round_trip(tmp_path):
     norm = {"speed_center": 0.05, "speed_half": 0.15, "yaw_half": 0.9425}
     path = tmp_path / "model.json"
     save_model(net, norm, path)
-    loaded, norm2 = load_model(path)
+    loaded, loaded_norm = load_model(path)
     assert np.array_equal(loaded.get_flat(), net.get_flat())
-    assert norm2 == norm
+    assert loaded_norm == norm
     # byte-identical on re-save
     path2 = tmp_path / "model2.json"
-    save_model(loaded, norm2, path2)
+    save_model(loaded, loaded_norm, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -167,4 +167,17 @@ def test_model_version_check(tmp_path):
     doc["version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="version"):
+        load_model(path)
+
+
+def test_model_with_another_architecture_is_rejected_on_load(tmp_path):
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(StudentNet(seed=1), {}, path)
+    doc = json.loads(path.read_text())
+    doc["arch"] = [275, 64, 2]
+    doc["weights"] = doc["weights"][:275 * 64 + 64 + 64 * 2 + 2]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"\[275, 64, 2\].*\[275, 256, 128, 2\]"):
         load_model(path)

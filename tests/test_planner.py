@@ -37,7 +37,7 @@ from sidewalksim.world import (
     populate_obstacles,
 )
 
-from tests.conftest import ScriptedPolicy, make_config, needs_c_compiler, needs_ported_hypot
+from tests.conftest import ScriptedPolicy, make_config, needs_c_compiler
 from tests.test_world import make_world
 
 
@@ -200,7 +200,6 @@ def lookahead_outcome(field, x, y, lookahead):
 
 
 @needs_c_compiler
-@needs_ported_hypot
 def test_kernel_lookahead_equals_python_walk_on_suite_fields(monkeypatch):
     assert planner._LOOKAHEAD.load() is not None, "the lookahead kernel failed to build or load"
     rng = np.random.default_rng(3)
@@ -218,10 +217,11 @@ def test_kernel_lookahead_equals_python_walk_on_suite_fields(monkeypatch):
             for x, y in points:
                 lookahead = float(rng.choice([0.3, 0.75, 1.2, rng.uniform(0.0, 3.0)]))
                 if kind == "first step":
-                    # stop exactly after the first step, as math.hypot measures
+                    # stop exactly after the first step, as the walk measures
                     # it: a length off by one ulp takes the walk a step further
                     cx, cy = field._lookahead_walk(x, y, 1e-9)
-                    lookahead = math.hypot(cx - x, cy - y)
+                    dx, dy = cx - x, cy - y
+                    lookahead = math.sqrt(dx * dx + dy * dy)
                 fast = lookahead_outcome(field, x, y, lookahead)
                 sight_failures.clear()
                 with monkeypatch.context() as m:
