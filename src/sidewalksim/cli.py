@@ -7,6 +7,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -96,6 +97,11 @@ def cmd_distill(args) -> int:
     if args.config:
         with open(args.config) as f:
             overrides = json.load(f)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{args.config} holds no JSON object of TrainConfig fields")
+        unknown = sorted(set(overrides) - {f.name for f in fields(distill_mod.TrainConfig)})
+        if unknown:
+            raise ValueError(f"{args.config}: not TrainConfig fields: {', '.join(unknown)}")
     overrides.setdefault("seed", args.seed)
     config = distill_mod.TrainConfig(**overrides)
 

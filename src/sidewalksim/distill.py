@@ -166,12 +166,12 @@ class TrainConfig:
             raise ValueError("rounds and prefill_count must be >= 0")
 
 
-def _episode_stream(configs: list[EpisodeConfig], seed: int, obs_mode: str = "both"):
+def _episode_stream(configs: list[EpisodeConfig], seed: int):
     """Endless deterministic stream of episodes cycling over the config list."""
     i = 0
     while True:
         cfg = replace(configs[i % len(configs)], seed=episode_seed(seed, i),
-                      obs_mode=obs_mode, render_bev=False)
+                      obs_mode="both", render_bev=False)
         yield Episode(cfg)
         i += 1
 

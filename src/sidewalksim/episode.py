@@ -9,16 +9,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import sensors, world as world_mod
+from . import sensors
 from .errors import EpisodeTerminatedError, MapTooSmallError
-from .gridnav import (
-    bfs_connected,
-    dijkstra_distances,
-    free_space_grid,
-    interpolate_distance,
-)
+from .gridnav import bfs_connected, dijkstra_distances, free_space_grid
 from .walkmap import WalkableMap
 from .world import (
+    AGENT_RADIUS,
     Action,
     AgentState,
     WorldState,
@@ -36,6 +32,7 @@ MAX_STEPS = 150
 SUCCESS_RADIUS = 0.5
 GOAL_DISTANCE_RANGE = (10.0, 15.0)
 WAYPOINT_ADVANCE_RADIUS = 2.0
+MAX_GEODESIC = 23.0  # meters of path to the goal at most, so tasks stay winnable within MAX_STEPS
 
 START_GOAL_MAX_TRIES = 200
 
@@ -95,24 +92,14 @@ class EpisodeConfig:
     obstacle_density: float = 0.0      # per 100 m^2
     pedestrian_fraction: float = 0.0
     max_steps: int = MAX_STEPS
-    success_radius: float = SUCCESS_RADIUS
-    goal_distance_range: tuple[float, float] = GOAL_DISTANCE_RANGE
-    footprint_radius: float = world_mod.AGENT_RADIUS
-    gps_sigma: float = sensors.GPS_SIGMA_POS
-    gps_latency: int = sensors.GPS_LATENCY_STEPS
     obs_mode: str = "privileged"
     render_bev: bool = True            # only meaningful for privileged modes
-    geodesic_reward: bool = False      # experimental: approach term on path distance
-    max_geodesic: Optional[float] = 23.0  # keep tasks winnable within max_steps
     waypoints: Optional[list[tuple[float, float]]] = None
     start: Optional[tuple[float, float, float]] = None  # (x, y, heading) override
 
     def __post_init__(self):
-        if self.max_steps <= 0 or self.success_radius <= 0.0:
-            raise ValueError("max_steps and success_radius must be positive")
-        lo, hi = self.goal_distance_range
-        if lo > hi:
-            raise ValueError("goal_distance_range min must be <= max")
+        if self.max_steps <= 0:
+            raise ValueError("max_steps must be positive")
         if self.obs_mode not in OBS_MODES:
             raise ValueError(f"obs_mode must be one of {OBS_MODES}")
 
@@ -131,7 +118,10 @@ class EpisodeConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeConfig":
-        """Inverse of to_dict; an Optional field may be missing and reads as None."""
+        """Inverse of to_dict; an Optional field may be missing and reads as None.
+
+        Keys that name no field are ignored, so logs written when the config
+        had more fields still read."""
         kwargs = {}
         for f in fields(cls):
             value = d.get(f.name) if f.type.startswith("Optional[") else d[f.name]
@@ -146,8 +136,6 @@ _FIELD_READERS = {
     "float": float,
     "bool": bool,
     "str": str,
-    "tuple[float, float]": tuple,
-    "Optional[float]": lambda v: v,
     "Optional[list[tuple[float, float]]]": lambda v: [tuple(w) for w in v] if v else None,
     "Optional[tuple[float, float, float]]": lambda v: tuple(v) if v else None,
 }
@@ -178,14 +166,13 @@ class EpisodeResult(NamedTuple):
     trajectory: list[tuple[float, float, float]]
 
 
-def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator,
-                      distance_range: tuple[float, float] = GOAL_DISTANCE_RANGE):
-    """Walkable start pose and goal point, separation within range, connected.
+def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator):
+    """Walkable start pose and goal point, separation in GOAL_DISTANCE_RANGE, connected.
 
     Raises MapTooSmallError when no admissible pair is found within the retry
     budget.
     """
-    lo, hi = distance_range
+    lo, hi = GOAL_DISTANCE_RANGE
     grid = free_space_grid(wmap, (), inflate=0.0)
     for _ in range(START_GOAL_MAX_TRIES):
         sx, sy = wmap.sample_walkable_point(rng)
@@ -227,7 +214,6 @@ class Episode:
         self._bev_history = deque(maxlen=sensors.BEV_STACK - 1)
         self._gps: Optional[sensors.GpsNoiseModel] = None
         self._d_last = 0.0
-        self._geodesic = None
         self.log_rows: list[dict] = []
         self._started = False
 
@@ -253,18 +239,14 @@ class Episode:
             self.route = None
             start, goal, obstacles = self._sample_layout(sample_rng)
 
-        agent = AgentState(start[0], start[1], start[2], footprint_radius=cfg.footprint_radius)
+        agent = AgentState(start[0], start[1], start[2])
         self.world = WorldState(agent=agent, obstacles=obstacles, map=cfg.map, rng=world_rng)
         self.start_pose = (agent.x, agent.y, agent.heading)
         self.initial_obstacles = [ob.to_dict() for ob in obstacles]
         self.goal = goal
         self.terminal = None
         self._bev_history.clear()
-        self._gps = sensors.GpsNoiseModel(cfg.gps_sigma, cfg.gps_latency, gps_rng)
-        self._geodesic = None
-        if cfg.geodesic_reward:
-            grid = free_space_grid(cfg.map, obstacles, inflate=cfg.footprint_radius)
-            self._geodesic = (grid, dijkstra_distances(grid, grid.cell_of(goal[0], goal[1])))
+        self._gps = sensors.GpsNoiseModel(rng=gps_rng)
         self._d_last = self._target_distance()
         self.log_rows = []
         self._started = True
@@ -273,7 +255,7 @@ class Episode:
     def _sample_layout(self, rng: np.random.Generator):
         cfg = self.config
         for _ in range(20):
-            start, goal = sample_start_goal(cfg.map, rng, cfg.goal_distance_range)
+            start, goal = sample_start_goal(cfg.map, rng)
             for _ in range(10):
                 obstacles = populate_obstacles(
                     cfg.map, cfg.obstacle_density, rng,
@@ -286,16 +268,11 @@ class Episode:
 
     def _layout_ok(self, start, goal, obstacles) -> bool:
         """Reachable with obstacles, and the detour fits the step budget."""
-        cfg = self.config
-        grid = free_space_grid(cfg.map, obstacles, inflate=cfg.footprint_radius)
+        grid = free_space_grid(self.config.map, obstacles, inflate=AGENT_RADIUS)
         dist = dijkstra_distances(grid, grid.cell_of(goal[0], goal[1]))
         cell = grid.cell_of(start[0], start[1])
-        if not grid.in_bounds(*cell):
-            return False
-        d = dist[cell]
-        if not math.isfinite(d):
-            return False
-        return cfg.max_geodesic is None or d <= cfg.max_geodesic
+        # an unreachable start reads inf, which fails the bound too
+        return grid.in_bounds(*cell) and bool(dist[cell] <= MAX_GEODESIC)
 
     def context(self) -> EpisodeContext:
         if not self._started:
@@ -312,12 +289,6 @@ class Episode:
 
     def _target_distance(self) -> float:
         a = self.world.agent
-        if self._geodesic is not None:
-            grid, dist = self._geodesic
-            d = interpolate_distance(grid, dist, a.x, a.y)
-            if math.isfinite(d):
-                return float(d)
-            # off-grid or blocked: fall back to the straight-line distance
         tx, ty = self.current_target()
         return math.hypot(tx - a.x, ty - a.y)
 
@@ -334,7 +305,7 @@ class Episode:
         d_curr = self._target_distance()
 
         goal_dist = math.hypot(self.goal[0] - agent.x, self.goal[1] - agent.y)
-        at_goal = goal_dist < cfg.success_radius
+        at_goal = goal_dist < SUCCESS_RADIUS
         if self.route is not None:
             at_goal = at_goal and self.route.on_last
         if at_goal:
@@ -392,7 +363,7 @@ class Episode:
         return sensors.Observation(privileged=priv, realistic=real)
 
 
-def run_episode(episode: Episode, policy, max_steps: Optional[int] = None) -> EpisodeResult:
+def run_episode(episode: Episode, policy) -> EpisodeResult:
     """Drive one episode with a policy; returns the outcome summary.
 
     A policy that loses its route (NoPathError) aborts the episode, which is
@@ -403,14 +374,13 @@ def run_episode(episode: Episode, policy, max_steps: Optional[int] = None) -> Ep
     obs = episode.reset()
     trajectory = [(episode.world.agent.x, episode.world.agent.y, episode.world.agent.heading)]
     total = 0.0
-    limit = max_steps if max_steps is not None else episode.config.max_steps
     outcome = "timeout"
     try:
         policy.reset(episode.context())
     except NoPathError:
         episode.terminal = "timeout"
         return EpisodeResult(outcome, total, 0, trajectory)
-    for _ in range(limit):
+    for _ in range(episode.config.max_steps):
         try:
             action = policy.act(obs)
         except NoPathError:

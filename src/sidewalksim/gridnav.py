@@ -106,32 +106,6 @@ def bfs_connected(grid: OccupancyGrid, start_cell, goal_cell) -> bool:
     return bool(np.isfinite(_distances(grid, start_cell)[goal_cell]))
 
 
-def interpolate_distance(grid: OccupancyGrid, dist: np.ndarray,
-                         x: float, y: float) -> float:
-    """Bilinear distance lookup; falls back to the containing cell when the
-    stencil touches blocked or out-of-grid cells."""
-    res = grid.resolution
-    u = (x - grid.minx) / res - 0.5
-    v = (y - grid.miny) / res - 0.5
-    c0 = int(math.floor(u))
-    r0 = int(math.floor(v))
-    q = []
-    for dr in (0, 1):
-        for dc in (0, 1):
-            r, c = r0 + dr, c0 + dc
-            q.append(dist[r, c] if grid.in_bounds(r, c) else math.inf)
-    if all(math.isfinite(t) for t in q):
-        fu = u - c0
-        fv = v - r0
-        v00, v01, v10, v11 = q  # (r0,c0), (r0,c0+1), (r0+1,c0), (r0+1,c0+1)
-        return ((v00 * (1 - fu) + v01 * fu) * (1 - fv)
-                + (v10 * (1 - fu) + v11 * fu) * fv)
-    cell = grid.cell_of(x, y)
-    if grid.in_bounds(*cell):
-        return float(dist[cell])
-    return math.inf
-
-
 def dijkstra_distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
     """Geodesic meters from every free cell to the source; inf where unreachable.
 

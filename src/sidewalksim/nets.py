@@ -136,11 +136,16 @@ def save_model(net: StudentNet, norm: dict, path) -> None:
 def load_model(path) -> tuple[StudentNet, dict]:
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file holds a JSON {type(doc).__name__}, not an object")
     if doc.get("version") != 1:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     arch = doc.get("arch")
     if arch is None or tuple(arch) != ARCH:
         raise ValueError(f"model architecture {arch!r} is not the student's {list(ARCH)}")
+    missing = [key for key in ("weights", "norm") if key not in doc]
+    if missing:
+        raise ValueError(f"model file lacks {' and '.join(missing)}")
     net = StudentNet(seed=0)
     net.set_flat(np.array(doc["weights"], dtype=float))
     return net, doc["norm"]

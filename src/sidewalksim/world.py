@@ -15,7 +15,7 @@ SPEED_MIN = -0.10   # meters per step, backward
 SPEED_MAX = 0.20    # meters per step, forward
 YAW_LIMIT = 0.9425  # radians per step, ~54 degrees
 
-AGENT_RADIUS = 0.35  # default footprint, roughly half a quadruped body length
+AGENT_RADIUS = 0.35  # agent footprint, roughly half a quadruped body length
 
 OBSTACLE_SIZE_RANGE = (0.15, 0.5)   # cylinder radius / cuboid half-extent, meters
 START_CLEARANCE = 1.5               # obstacle-free disc kept around episode start
@@ -43,12 +43,9 @@ class AgentState:
     x: float
     y: float
     heading: float
-    footprint_radius: float = AGENT_RADIUS
 
     def __post_init__(self):
         self.heading = normalize_angle(self.heading)
-        if self.footprint_radius <= 0.0:
-            raise ValueError("footprint_radius must be positive")
 
     @property
     def position(self) -> tuple[float, float]:
@@ -264,7 +261,7 @@ def _walkable_heading(state: WorldState, ob: Obstacle) -> float:
 def collision_check(state: WorldState) -> CollisionReport:
     """Exact agent-disc vs obstacle-footprint intersection test."""
     agent = state.agent
-    r = agent.footprint_radius
+    r = AGENT_RADIUS
     bounds = state.obstacle_tables().bounds
     if len(bounds):
         # cheap reject on bounding discs before the exact per-shape test

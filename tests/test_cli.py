@@ -5,6 +5,7 @@ import pytest
 from sidewalksim import distill as distill_mod
 from sidewalksim import suites
 from sidewalksim.cli import build_parser, main
+from sidewalksim.nets import StudentNet, save_model
 from sidewalksim.walkmap import load_map
 
 OSM_SAMPLE = """<?xml version="1.0"?>
@@ -144,6 +145,22 @@ def test_eval_reports_byte_identical(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: {k: v for k, v in doc.items() if k != "weights"},
+    lambda doc: {k: v for k, v in doc.items() if k != "norm"},
+    lambda doc: [doc],
+], ids=["no_weights", "no_norm", "list"])
+def test_eval_malformed_model_exits_config_error(tmp_path, capsys, edit):
+    map_path = tmp_path / "map.json"
+    run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5,
+         "--out", map_path])
+    model = tmp_path / "model.json"
+    save_model(StudentNet(seed=0), distill_mod.NORMALIZATION, model)
+    model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+    assert run(["eval", "--policy", model, "--map", map_path, "--episodes", 1]) == 2
+    assert "model file" in capsys.readouterr().err
+
+
 def test_collect_writes_transitions(tmp_path):
     map_path = tmp_path / "map.json"
     run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5,
@@ -231,4 +248,19 @@ def test_distill_empty_map_dir_exits_config_error_before_any_episode(
         argv += [flag, path]
     assert run(argv) == 2
     assert f"no map files in {empty}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("config", [{"learning_rat": 0.01}, [1]], ids=["unknown_key", "list"])
+def test_distill_bad_config_exits_config_error_before_any_episode(
+        tmp_path, capsys, monkeypatch, config):
+    def no_run(*args, **kwargs):
+        raise AssertionError("distillation started despite a bad --config")
+
+    monkeypatch.setattr(distill_mod, "dagger_run", no_run)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(config))
+    model = tmp_path / "model.json"
+    assert run(["distill", "--config", cfg, "--out", model]) == 2
+    assert str(cfg) in capsys.readouterr().err
     assert not model.exists()

@@ -307,23 +307,19 @@ FULL_CONFIG_JSON = (
     '{"map": {"version": 1, "origin": [0.0, 0.0], "cell_size": 1.0, "polygons": '
     '[[[0.0, 3.0], [0.0, 0.0], [20.0, 0.0], [20.0, 3.0]]], "bounds": [0.0, 0.0, 20.0, 3.0]}, '
     '"seed": 5, "obstacle_density": 2.5, "pedestrian_fraction": 0.25, "max_steps": 90, '
-    '"success_radius": 0.4, "goal_distance_range": [6.0, 9.0], "footprint_radius": 0.3, '
-    '"gps_sigma": 0.3, "gps_latency": 2, "obs_mode": "both", "render_bev": false, '
-    '"geodesic_reward": true, "max_geodesic": null, "waypoints": [[4.0, 1.5], [12.0, 1.5]], '
+    '"obs_mode": "both", "render_bev": false, "waypoints": [[4.0, 1.5], [12.0, 1.5]], '
     '"start": [1.0, 1.5, 0.25]}')
 
 
 def full_config(wmap):
     """Every field away from its default."""
     return EpisodeConfig(map=wmap, seed=5, obstacle_density=2.5, pedestrian_fraction=0.25,
-                         max_steps=90, success_radius=0.4, goal_distance_range=(6.0, 9.0),
-                         footprint_radius=0.3, gps_sigma=0.3, gps_latency=2, obs_mode="both",
-                         render_bev=False, geodesic_reward=True, max_geodesic=None,
+                         max_steps=90, obs_mode="both", render_bev=False,
                          waypoints=[(4.0, 1.5), (12.0, 1.5)], start=(1.0, 1.5, 0.25))
 
 
 def test_config_round_trip(corridor):
-    for cfg in (make_config(corridor, seed=5, obstacle_density=2.5, gps_sigma=0.3),
+    for cfg in (make_config(corridor, seed=5, obstacle_density=2.5, pedestrian_fraction=0.3),
                 full_config(corridor)):
         back = EpisodeConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         for f in dataclasses.fields(EpisodeConfig):
@@ -332,15 +328,15 @@ def test_config_round_trip(corridor):
     assert json.dumps(full_config(corridor).to_dict()) == FULL_CONFIG_JSON
 
 
-def test_config_from_dict_coerces_types_and_defaults_max_geodesic(corridor):
+def test_config_from_dict_coerces_types_and_defaults_a_missing_optional(corridor):
     d = full_config(corridor).to_dict()
-    d.update(seed=5.0, obstacle_density=2, max_steps=90.0, gps_latency=True, render_bev=0)
-    del d["max_geodesic"]
+    d.update(seed=5.0, obstacle_density=2, max_steps=90.0, render_bev=0)
+    del d["start"]
     back = EpisodeConfig.from_dict(d)
-    assert (back.seed, back.obstacle_density, back.max_steps, back.gps_latency,
-            back.render_bev, back.max_geodesic) == (5, 2.0, 90, 1, False, None)
+    assert (back.seed, back.obstacle_density, back.max_steps,
+            back.render_bev, back.start) == (5, 2.0, 90, False, None)
     assert [type(v) for v in (back.seed, back.obstacle_density, back.max_steps,
-                              back.gps_latency, back.render_bev)] == [int, float, int, int, bool]
+                              back.render_bev)] == [int, float, int, bool]
 
 
 def test_observation_modes(corridor_long):
@@ -368,18 +364,6 @@ def test_realistic_lidar_capped(corridor_long):
     obs = Episode(cfg).reset()
     assert obs.realistic.lidar.shape == (272,)
     assert float(obs.realistic.lidar.max()) <= 6.0
-
-
-def test_geodesic_reward_flag(corridor_long):
-    cfg = make_config(corridor_long, seed=6, geodesic_reward=True)
-    ep = Episode(cfg)
-    ep.reset()
-    # walking straight toward the goal must earn positive approach reward
-    gx, gy = ep.goal
-    a = ep.world.agent
-    a.heading = math.atan2(gy - a.y, gx - a.x)
-    out = ep.step(Action(0.2, 0.0))
-    assert out.reward.approach > 0.0
 
 
 def test_pedestrian_episode_runs(corridor_long):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sidewalksim import suites
+from sidewalksim import gridnav, planner, sensors, suites, walkmap
 from sidewalksim.errors import ReplayIntegrityError
 from sidewalksim.evaluate import (
     bench,
@@ -64,7 +64,12 @@ TEACHER_REPORT_JSON = (
 )
 
 
-def test_teacher_report_bytes_pinned():
+@pytest.mark.parametrize("kernels", ["as_loaded", "off"])
+def test_teacher_report_bytes_pinned(monkeypatch, kernels):
+    if kernels == "off":
+        # every C kernel unavailable: the pure-Python paths give the same bytes
+        for kernel in (sensors._KERNEL, gridnav._KERNEL, planner._LOOKAHEAD, walkmap._KERNEL):
+            monkeypatch.setattr(kernel, "fn", None)
     # one corridor, one L-shape and one grid map; key order and every value
     cfgs = suites.validation_suite(5.0, obs_mode="privileged", render_bev=False)[::3]
     report = evaluate(OracleTeacher(), cfgs, 3, seed=5)
@@ -122,6 +127,19 @@ def test_replay_fresh_log_is_intact(tmp_path):
     summary = replay(log)
     assert summary["ok"] is True
     assert summary["steps"] > 0
+
+
+def test_replay_ignores_config_keys_it_no_longer_reads(tmp_path):
+    # logs written while these were EpisodeConfig fields carry them at their defaults
+    log, _ = run_logged_episode(tmp_path)
+    lines = log.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"].update(success_radius=0.5, goal_distance_range=[10.0, 15.0],
+                            footprint_radius=0.35, gps_sigma=0.5, gps_latency=3,
+                            geodesic_reward=False, max_geodesic=23.0)
+    lines[0] = json.dumps(header, separators=(",", ":"))
+    log.write_text("\n".join(lines) + "\n")
+    assert replay(log)["ok"] is True
 
 
 def test_replay_detects_tampered_action(tmp_path):
