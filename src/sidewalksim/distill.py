@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -158,6 +158,14 @@ class TrainConfig:
     final_eval_episodes: int = 100
 
     def __post_init__(self):
+        # integer fields take an int, the learning rate any real number; a
+        # bool is neither, although Python counts it as an int
+        for f in fields(self):
+            value = getattr(self, f.name)
+            real = f.type == "float"
+            if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+                kind = "a real number" if real else "an integer"
+                raise ValueError(f"{f.name} must be {kind}, not {value!r}")
         for name in ("learning_rate", "batch_size", "epochs_per_round",
                      "capacity", "bc_epochs"):
             if getattr(self, name) <= 0:

@@ -36,8 +36,6 @@ MAX_GEODESIC = 23.0  # meters of path to the goal at most, so tasks stay winnabl
 
 START_GOAL_MAX_TRIES = 200
 
-TERMINALS = ("success", "collision", "sidewalk_violation", "timeout")
-
 OBS_MODES = ("privileged", "realistic", "both", "none")
 
 
@@ -163,7 +161,6 @@ class EpisodeResult(NamedTuple):
     outcome: str
     reward_total: float
     steps: int
-    trajectory: list[tuple[float, float, float]]
 
 
 def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator):
@@ -372,14 +369,13 @@ def run_episode(episode: Episode, policy) -> EpisodeResult:
     from .errors import NoPathError
 
     obs = episode.reset()
-    trajectory = [(episode.world.agent.x, episode.world.agent.y, episode.world.agent.heading)]
     total = 0.0
     outcome = "timeout"
     try:
         policy.reset(episode.context())
     except NoPathError:
         episode.terminal = "timeout"
-        return EpisodeResult(outcome, total, 0, trajectory)
+        return EpisodeResult(outcome, total, 0)
     for _ in range(episode.config.max_steps):
         try:
             action = policy.act(obs)
@@ -389,10 +385,7 @@ def run_episode(episode: Episode, policy) -> EpisodeResult:
         out = episode.step(action)
         obs = out.observation
         total += out.reward.total
-        a = episode.world.agent
-        trajectory.append((a.x, a.y, a.heading))
         if out.terminal is not None:
             outcome = out.terminal
             break
-    return EpisodeResult(outcome=outcome, reward_total=total,
-                         steps=episode.world.step_count, trajectory=trajectory)
+    return EpisodeResult(outcome=outcome, reward_total=total, steps=episode.world.step_count)

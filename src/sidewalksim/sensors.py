@@ -136,33 +136,32 @@ def _ray_units(n_rays: int):
 
 # -- compiled raycast kernel ---------------------------------------------------
 #
-# _raycast.c is built and loaded through _ckernel on the first raycast. When no
-# kernel can be built, raycast uses the numpy path, which returns the same
-# ranges bit for bit, only slower.
+# raycast_loop in _walkmap.c is built and loaded through _ckernel on the first
+# raycast. It classifies its probes with the map's point_walkable, as the numpy
+# path classifies them with contains_points. When no kernel can be built,
+# raycast uses the numpy path, which returns the same ranges bit for bit, only
+# slower.
 
 # argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
-_KERNEL = _ckernel.Kernel("_raycast.c", "raycast_loop", "ddddpidpippippipip", "numpy path")
+_KERNEL = _ckernel.Kernel("_walkmap.c", "raycast_loop", "ddddpidpippipppip", "numpy path")
 
 
 def _kernel_world_args(world: WorldState) -> tuple:
-    """Obstacle and map arrays as kernel arguments: data addresses and row counts.
+    """Obstacle arrays as kernel arguments, data addresses and row counts,
+    followed by the map's WalkableMap.kernel_args.
 
-    The arrays are checked for dtype and contiguity and returned with the
-    arguments, so whoever caches the arguments also keeps the buffers alive.
+    The obstacle arrays are checked for dtype and contiguity and returned with
+    the arguments, so whoever caches the arguments also keeps the buffers alive.
     """
     tables = world.obstacle_tables()
     if len(tables.rect_segments) != 4 * len(tables.rect_bounds):
         raise ValueError("expected four sides per rectangular obstacle")
-    edges, edge_poly, bboxes = world.map.edge_table()
     arrays = (np.ascontiguousarray(tables.circles, dtype=np.float64),
               np.ascontiguousarray(tables.rect_segments, dtype=np.float64),
-              np.ascontiguousarray(tables.rect_bounds, dtype=np.float64),
-              np.ascontiguousarray(edges, dtype=np.float64),
-              np.ascontiguousarray(edge_poly, dtype=np.int64),
-              np.ascontiguousarray(bboxes, dtype=np.float64))
-    c, r, rb, e, ep, b = arrays
+              np.ascontiguousarray(tables.rect_bounds, dtype=np.float64))
+    c, r, rb = arrays
     args = (c.ctypes.data, len(c), r.ctypes.data, rb.ctypes.data, len(rb),
-            e.ctypes.data, ep.ctypes.data, len(e), b.ctypes.data, len(b))
+            *world.map.kernel_args())
     return args, arrays
 
 
@@ -221,9 +220,9 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
     to max_range. An origin already inside an obstacle or off the walkable
     area reads 0 on every ray.
 
-    The compiled kernel (_raycast.c) and the numpy path implement the same
-    algorithm with the same arithmetic and return identical ranges; the numpy
-    path runs when no kernel could be built.
+    The compiled kernel (raycast_loop in _walkmap.c) and the numpy path
+    implement the same algorithm with the same arithmetic and return identical
+    ranges; the numpy path runs when no kernel could be built.
     """
     if n_rays < 1 or max_range <= 0.0:
         raise ValueError("n_rays >= 1 and max_range > 0 required")

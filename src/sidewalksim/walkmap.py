@@ -1,4 +1,8 @@
-"""Walkable-area maps: buffered sidewalk polygons plus a uniform grid index.
+"""Walkable-area maps: the union of buffered sidewalk polygons.
+
+Every point query, compiled or not, has one algorithm: each polygon whose
+closed bbox holds the point gets the even-odd test of
+geometry.point_in_polygon.
 
 A WalkableMap is immutable after construction. Coordinates are quantized to
 1e-6 m at construction so that the JSON cache round-trips losslessly.
@@ -15,7 +19,6 @@ from . import _ckernel, geometry
 from .errors import GeometryError, MapFormatError
 
 MAP_SCHEMA_VERSION = 1
-DEFAULT_CELL_SIZE = 1.0
 
 SIDEWALK_WIDTH_RANGE = (2.0, 5.0)  # meters, uniform sampling range
 
@@ -42,11 +45,9 @@ class SidewalkNetwork:
 
 
 class WalkableMap:
-    """Union of simple polygons with a uniform grid index for point queries."""
+    """Union of simple polygons."""
 
-    def __init__(self, polygons, cell_size: float = DEFAULT_CELL_SIZE, origin=(0.0, 0.0)):
-        if cell_size <= 0.0:
-            raise GeometryError("cell_size must be positive")
+    def __init__(self, polygons, origin=(0.0, 0.0)):
         quantized = []
         for poly in polygons:
             arr = np.round(np.asarray(poly, dtype=float), 6)
@@ -59,7 +60,6 @@ class WalkableMap:
         if not quantized:
             raise GeometryError("map needs at least one polygon")
         self.polygons = quantized
-        self.cell_size = float(cell_size)
         self.origin = (float(origin[0]), float(origin[1]))
 
         allv = np.vstack(self.polygons)
@@ -75,15 +75,10 @@ class WalkableMap:
                 for p in self.polygons
             ]
         )
-        # flattened edge list for raycasting: rows (x1, y1, x2, y2)
-        edges = []
-        edge_poly = []
-        for pid, p in enumerate(self.polygons):
-            nxt = np.roll(p, -1, axis=0)
-            edges.append(np.hstack([p, nxt]))
-            edge_poly.append(np.full(len(p), pid))
-        self._edges = np.vstack(edges)
-        self._edge_poly = np.concatenate(edge_poly)
+        # edge table: rows (ax, ay, bx, by); polygon p owns rows
+        # edge_start[p] to edge_start[p + 1] - 1
+        self._edges = np.vstack([np.hstack([p, np.roll(p, -1, axis=0)]) for p in self.polygons])
+        self._edge_start = np.cumsum([0] + [len(p) for p in self.polygons], dtype=np.int64)
         areas = np.array([geometry.polygon_area(p) for p in self.polygons])
         total = areas.sum()
         # the table Generator.choice(p=areas / total) builds on every call
@@ -91,7 +86,6 @@ class WalkableMap:
         if total > 0:
             self._area_cdf = (areas / total).cumsum()
             self._area_cdf /= self._area_cdf[-1]
-        self._grid = self._build_grid()
         self._rasters: dict[float, np.ndarray] = {}
         self._kernel_args = None  # data addresses for _walkmap.c, built on first use
 
@@ -101,61 +95,38 @@ class WalkableMap:
         state["_kernel_args"] = None
         return state
 
-    def _build_grid(self):
-        grid: dict[tuple[int, int], list[int]] = {}
-        minx, miny = self.bounds[0], self.bounds[1]
-        cs = self.cell_size
-        for pid, (bx0, by0, bx1, by1) in enumerate(self._bboxes):
-            i0 = int(math.floor((bx0 - minx) / cs))
-            i1 = int(math.floor((bx1 - minx) / cs))
-            j0 = int(math.floor((by0 - miny) / cs))
-            j1 = int(math.floor((by1 - miny) / cs))
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    grid.setdefault((i, j), []).append(pid)
-        return grid
+    def kernel_args(self) -> tuple:
+        """The map arguments of both C kernels: the data addresses of the edge
+        table, the edge offsets and the bboxes, then the polygon count.
 
-    def _cell(self, x: float, y: float):
-        cs = self.cell_size
-        return (
-            int(math.floor((x - self.bounds[0]) / cs)),
-            int(math.floor((y - self.bounds[1]) / cs)),
-        )
-
-    def candidate_polygons(self, x: float, y: float) -> list[int]:
-        return self._grid.get(self._cell(x, y), [])
+        The arrays are the map's own, so they live as long as the map does.
+        """
+        args = self._kernel_args
+        if args is None:
+            args = self._kernel_args = (self._edges.ctypes.data, self._edge_start.ctypes.data,
+                                        self._bboxes.ctypes.data, len(self._bboxes))
+        return args
 
     def is_walkable(self, x: float, y: float) -> bool:
         """True iff the point lies inside at least one polygon.
 
         Answered by the compiled kernel (_walkmap.c) when one can be built,
-        else by the grid-indexed loop, which classifies every point alike.
+        else by the bbox loop, which classifies every point alike.
         """
         kernel = _KERNEL.load()
         if kernel is None:
-            return self._is_walkable_indexed(x, y)
-        cached = self._kernel_args
-        if cached is None:
-            cached = self._kernel_args = self._build_kernel_args()
-        return kernel(x, y, *cached[0]) != 0
+            return self._is_walkable_python(x, y)
+        return kernel(x, y, *self.kernel_args()) != 0
 
-    def _build_kernel_args(self) -> tuple:
-        """(data addresses and row counts of the edge table, the arrays they
-        point into); whoever keeps the addresses keeps the arrays alive."""
-        arrays = (np.ascontiguousarray(self._edges, dtype=np.float64),
-                  np.ascontiguousarray(self._edge_poly, dtype=np.int64),
-                  np.ascontiguousarray(self._bboxes, dtype=np.float64))
-        e, ep, b = arrays
-        return (e.ctypes.data, ep.ctypes.data, len(e), b.ctypes.data, len(b)), arrays
+    def _is_walkable_python(self, x: float, y: float) -> bool:
+        """Pure-Python fallback for the compiled kernel, and its reference: the
+        even-odd test on each polygon whose closed bbox holds the point.
 
-    def _is_walkable_indexed(self, x: float, y: float) -> bool:
-        """Pure-Python fallback for the compiled kernel, and its reference."""
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return False  # inside no polygon, and no grid cell to look up
-        for pid in self.candidate_polygons(x, y):
-            if geometry.point_in_polygon(x, y, self.polygons[pid]):
-                return True
-        return False
+        NaN or inf coordinates fail every bbox comparison, so they are inside
+        no polygon, as in the kernel.
+        """
+        return any(geometry.point_in_polygon(x, y, self.polygons[pid])
+                   for pid in self.polygons_in_region(x, y, x, y))
 
     def polygons_in_region(self, minx, miny, maxx, maxy) -> list[int]:
         """Ids of polygons whose bbox intersects the query box."""
@@ -183,13 +154,8 @@ class WalkableMap:
 
     def edges_near(self, x: float, y: float, radius: float):
         """Every edge (E, 4) of each polygon whose bbox meets the box of
-        half-side `radius` around (x, y).
-
-        The cut is per polygon, not per edge, because the compiled raycast
-        tests crossing parity on these edges and needs every edge of a polygon
-        that can contain a probe; the numpy raycast classifies its probes with
-        contains_points, which runs points_in_polygon's arithmetic.
-        """
+        half-side `radius` around (x, y), in edge-table order, as the compiled
+        raycast walks them."""
         b = self._bboxes
         near = (
             (b[:, 0] <= x + radius)
@@ -197,15 +163,7 @@ class WalkableMap:
             & (b[:, 1] <= y + radius)
             & (b[:, 3] >= y - radius)
         )
-        mask = near[self._edge_poly]
-        return self._edges[mask]
-
-    def edge_table(self):
-        """Every polygon edge (E, 4), its polygon id (E,), and the polygon bboxes (P, 4).
-
-        Edges are grouped by polygon in polygon order, as edges_near returns them.
-        """
-        return self._edges, self._edge_poly, self._bboxes
+        return self._edges[np.repeat(near, np.diff(self._edge_start))]
 
     def sample_walkable_point(self, rng) -> tuple[float, float]:
         """Uniform-ish walkable point: area-weighted polygon, then bbox rejection."""
@@ -248,18 +206,20 @@ class WalkableMap:
         return {
             "version": MAP_SCHEMA_VERSION,
             "origin": [self.origin[0], self.origin[1]],
-            "cell_size": self.cell_size,
             "polygons": [[[float(x), float(y)] for x, y in p] for p in self.polygons],
             "bounds": list(self.bounds),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "WalkableMap":
-        if not isinstance(data, dict) or data.get("version") != MAP_SCHEMA_VERSION:
+        if not isinstance(data, dict):
+            raise MapFormatError(f"map file holds a JSON {type(data).__name__}, not an object")
+        if data.get("version") != MAP_SCHEMA_VERSION:
             raise MapFormatError(
                 f"unsupported map version {data.get('version')!r}, expected {MAP_SCHEMA_VERSION}"
             )
-        for key in ("origin", "cell_size", "polygons", "bounds"):
+        # a "cell_size", which older map files carry, is ignored
+        for key in ("origin", "polygons", "bounds"):
             if key not in data:
                 raise MapFormatError(f"map file missing field {key!r}")
         polys = data["polygons"]
@@ -268,14 +228,13 @@ class WalkableMap:
         for p in polys:
             if len(p) < 3:
                 raise MapFormatError("polygon with fewer than 3 vertices")
-        return cls(polys, cell_size=float(data["cell_size"]), origin=tuple(data["origin"]))
+        return cls(polys, origin=tuple(data["origin"]))
 
     def __eq__(self, other):
         if not isinstance(other, WalkableMap):
             return NotImplemented
         return (
-            self.cell_size == other.cell_size
-            and self.origin == other.origin
+            self.origin == other.origin
             and self.bounds == other.bounds
             and len(self.polygons) == len(other.polygons)
             and all(np.array_equal(a, b) for a, b in zip(self.polygons, other.polygons))
@@ -285,15 +244,14 @@ class WalkableMap:
 # -- compiled membership kernel ----------------------------------------------------
 #
 # _walkmap.c is built and loaded through _ckernel on the first is_walkable call.
-# When no kernel can be built, is_walkable runs the grid-indexed loop, which
-# returns the same answers, only slower. contains_points stays numpy.
+# When no kernel can be built, is_walkable runs the bbox loop, which returns
+# the same answers, only slower. contains_points stays numpy.
 
 # argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
-_KERNEL = _ckernel.Kernel("_walkmap.c", "point_walkable", "ddppipi", "grid-indexed loop")
+_KERNEL = _ckernel.Kernel("_walkmap.c", "point_walkable", "ddpppi", "bbox loop")
 
 
-def build_walkable_map(net: SidewalkNetwork, cell_size: float = DEFAULT_CELL_SIZE,
-                       origin=(0.0, 0.0)) -> WalkableMap:
+def build_walkable_map(net: SidewalkNetwork, origin=(0.0, 0.0)) -> WalkableMap:
     """Buffer every polyline of the network and index the resulting polygons."""
     if len(net) == 0:
         raise GeometryError("empty sidewalk network")
@@ -303,11 +261,11 @@ def build_walkable_map(net: SidewalkNetwork, cell_size: float = DEFAULT_CELL_SIZ
             polygons.extend(geometry.buffer_polyline(verts, width))
         except ValueError as exc:
             raise GeometryError(str(exc)) from exc
-    return WalkableMap(polygons, cell_size=cell_size, origin=origin)
+    return WalkableMap(polygons, origin=origin)
 
 
 def generate_synthetic_map(kind: str, length: float, width: float | None = None,
-                           seed: int = 0, cell_size: float = DEFAULT_CELL_SIZE) -> WalkableMap:
+                           seed: int = 0) -> WalkableMap:
     """Deterministic test maps: straight corridor, L-shape, or street grid.
 
     width=None draws per-polyline widths from the sidewalk range with the
@@ -338,7 +296,7 @@ def generate_synthetic_map(kind: str, length: float, width: float | None = None,
             lines.append(([(x, 0.0), (x, length)], next_width()))
     else:
         raise GeometryError(f"unknown synthetic map kind {kind!r}")
-    return build_walkable_map(SidewalkNetwork(lines), cell_size=cell_size)
+    return build_walkable_map(SidewalkNetwork(lines))
 
 
 def save_map(wmap: WalkableMap, path) -> None:

@@ -29,7 +29,7 @@ def big_plane():
     # stand-in for an unbounded walkable world
     half = 100.0
     poly = [[-half, -half], [half, -half], [half, half], [-half, half]]
-    return WalkableMap([poly], cell_size=5.0)
+    return WalkableMap([poly])
 
 
 @pytest.fixture

@@ -194,7 +194,7 @@ def test_criterion_4_sensor_oracles():
         base = random_world(seed)
         frame0 = render_bev_frame(base)
         polys = [np.column_stack([-p[:, 1], p[:, 0]]) for p in base.map.polygons]
-        rot_map = WalkableMap(polys, cell_size=base.map.cell_size)
+        rot_map = WalkableMap(polys)
         obs = [Obstacle(kind=o.kind, x=-o.y, y=o.x, radius=o.radius,
                         half_w=o.half_w, half_h=o.half_h,
                         yaw=normalize_angle(o.yaw + math.pi / 2))

@@ -178,6 +178,14 @@ def test_missing_map_argument_is_config_error(tmp_path):
     assert run(["rollout", "--policy", "oracle", "--episodes", 1]) == 2
 
 
+def test_eval_on_a_map_file_that_is_not_an_object_exits_config_error(tmp_path, capsys):
+    map_path = tmp_path / "map.json"
+    run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5, "--out", map_path])
+    map_path.write_text(json.dumps([json.loads(map_path.read_text())]))
+    assert run(["eval", "--policy", "oracle", "--map", map_path, "--episodes", 1]) == 2
+    assert "not an object" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
@@ -264,3 +272,18 @@ def test_distill_bad_config_exits_config_error_before_any_episode(
     assert run(["distill", "--config", cfg, "--out", model]) == 2
     assert str(cfg) in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("config", [{"batch_size": "64"}, {"rounds": 1.5}, {"bc_epochs": True},
+                                    {"learning_rate": "1e-3"}],
+                         ids=["str_int", "float_int", "bool_int", "str_real"])
+def test_distill_config_of_the_wrong_type_exits_config_error_before_any_episode(
+        tmp_path, capsys, monkeypatch, config):
+    def no_run(*args, **kwargs):
+        raise AssertionError("distillation started despite a bad --config")
+
+    monkeypatch.setattr(distill_mod, "dagger_run", no_run)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["distill", "--config", cfg, "--out", tmp_path / "model.json"]) == 2
+    assert f"{next(iter(config))} must be" in capsys.readouterr().err

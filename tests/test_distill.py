@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sidewalksim import gridnav, planner, sensors, suites, walkmap
 from sidewalksim.distill import (
     AggregatedDataset,
     StudentPolicy,
@@ -28,7 +29,7 @@ from sidewalksim.sensors import GoalPolar, RealisticObs
 from sidewalksim.walkmap import generate_synthetic_map
 from sidewalksim.world import SPEED_MAX, SPEED_MIN, YAW_LIMIT, Action
 
-from tests.conftest import make_config
+from tests.conftest import make_config, needs_c_compiler
 
 
 def small_suite():
@@ -246,6 +247,31 @@ def test_dagger_round_zero_is_pure_behavior_cloning():
     assert result.report.best_round == 0
     assert len(result.report.rounds) == 1
     assert result.dataset.round_counts[0] == 250
+
+
+@needs_c_compiler
+def test_dagger_run_is_the_same_with_every_kernel_off(tmp_path, monkeypatch):
+    # criterion 7's micro run: prefill, training and evaluation run both
+    # 272-ray raycast paths, both membership paths, Dijkstra and the lookahead
+    kernels = (sensors._KERNEL, gridnav._KERNEL, planner._LOOKAHEAD, walkmap._KERNEL)
+    assert all(kernel.load() is not None for kernel in kernels)
+    cfg = TrainConfig(prefill_count=120, rounds=1, bc_epochs=1, epochs_per_round=1,
+                      batch_size=64, collect_episodes_per_round=1, round_eval_episodes=2,
+                      final_eval_episodes=2, seed=5)
+    train = [make_config(generate_synthetic_map("grid", 26.0, seed=9), obstacle_density=3.0,
+                         obs_mode="both")]
+    val = suites.validation_suite(3.0, obs_mode="realistic")
+
+    def run(tag):
+        result = dagger_run(train, val, cfg)
+        save_transitions(tmp_path / f"{tag}.npy", result.dataset)
+        return (result.report.to_dict(), result.net.get_flat().tobytes(),
+                (tmp_path / f"{tag}.npy").read_bytes())
+
+    as_loaded = run("as_loaded")
+    for kernel in kernels:
+        monkeypatch.setattr(kernel, "fn", None)
+    assert run("off") == as_loaded
 
 
 def test_dagger_run_is_deterministic():

@@ -304,7 +304,7 @@ def test_step_outcome_determinism(corridor_long):
 
 # log headers carry the config, and criterion 7 compares logs byte for byte
 FULL_CONFIG_JSON = (
-    '{"map": {"version": 1, "origin": [0.0, 0.0], "cell_size": 1.0, "polygons": '
+    '{"map": {"version": 1, "origin": [0.0, 0.0], "polygons": '
     '[[[0.0, 3.0], [0.0, 0.0], [20.0, 0.0], [20.0, 3.0]]], "bounds": [0.0, 0.0, 20.0, 3.0]}, '
     '"seed": 5, "obstacle_density": 2.5, "pedestrian_fraction": 0.25, "max_steps": 90, '
     '"obs_mode": "both", "render_bev": false, "waypoints": [[4.0, 1.5], [12.0, 1.5]], '

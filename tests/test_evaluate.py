@@ -137,6 +137,8 @@ def test_replay_ignores_config_keys_it_no_longer_reads(tmp_path):
     header["config"].update(success_radius=0.5, goal_distance_range=[10.0, 15.0],
                             footprint_radius=0.35, gps_sigma=0.5, gps_latency=3,
                             geodesic_reward=False, max_geodesic=23.0)
+    # and maps written while they had a grid index carry its cell size
+    header["config"]["map"]["cell_size"] = 1.0
     lines[0] = json.dumps(header, separators=(",", ":"))
     log.write_text("\n".join(lines) + "\n")
     assert replay(log)["ok"] is True

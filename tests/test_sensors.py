@@ -87,8 +87,7 @@ def test_bev_all_walkable(big_plane):
 
 def test_bev_rear_halfplane():
     # walkable only behind the agent (forward body coordinate < 0)
-    half = WalkableMap([[[-100.0, -100.0], [0.0, -100.0], [0.0, 100.0], [-100.0, 100.0]]],
-                       cell_size=5.0)
+    half = WalkableMap([[[-100.0, -100.0], [0.0, -100.0], [0.0, 100.0], [-100.0, 100.0]]])
     w = make_world(half, 0.0, 0.0, 0.0)
     frame = render_bev_frame(w)
     assert (frame[:65, :] == 0).all()   # forward rows and the agent row
@@ -134,7 +133,7 @@ def test_bev_rotational_consistency():
     frame0 = render_bev_frame(base)
 
     rot_polys = [np.column_stack([-p[:, 1], p[:, 0]]) for p in base.map.polygons]
-    rot_map = WalkableMap(rot_polys, cell_size=base.map.cell_size)
+    rot_map = WalkableMap(rot_polys)
     rot_obs = []
     for ob in base.obstacles:
         rot_obs.append(Obstacle(kind=ob.kind, x=-ob.y, y=ob.x, radius=ob.radius,
@@ -167,8 +166,7 @@ def test_raycast_cylinder_dead_ahead(big_plane):
 
 def test_raycast_halfplane_oblique():
     # walkable plane ends 4 m ahead; the +60 degree ray reaches it at 8 m
-    half = WalkableMap([[[-100.0, -100.0], [4.0, -100.0], [4.0, 100.0], [-100.0, 100.0]]],
-                       cell_size=5.0)
+    half = WalkableMap([[[-100.0, -100.0], [4.0, -100.0], [4.0, 100.0], [-100.0, 100.0]]])
     w = make_world(half, 0.0, 0.0, 0.0)
     r = raycast(w, 6, 20.0)  # 6 rays: k=1 sits at +60 degrees
     assert r[1] == pytest.approx(4.0 / math.cos(math.radians(60)), abs=1e-9)
@@ -245,12 +243,12 @@ def test_raycast_falls_back_to_numpy_when_kernel_build_fails(monkeypatch):
 
 
 # The build helper is shared by every C kernel of the package; these tests
-# cover it once, through the raycast source.
+# cover it once, through the source of the raycast and membership kernels.
 
 
 @needs_c_compiler
 def test_kernel_compile_error_raises_oserror_and_leaves_no_object(tmp_path):
-    broken = tmp_path / "_raycast.c"
+    broken = tmp_path / "_walkmap.c"
     broken.write_text("int raycast_loop(void) { return }\n")
     with pytest.raises(OSError, match="failed"):
         _ckernel.build(str(broken))
@@ -273,7 +271,7 @@ def test_raycast_rotational_consistency():
     r0 = raycast(base, 64, 6.0)
     a = base.agent
     rot_polys = [np.column_stack([-p[:, 1], p[:, 0]]) for p in base.map.polygons]
-    rot_map = WalkableMap(rot_polys, cell_size=base.map.cell_size)
+    rot_map = WalkableMap(rot_polys)
     rot_obs = [Obstacle(kind=ob.kind, x=-ob.y, y=ob.x, radius=ob.radius,
                         half_w=ob.half_w, half_h=ob.half_h,
                         yaw=normalize_angle(ob.yaw + math.pi / 2))

@@ -11,7 +11,6 @@ from sidewalksim.errors import GeometryError, MapFormatError
 from sidewalksim.geometry import point_in_polygon, polygon_area
 from sidewalksim.walkmap import (
     SidewalkNetwork,
-    WalkableMap,
     build_walkable_map,
     generate_synthetic_map,
     load_map,
@@ -21,7 +20,7 @@ from tests.conftest import needs_c_compiler
 
 
 def walkable_bruteforce(wmap, x, y):
-    """Index-free oracle: test every polygon directly."""
+    """Bbox-free oracle: test every polygon directly."""
     return any(point_in_polygon(x, y, p) for p in wmap.polygons)
 
 
@@ -83,23 +82,29 @@ def test_walkable_at_perpendicular_distances():
 
 
 def adversarial_points(wmap):
-    """Points on the polygons' boundaries and bboxes, and one ulp either side.
+    """Points on the polygons' boundaries and bboxes, and one ulp either side;
+    and the boundary points moved one ulp outside each side of their polygon's
+    bbox.
 
     Vertices, edge midpoints, quarter points of horizontal edges, and the
     corners and side midpoints of every polygon bbox.
     """
     base = []
+    outside = []
     for poly, (bx0, by0, bx1, by1) in zip(wmap.polygons, wmap._bboxes):
         nxt = np.roll(poly, -1, axis=0)
-        base.extend(poly)
-        base.extend((poly + nxt) / 2.0)
+        on_poly = list(poly) + list((poly + nxt) / 2.0)
         for (ax, ay), (bx, by) in zip(poly, nxt):
             if ay == by:
-                base.extend((ax + f * (bx - ax), ay) for f in (0.25, 0.75))
+                on_poly.extend((ax + f * (bx - ax), ay) for f in (0.25, 0.75))
+        base.extend(on_poly)
         base.extend([(bx0, by0), (bx1, by0), (bx1, by1), (bx0, by1),
                      ((bx0 + bx1) / 2.0, by0), ((bx0 + bx1) / 2.0, by1),
                      (bx0, (by0 + by1) / 2.0), (bx1, (by0 + by1) / 2.0)])
-    points = []
+        for x, y in on_poly:
+            outside.extend([(np.nextafter(bx0, -np.inf), y), (np.nextafter(bx1, np.inf), y),
+                            (x, np.nextafter(by0, -np.inf)), (x, np.nextafter(by1, np.inf))])
+    points = [(float(x), float(y)) for x, y in outside]
     for x, y in base:
         for sx in (-np.inf, None, np.inf):
             for sy in (-np.inf, None, np.inf):
@@ -110,7 +115,7 @@ def adversarial_points(wmap):
 
 
 @needs_c_compiler
-def test_index_matches_bruteforce(rng):
+def test_kernel_fallback_and_bulk_match_bruteforce(rng):
     assert walkmap._KERNEL.load() is not None, "the membership kernel failed to build or load"
     configs = suites.training_suite() + suites.validation_suite() + [suites.bench_config()]
     maps = [generate_synthetic_map("grid", 28.0, 4.0, seed=5)] + [cfg.map for cfg in configs]
@@ -125,14 +130,14 @@ def test_index_matches_bruteforce(rng):
         for (x, y), in_bulk in zip(points, bulk):
             expected = walkable_bruteforce(wmap, x, y)
             assert wmap.is_walkable(x, y) == expected, (x, y)
-            assert wmap._is_walkable_indexed(x, y) == expected, (x, y)
+            assert wmap._is_walkable_python(x, y) == expected, (x, y)
             assert in_bulk == expected, (x, y)
             inside += expected
         checked += len(points)
     assert checked > 40_000 and 0.2 < inside / checked < 0.8
 
 
-def test_failed_kernel_build_warns_once_and_uses_indexed_loop(monkeypatch, rng):
+def test_failed_kernel_build_warns_once_and_uses_bbox_loop(monkeypatch, rng):
     def failing_build(source):
         raise OSError("cc failed: error: unknown type name")
 
@@ -145,7 +150,7 @@ def test_failed_kernel_build_warns_once_and_uses_indexed_loop(monkeypatch, rng):
         warnings.simplefilter("always")
         answers = [wmap.is_walkable(x, y) for x, y in points]
     messages = [str(w.message) for w in caught]
-    assert len(messages) == 1 and "grid-indexed loop" in messages[0]
+    assert len(messages) == 1 and "bbox loop" in messages[0]
     assert walkmap._KERNEL.fn is None
     assert answers == [walkable_bruteforce(wmap, x, y) for x, y in points]
     assert any(answers) and not all(answers)
@@ -156,11 +161,11 @@ def test_non_finite_points_are_not_walkable_on_both_paths():
     assert walkmap._KERNEL.load() is not None
     wmap = suites.validation_suite()[6].map
     x, y = wmap.sample_walkable_point(np.random.default_rng(4))
-    assert wmap.is_walkable(x, y) and wmap._is_walkable_indexed(x, y)
+    assert wmap.is_walkable(x, y) and wmap._is_walkable_python(x, y)
     for bad in (math.nan, math.inf, -math.inf):
         for point in ((bad, y), (x, bad), (bad, bad)):
             assert not wmap.is_walkable(*point), point
-            assert not wmap._is_walkable_indexed(*point), point
+            assert not wmap._is_walkable_python(*point), point
 
 
 def test_map_pickled_after_query_answers_identically(rng):
@@ -264,15 +269,20 @@ def test_load_rejects_missing_fields(tmp_path, corridor):
     path = tmp_path / "map.json"
     save_map(corridor, path)
     doc = json.loads(path.read_text())
-    del doc["cell_size"]
+    del doc["origin"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(MapFormatError, match="cell_size"):
+    with pytest.raises(MapFormatError, match="origin"):
         load_map(path)
 
 
-def test_map_requires_positive_cell_size():
-    with pytest.raises(GeometryError):
-        WalkableMap([[[0, 0], [1, 0], [1, 1]]], cell_size=0.0)
+def test_map_file_with_cell_size_still_loads(tmp_path, corridor):
+    # map files written while maps had a grid index carry its cell size
+    path = tmp_path / "map.json"
+    save_map(corridor, path)
+    doc = json.loads(path.read_text())
+    doc["cell_size"] = 1.0
+    path.write_text(json.dumps(doc))
+    assert load_map(path) == corridor
 
 
 def test_sample_walkable_point_is_walkable(corridor, rng):
