@@ -9,8 +9,7 @@ the mean L1 error with exact hand-written gradients.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -61,72 +60,64 @@ def denormalize_action(vec) -> Action:
     return Action(vec[0] * _SPEED_HALF + _SPEED_CENTER, vec[1] * YAW_LIMIT)
 
 
-@dataclass
-class Transition:
-    features: np.ndarray      # (275,) float32
-    action: np.ndarray        # (2,) float64, normalized teacher action
-    episode_id: int
-    step_index: int
-
-
-class AggregatedDataset:
-    """FIFO-bounded transition store with per-round bookkeeping."""
-
-    def __init__(self, capacity: int = 200_000):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._buf: deque[Transition] = deque(maxlen=capacity)
-        self.round_counts: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def append(self, transition: Transition) -> None:
-        self._buf.append(transition)
-
-    def record_round(self, count: int) -> None:
-        self.round_counts.append(count)
-
-    def transitions(self):
-        return iter(self._buf)
-
-    def matrices(self):
-        """(X, Y) float64 design matrices in insertion order."""
-        if not self._buf:
-            raise ValueError("dataset is empty")
-        x = np.stack([t.features for t in self._buf]).astype(float)
-        y = np.stack([t.action for t in self._buf])
-        return x, y
-
-
 _TRANSITION_DTYPE = np.dtype([
     ("features", np.float32, (FEATURE_DIM,)),
-    ("action", np.float64, (2,)),
+    ("action", np.float64, (2,)),      # normalized teacher action
     ("episode_id", np.int32),
     ("step_index", np.int32),
 ])
 
 
+@dataclass
+class Transition:
+    """One row of `_TRANSITION_DTYPE` as an object."""
+    features: np.ndarray      # (275,) float32
+    action: np.ndarray        # (2,) float64
+    episode_id: int
+    step_index: int
+
+
+class AggregatedDataset:
+    """FIFO-bounded store of `_TRANSITION_DTYPE` rows, oldest first, with
+    per-round bookkeeping."""
+
+    def __init__(self, capacity: int = 200_000):
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self.rows = np.zeros(0, dtype=_TRANSITION_DTYPE)
+        self.round_counts: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def extend(self, rows: np.ndarray) -> None:
+        """Append rows; past `capacity` the oldest leave first."""
+        rows = np.concatenate((self.rows, rows))
+        # a copy, so that the evicted rows are freed rather than kept as its base
+        self.rows = rows[-self.capacity:].copy() if len(rows) > self.capacity else rows
+
+    def append(self, transition: Transition) -> None:
+        self.extend(np.array([astuple(transition)], dtype=_TRANSITION_DTYPE))
+
+    def record_round(self, count: int) -> None:
+        self.round_counts.append(count)
+
+    def transitions(self):
+        for features, action, episode_id, step_index in self.rows:
+            yield Transition(features, action, int(episode_id), int(step_index))
+
+
 def save_transitions(path, dataset: AggregatedDataset) -> None:
     """Persist transitions as a single structured .npy (deterministic bytes)."""
-    arr = np.zeros(len(dataset), dtype=_TRANSITION_DTYPE)
-    for i, t in enumerate(dataset.transitions()):
-        arr[i] = (t.features, t.action, t.episode_id, t.step_index)
-    np.save(path, arr)
+    np.save(path, dataset.rows)
 
 
-def load_transitions(path, capacity: int = 200_000) -> AggregatedDataset:
-    arr = np.load(path)
-    dataset = AggregatedDataset(capacity=capacity)
-    for row in arr:
-        dataset.append(Transition(
-            features=np.array(row["features"], dtype=np.float32),
-            action=np.array(row["action"], dtype=float),
-            episode_id=int(row["episode_id"]),
-            step_index=int(row["step_index"]),
-        ))
-    dataset.record_round(len(arr))
+def load_transitions(path) -> AggregatedDataset:
+    rows = np.load(path)
+    dataset = AggregatedDataset()
+    dataset.extend(rows)
+    dataset.record_round(len(rows))
     return dataset
 
 
@@ -166,6 +157,8 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
                 kind = "a real number" if real else "an integer"
                 raise ValueError(f"{f.name} must be {kind}, not {value!r}")
+            if real and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         for name in ("learning_rate", "batch_size", "epochs_per_round",
                      "capacity", "bc_epochs"):
             if getattr(self, name) <= 0:
@@ -191,7 +184,7 @@ class _LabelingPolicy(Policy):
         self.driver = driver
         self.teacher = teacher
         self.episode_id = episode_id
-        self.transitions: list[Transition] = []
+        self.rows: list[tuple] = []    # in the field order of _TRANSITION_DTYPE
 
     def reset(self, context) -> None:
         self.teacher.reset(context)
@@ -201,20 +194,20 @@ class _LabelingPolicy(Policy):
     def act(self, obs: Observation) -> Action:
         label = self.teacher.act(obs)
         action = label if self.driver is self.teacher else self.driver.act(obs)
-        self.transitions.append(Transition(
-            features=flatten_realistic(obs.realistic).astype(np.float32),
-            action=normalize_action(label),
-            episode_id=self.episode_id,
-            step_index=len(self.transitions),
-        ))
+        self.rows.append((flatten_realistic(obs.realistic), normalize_action(label),
+                          self.episode_id, len(self.rows)))
         return action
 
 
 def _run_labeled_episode(episode: Episode, driver: Policy, teacher: OracleTeacher,
                          episode_id: int):
-    """Roll one episode with `driver` acting, teacher labeling every state."""
+    """Roll one episode with `driver` acting, teacher labeling every state.
+
+    Returns the outcome and the episode's rows of `_TRANSITION_DTYPE`.
+    """
     policy = _LabelingPolicy(driver, teacher, episode_id)
-    return run_episode(episode, policy).outcome, policy.transitions
+    outcome = run_episode(episode, policy).outcome
+    return outcome, np.array(policy.rows, dtype=_TRANSITION_DTYPE)
 
 
 def prefill(dataset: AggregatedDataset, teacher: OracleTeacher,
@@ -227,6 +220,7 @@ def prefill(dataset: AggregatedDataset, teacher: OracleTeacher,
         return dataset
     budget = max(100, count)
     stream = _episode_stream(configs, seed)
+    kept = []
     stored = 0
     episodes_run = 0
     successes = 0
@@ -238,16 +232,14 @@ def prefill(dataset: AggregatedDataset, teacher: OracleTeacher,
                 f"teacher yielded {successes} successes in {episodes_run} episodes; "
                 f"stored {stored} of {count}"
             )
-        outcome, transitions = _run_labeled_episode(episode, teacher, teacher, episodes_run)
+        outcome, rows = _run_labeled_episode(episode, teacher, teacher, episodes_run)
         episodes_run += 1
         if outcome != "success":
             continue
         successes += 1
-        for t in transitions:
-            if stored >= count:
-                break
-            dataset.append(t)
-            stored += 1
+        kept.append(rows[:count - stored])
+        stored += len(kept[-1])
+    dataset.extend(np.concatenate(kept))
     dataset.record_round(stored)
     return dataset
 
@@ -257,13 +249,12 @@ def collect_round(dataset: AggregatedDataset, student: Policy, teacher: OracleTe
                   seed: int = 0) -> AggregatedDataset:
     """Student-driven rollouts labeled by the teacher at every visited state."""
     stream = _episode_stream(configs, seed)
-    added = 0
-    for episode_id, episode in zip(range(n_episodes), stream):
-        _, transitions = _run_labeled_episode(episode, student, teacher, episode_id)
-        for t in transitions:
-            dataset.append(t)
-            added += 1
-    dataset.record_round(added)
+    # the empty leading array keeps the dtype when no episode runs
+    rows = np.concatenate([dataset.rows[:0]] + [
+        _run_labeled_episode(episode, student, teacher, episode_id)[1]
+        for episode_id, episode in zip(range(n_episodes), stream)])
+    dataset.extend(rows)
+    dataset.record_round(len(rows))
     return dataset
 
 
@@ -273,8 +264,8 @@ def train_epochs(net: StudentNet, dataset: AggregatedDataset, config: TrainConfi
     """Mini-batch L1 regression; returns the mean loss per epoch."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    x, y = dataset.matrices()
-    n = len(x)
+    features, actions = dataset.rows["features"], dataset.rows["action"]
+    n = len(dataset)
     n_epochs = epochs if epochs is not None else config.epochs_per_round
     history = []
     for _ in range(n_epochs):
@@ -282,7 +273,8 @@ def train_epochs(net: StudentNet, dataset: AggregatedDataset, config: TrainConfi
         losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            loss, grads = net.loss_and_grads(x[idx], y[idx])
+            # float32 to float64 is exact, so the batch is the one recorded
+            loss, grads = net.loss_and_grads(features[idx].astype(float), actions[idx])
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss on batch at offset {lo}")
             optimizer.step(net, grads)
@@ -293,7 +285,7 @@ def train_epochs(net: StudentNet, dataset: AggregatedDataset, config: TrainConfi
 
 @dataclass
 class RoundRecord:
-    round_index: int
+    round: int
     dataset_size: int
     train_loss: list[float]
     val_success_rate: float
@@ -308,21 +300,7 @@ class DaggerReport:
     teacher_final: dict
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": [
-                {
-                    "round": r.round_index,
-                    "dataset_size": r.dataset_size,
-                    "train_loss": r.train_loss,
-                    "val_success_rate": r.val_success_rate,
-                }
-                for r in self.rounds
-            ],
-            "best_round": self.best_round,
-            "baseline_final": self.baseline_final,
-            "best_final": self.best_final,
-            "teacher_final": self.teacher_final,
-        }
+        return asdict(self)
 
 
 @dataclass

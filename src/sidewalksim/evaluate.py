@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -143,15 +143,10 @@ class BenchReport:
     steps_per_second: dict
     n_steps: int
     wall_time: float
-    config_summary: dict
+    config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "steps_per_second": self.steps_per_second,
-            "n_steps": self.n_steps,
-            "wall_time": self.wall_time,
-            "config": self.config_summary,
-        }
+        return asdict(self)
 
 
 def _bench_mode_config(config: EpisodeConfig, mode: str) -> EpisodeConfig:
@@ -203,7 +198,7 @@ def bench(config: EpisodeConfig, modes=BENCH_MODES, n_steps: int = 5000,
         "seed": seed,
     }
     return BenchReport(steps_per_second=rates, n_steps=n_steps, wall_time=wall,
-                       config_summary=summary)
+                       config=summary)
 
 
 # -- replay and exports --------------------------------------------------------

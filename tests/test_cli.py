@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -275,8 +276,10 @@ def test_distill_bad_config_exits_config_error_before_any_episode(
 
 
 @pytest.mark.parametrize("config", [{"batch_size": "64"}, {"rounds": 1.5}, {"bc_epochs": True},
-                                    {"learning_rate": "1e-3"}],
-                         ids=["str_int", "float_int", "bool_int", "str_real"])
+                                    {"learning_rate": "1e-3"}, {"learning_rate": math.nan},
+                                    {"learning_rate": math.inf}],
+                         ids=["str_int", "float_int", "bool_int", "str_real", "nan_real",
+                              "inf_real"])
 def test_distill_config_of_the_wrong_type_exits_config_error_before_any_episode(
         tmp_path, capsys, monkeypatch, config):
     def no_run(*args, **kwargs):

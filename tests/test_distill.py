@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from sidewalksim import gridnav, planner, sensors, suites, walkmap
 from sidewalksim.distill import (
     AggregatedDataset,
+    DaggerReport,
+    RoundRecord,
     StudentPolicy,
     TrainConfig,
     Transition,
@@ -85,9 +89,27 @@ def test_dataset_matrices_order():
     ds = AggregatedDataset(capacity=100)
     for i in range(7):
         ds.append(fake_transition(i))
-    x, y = ds.matrices()
+    x, y = ds.rows["features"], ds.rows["action"]
     assert x.shape == (7, 275) and y.shape == (7, 2)
     assert np.all(y[:, 1] == [0.1 * (i % 5) for i in range(7)])
+
+
+def test_dataset_extend_keeps_the_newest_rows_in_order():
+    ds = AggregatedDataset(capacity=10)
+
+    def rows(lo, hi):
+        out = np.zeros(hi - lo, dtype=ds.rows.dtype)
+        out["step_index"] = np.arange(lo, hi)
+        return out
+
+    ds.extend(rows(0, 6))
+    ds.extend(rows(6, 13))     # crosses the capacity: rows 0-2 leave
+    assert [t.step_index for t in ds.transitions()] == list(range(3, 13))
+    ds.extend(rows(13, 30))    # a batch larger than the capacity on its own
+    assert list(ds.rows["step_index"]) == list(range(20, 30))
+    assert ds.rows.base is None  # the kept rows are a copy; the evicted ones are freed
+    ds.extend(rows(30, 30))
+    assert len(ds) == 10
 
 
 def test_save_load_transitions_round_trip(tmp_path):
@@ -102,6 +124,24 @@ def test_save_load_transitions_round_trip(tmp_path):
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.action, b.action)
         assert (a.episode_id, a.step_index) == (b.episode_id, b.step_index)
+
+
+# the file `save_transitions` writes after a 300-row teacher prefill, pinned so
+# that the on-disk format and the labelled rows cannot change unnoticed
+PREFILL_300_SHA256 = "3a41a4d1d697eed5407f1f444279151b245390277875b716c7b8a99900012efb"
+
+
+@pytest.mark.parametrize("kernels", ["loaded", "off"])
+def test_saved_prefill_bytes_are_pinned(tmp_path, monkeypatch, kernels):
+    if kernels == "off":
+        for kernel in (sensors._KERNEL, gridnav._KERNEL, planner._LOOKAHEAD, walkmap._KERNEL):
+            kernel.load()
+            monkeypatch.setattr(kernel, "fn", None)
+    ds = prefill(AggregatedDataset(), OracleTeacher(),
+                 suites.training_suite(obs_mode="both", render_bev=False)[:2], 300, seed=5)
+    save_transitions(tmp_path / "transitions.npy", ds)
+    digest = hashlib.sha256((tmp_path / "transitions.npy").read_bytes()).hexdigest()
+    assert digest == PREFILL_300_SHA256
 
 
 # -- prefill ----------------------------------------------------------------------
@@ -237,6 +277,21 @@ def tiny_config(rounds):
                        rounds=rounds, prefill_count=250, seed=9, bc_epochs=2,
                        collect_episodes_per_round=2, round_eval_episodes=4,
                        final_eval_episodes=6)
+
+
+DAGGER_REPORT_JSON = (
+    '{"rounds": [{"round": 0, "dataset_size": 250, "train_loss": [0.5, 0.25], '
+    '"val_success_rate": 0.5}, {"round": 1, "dataset_size": 310, "train_loss": [0.125], '
+    '"val_success_rate": 0.75}], "best_round": 1, "baseline_final": {"success_rate": 0.5}, '
+    '"best_final": {"success_rate": 0.75}, "teacher_final": {"success_rate": 1.0}}')
+
+
+def test_dagger_report_json_bytes():
+    report = DaggerReport(
+        rounds=[RoundRecord(0, 250, [0.5, 0.25], 0.5), RoundRecord(1, 310, [0.125], 0.75)],
+        best_round=1, baseline_final={"success_rate": 0.5},
+        best_final={"success_rate": 0.75}, teacher_final={"success_rate": 1.0})
+    assert json.dumps(report.to_dict()) == DAGGER_REPORT_JSON
 
 
 def test_dagger_round_zero_is_pure_behavior_cloning():

@@ -6,6 +6,7 @@ import pytest
 from sidewalksim import gridnav, planner, sensors, suites, walkmap
 from sidewalksim.errors import ReplayIntegrityError
 from sidewalksim.evaluate import (
+    BenchReport,
     bench,
     evaluate,
     read_episode_log,
@@ -227,3 +228,17 @@ def test_bench_rate_stable_across_seeds():
             best[seed] = max(best[seed], rate)
     ratio = best[1] / best[2]
     assert 0.65 < ratio < 1.55
+
+
+BENCH_REPORT_JSON = (
+    '{"steps_per_second": {"none": 2000.0, "lidar_only": 1500.5}, "n_steps": 1000, '
+    '"wall_time": 1.25, "config": {"map_bounds": [0.0, 0.0, 20.0, 3.0], '
+    '"obstacle_density": 5.0, "seed": 0}}')
+
+
+def test_bench_report_json_bytes():
+    report = BenchReport(steps_per_second={"none": 2000.0, "lidar_only": 1500.5},
+                         n_steps=1000, wall_time=1.25,
+                         config={"map_bounds": [0.0, 0.0, 20.0, 3.0],
+                                 "obstacle_density": 5.0, "seed": 0})
+    assert json.dumps(report.to_dict()) == BENCH_REPORT_JSON
