@@ -44,21 +44,16 @@ def _load_map_dir(map_dir: str) -> list:
 
 
 def _load_maps(args) -> list:
-    if getattr(args, "map", None):
+    if args.map:
         return [load_map(args.map)]
-    if getattr(args, "map_dir", None):
+    if args.map_dir:
         return _load_map_dir(args.map_dir)
     raise SidewalkSimError("one of --map or --map-dir is required")
 
 
-def _episode_configs(args, obs_mode: str) -> list[EpisodeConfig]:
-    maps = _load_maps(args)
-    render_bev = obs_mode == "privileged" and getattr(args, "render_bev", False)
-    return [
-        EpisodeConfig(map=m, obstacle_density=args.density, obs_mode=obs_mode,
-                      render_bev=render_bev)
-        for m in maps
-    ]
+def _episode_configs(maps: list, density: float, obs_mode: str) -> list[EpisodeConfig]:
+    return [EpisodeConfig(map=m, obstacle_density=density, obs_mode=obs_mode, render_bev=False)
+            for m in maps]
 
 
 def cmd_ingest(args) -> int:
@@ -82,7 +77,7 @@ def cmd_gen_map(args) -> int:
 
 def cmd_collect(args) -> int:
     policy, _ = _parse_policy(args.policy)
-    configs = _episode_configs(args, "both")
+    configs = _episode_configs(_load_maps(args), args.density, "both")
     teacher = OracleTeacher()
     dataset = distill_mod.AggregatedDataset(capacity=args.capacity)
     distill_mod.collect_round(dataset, policy, teacher, configs, args.episodes,
@@ -106,16 +101,13 @@ def cmd_distill(args) -> int:
     config = distill_mod.TrainConfig(**overrides)
 
     if args.map_dir:
-        train_configs = [EpisodeConfig(map=m, obstacle_density=args.density,
-                                       obs_mode="both", render_bev=False)
-                         for m in _load_map_dir(args.map_dir)]
+        train_configs = _episode_configs(_load_map_dir(args.map_dir), args.density, "both")
     else:
         train_configs = suites.training_suite(args.density, obs_mode="both",
                                               render_bev=False)
     if args.val_map_dir:
-        val_configs = [EpisodeConfig(map=m, obstacle_density=args.density,
-                                     obs_mode="realistic")
-                       for m in _load_map_dir(args.val_map_dir)]
+        val_configs = _episode_configs(_load_map_dir(args.val_map_dir), args.density,
+                                       "realistic")
     else:
         val_configs = suites.validation_suite(args.density, obs_mode="realistic")
 
@@ -137,11 +129,10 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """`eval`, and `rollout`, which takes --log for --log-dir and writes no report."""
     policy, obs_mode = _parse_policy(args.policy)
-    configs = _episode_configs(args, obs_mode)
+    configs = _episode_configs(_load_maps(args), args.density, obs_mode)
     report = evaluate(policy, configs, args.episodes, seed=args.seed,
-                      workers=args.workers, log_dir=args.log or args.log_dir)
+                      workers=args.workers, log_dir=args.log_dir)
     print(report.table(args.policy))
     if args.report:
         with open(args.report, "w") as f:
@@ -178,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    common.add_argument("--log-dir", default=None, help="directory for episode logs")
-    common.add_argument("--workers", type=int, default=1, help="parallel episode workers")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -195,16 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_map)
-
-    p = sub.add_parser("rollout", parents=[common], help="run episodes with a policy")
-    p.add_argument("--policy", required=True,
-                   help="'oracle', 'constant:v,w', or a model.json path")
-    p.add_argument("--map", default=None)
-    p.add_argument("--map-dir", default=None)
-    p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--density", type=float, default=0.0)
-    p.add_argument("--log", default=None, help="episode log directory")
-    p.set_defaults(func=cmd_eval, report=None)
 
     p = sub.add_parser("collect", parents=[common],
                        help="student rollouts with teacher labels")
@@ -226,14 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write the run report JSON here")
     p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a policy on a map set")
-    p.add_argument("--policy", required=True)
+    p = sub.add_parser("eval", aliases=["rollout"], parents=[common],
+                       help="run and score episodes of a policy on a map set")
+    p.add_argument("--policy", required=True,
+                   help="'oracle', 'constant:v,w', or a model.json path")
     p.add_argument("--map", default=None)
     p.add_argument("--map-dir", default=None)
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--density", type=float, default=suites.DEFAULT_OBSTACLE_DENSITY)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_eval, log=None)
+    p.add_argument("--log-dir", "--log", default=None, help="directory for episode logs")
+    p.add_argument("--workers", type=int, default=1, help="parallel episode workers")
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", parents=[common], help="steps/second by observation mode")
     p.add_argument("--map", default=None)
@@ -243,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("replay", parents=[common], help="verify and export a log")
+    p = sub.add_parser("replay", help="verify and export a log")
     p.add_argument("--log", required=True, help="episode JSONL log")
     p.add_argument("--dump-bev", default=None, help="directory for PGM frames")
     p.add_argument("--svg", default=None, help="overhead trajectory SVG path")

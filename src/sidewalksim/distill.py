@@ -16,6 +16,7 @@ import numpy as np
 
 from .episode import Episode, EpisodeConfig, episode_seed, run_episode
 from .errors import PrefillStallError, TrainingDivergedError
+from .evaluate import evaluate
 from .nets import Adam, StudentNet
 from .planner import OracleTeacher, Policy
 from .sensors import (
@@ -111,14 +112,6 @@ class AggregatedDataset:
 def save_transitions(path, dataset: AggregatedDataset) -> None:
     """Persist transitions as a single structured .npy (deterministic bytes)."""
     np.save(path, dataset.rows)
-
-
-def load_transitions(path) -> AggregatedDataset:
-    rows = np.load(path)
-    dataset = AggregatedDataset()
-    dataset.extend(rows)
-    dataset.record_round(len(rows))
-    return dataset
 
 
 class StudentPolicy(Policy):
@@ -318,8 +311,6 @@ def dagger_run(train_configs: list[EpisodeConfig], val_configs: list[EpisodeConf
     curve plus final evaluations of both the chosen student and the round-0
     (prefill-only behavior cloning) baseline on the larger validation suite.
     """
-    from .evaluate import evaluate  # late import to keep module layers acyclic
-
     def say(msg):
         if log is not None:
             log(msg)

@@ -10,7 +10,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import sensors
-from .errors import EpisodeTerminatedError, MapTooSmallError
+from .errors import EpisodeTerminatedError, MapTooSmallError, NoPathError
 from .gridnav import bfs_connected, dijkstra_distances, free_space_grid
 from .walkmap import WalkableMap
 from .world import (
@@ -100,6 +100,8 @@ class EpisodeConfig:
             raise ValueError("max_steps must be positive")
         if self.obs_mode not in OBS_MODES:
             raise ValueError(f"obs_mode must be one of {OBS_MODES}")
+        if (self.start is None) != (not self.waypoints):
+            raise ValueError("start and waypoints are given together or not at all")
 
     def to_dict(self) -> dict:
         """Every field in declaration order, JSON-ready: the map as its dict,
@@ -223,7 +225,7 @@ class Episode:
         world_rng = np.random.default_rng(seeds[1])
         gps_rng = np.random.default_rng(seeds[2])
 
-        if cfg.start is not None and cfg.waypoints:
+        if cfg.start is not None:
             start = cfg.start
             self.route = WaypointRoute(list(cfg.waypoints))
             goal = tuple(cfg.waypoints[-1])
@@ -366,8 +368,6 @@ def run_episode(episode: Episode, policy) -> EpisodeResult:
     A policy that loses its route (NoPathError) aborts the episode, which is
     then scored as a timeout failure.
     """
-    from .errors import NoPathError
-
     obs = episode.reset()
     total = 0.0
     outcome = "timeout"

@@ -12,6 +12,7 @@ import numpy as np
 
 from .episode import Episode, EpisodeConfig, episode_seed, run_episode
 from .errors import ReplayIntegrityError
+from .geometry import oriented_rect_corners
 from .world import Action
 
 OUTCOMES = ("success", "collision", "sidewalk_violation", "timeout")
@@ -230,7 +231,15 @@ def replay(log_path, dump_bev_dir: Optional[str] = None,
     _require_keys(header["config"], _CONFIG_KEYS, "the config on log line 1")
     for i, row in enumerate(rows):
         _require_keys(row, _ROW_KEYS, f"log line {i + 2}")
-    config = EpisodeConfig.from_dict(header["config"])
+        action = row["action"]
+        if not (isinstance(action, list) and len(action) == 2
+                and all(isinstance(a, (int, float)) for a in action)):
+            raise ReplayIntegrityError(f"log line {i + 2} has an action {action!r} "
+                                       "that is no [speed, yaw rate] pair")
+    try:
+        config = EpisodeConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as exc:
+        raise ReplayIntegrityError(f"the config on log line 1 is malformed: {exc}") from exc
     if config.seed != header["seed"]:
         raise ReplayIntegrityError("header seed does not match config seed")
     if dump_bev_dir is not None:
@@ -312,8 +321,6 @@ def write_trajectory_svg(path, wmap, obstacles, trajectory, goal) -> None:
                 f'<circle cx="{px(ob.x):.1f}" cy="{py(ob.y):.1f}" '
                 f'r="{ob.radius * scale:.1f}" fill="#c0392b"/>')
         else:
-            from .geometry import oriented_rect_corners
-
             corners = oriented_rect_corners(ob.x, ob.y, ob.half_w, ob.half_h, ob.yaw)
             pts = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in corners)
             parts.append(f'<polygon points="{pts}" fill="#c0392b"/>')

@@ -141,11 +141,14 @@ def load_model(path) -> tuple[StudentNet, dict]:
     if doc.get("version") != 1:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     arch = doc.get("arch")
-    if arch is None or tuple(arch) != ARCH:
+    if arch != list(ARCH):
         raise ValueError(f"model architecture {arch!r} is not the student's {list(ARCH)}")
     missing = [key for key in ("weights", "norm") if key not in doc]
     if missing:
         raise ValueError(f"model file lacks {' and '.join(missing)}")
+    weights = doc["weights"]
+    if not (isinstance(weights, list) and all(isinstance(w, (int, float)) for w in weights)):
+        raise ValueError("model file weights are not a list of numbers")
     net = StudentNet(seed=0)
-    net.set_flat(np.array(doc["weights"], dtype=float))
+    net.set_flat(np.array(weights, dtype=float))
     return net, doc["norm"]

@@ -37,6 +37,13 @@ class OsmDocument:
     ways: dict[int, Way]
 
 
+def _attr(elem: ET.Element, key: str) -> str:
+    try:
+        return elem.attrib[key]
+    except KeyError:
+        raise OsmParseError(f"OSM <{elem.tag}> element {elem.attrib} has no {key!r}") from None
+
+
 def parse_osm(xml_text: str) -> OsmDocument:
     """Parse OSM XML into nodes and ways, validating way->node references."""
     try:
@@ -49,16 +56,16 @@ def parse_osm(xml_text: str) -> OsmDocument:
     ways: dict[int, Way] = {}
     for elem in root:
         if elem.tag == "node":
-            nid = int(elem.attrib["id"])
-            lat = float(elem.attrib["lat"])
-            lon = float(elem.attrib["lon"])
+            nid = int(_attr(elem, "id"))
+            lat = float(_attr(elem, "lat"))
+            lon = float(_attr(elem, "lon"))
             if not (math.isfinite(lat) and math.isfinite(lon)):
                 raise OsmParseError(f"node {nid} has non-finite coordinates")
             nodes[nid] = (lat, lon)
         elif elem.tag == "way":
-            wid = int(elem.attrib["id"])
-            refs = [int(nd.attrib["ref"]) for nd in elem.findall("nd")]
-            tags = {t.attrib["k"]: t.attrib["v"] for t in elem.findall("tag")}
+            wid = int(_attr(elem, "id"))
+            refs = [int(_attr(nd, "ref")) for nd in elem.findall("nd")]
+            tags = {_attr(t, "k"): _attr(t, "v") for t in elem.findall("tag")}
             ways[wid] = Way(node_ids=refs, tags=tags)
         # other elements (relations, bounds, ...) are irrelevant here
 

@@ -263,9 +263,6 @@ class GpsNoiseModel:
         self.rng = rng if rng is not None else np.random.default_rng()
         self._history: deque = deque(maxlen=self.latency_steps + 1)
 
-    def reset(self):
-        self._history.clear()
-
     def localize(self, x: float, y: float) -> tuple[float, float]:
         """Push the true position, return the delayed noisy estimate."""
         self._history.append((x, y))

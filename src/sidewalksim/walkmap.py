@@ -226,9 +226,13 @@ class WalkableMap:
         if not isinstance(polys, list) or not polys:
             raise MapFormatError("polygons must be a non-empty list")
         for p in polys:
-            if len(p) < 3:
-                raise MapFormatError("polygon with fewer than 3 vertices")
-        return cls(polys, origin=tuple(data["origin"]))
+            if not isinstance(p, list) or len(p) < 3:
+                raise MapFormatError("polygon that is not a list of at least 3 vertices")
+        origin = data["origin"]
+        if not (isinstance(origin, list) and len(origin) == 2
+                and all(isinstance(v, (int, float)) for v in origin)):
+            raise MapFormatError(f"origin {origin!r} is not a [lat, lon] pair of numbers")
+        return cls(polys, origin=tuple(origin))
 
     def __eq__(self, other):
         if not isinstance(other, WalkableMap):

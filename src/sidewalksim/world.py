@@ -47,10 +47,6 @@ class AgentState:
     def __post_init__(self):
         self.heading = normalize_angle(self.heading)
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass
 class Obstacle:

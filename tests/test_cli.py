@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sidewalksim import distill as distill_mod
@@ -169,9 +170,8 @@ def test_collect_writes_transitions(tmp_path):
     out = tmp_path / "transitions.npy"
     assert run(["collect", "--policy", "constant:0.1,0.0", "--map", map_path,
                 "--episodes", 2, "--density", 3, "--seed", 4, "--out", out]) == 0
-    from sidewalksim.distill import load_transitions
-
-    ds = load_transitions(out)
+    ds = distill_mod.AggregatedDataset()
+    ds.extend(np.load(out))
     assert len(ds) > 0
 
 
@@ -185,6 +185,84 @@ def test_eval_on_a_map_file_that_is_not_an_object_exits_config_error(tmp_path, c
     map_path.write_text(json.dumps([json.loads(map_path.read_text())]))
     assert run(["eval", "--policy", "oracle", "--map", map_path, "--episodes", 1]) == 2
     assert "not an object" in capsys.readouterr().err
+
+
+def _edit_json_line(path, line, edit):
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[line])
+    edit(record)
+    lines[line] = json.dumps(record, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+
+
+# kind of input file -> the case's edit: a JSON record edit, or an OSM (old, new) replacement
+MALFORMED_INPUTS = {
+    "map_origin_int": ("map", lambda d: d.update(origin=5)),
+    "map_origin_short": ("map", lambda d: d.update(origin=[1])),
+    "map_polygons_ints": ("map", lambda d: d.update(polygons=[5, 5, 5])),
+    "model_arch_int": ("model", lambda d: d.update(arch=5)),
+    "model_weights_object": ("model", lambda d: d.update(weights={"a": 1})),
+    "osm_node_without_id": ("osm", ('<node id="1" ', "<node ")),
+    "osm_nd_without_ref": ("osm", ('<nd ref="1"/>', "<nd/>")),
+    "osm_tag_without_v": ("osm", ('<tag k="highway" v="footway"/>', '<tag k="highway"/>')),
+    "log_waypoints_int": ("log_header", lambda d: d["config"].update(waypoints=5)),
+    "log_max_steps_null": ("log_header", lambda d: d["config"].update(max_steps=None)),
+    "log_action_short": ("log_row", lambda d: d.update(action=[1])),
+    "log_action_int": ("log_row", lambda d: d.update(action=5)),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_file_exits_with_an_error_not_a_traceback(tmp_path, capsys, case):
+    kind, edit = MALFORMED_INPUTS[case]
+    map_path = tmp_path / "map.json"
+    run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5, "--out", map_path])
+    if kind == "osm":
+        osm = tmp_path / "area.osm"
+        osm.write_text(OSM_SAMPLE.replace(*edit, 1))
+        argv = ["ingest", "--osm", osm, "--origin", "60.17,24.94", "--out", tmp_path / "x.json"]
+        expected = 2
+    elif kind in ("map", "model"):
+        model = tmp_path / "model.json"
+        save_model(StudentNet(seed=0), distill_mod.NORMALIZATION, model)
+        _edit_json_line(map_path if kind == "map" else model, 0, edit)
+        argv = ["eval", "--policy", model, "--map", map_path, "--episodes", 1]
+        expected = 2
+    else:
+        log_dir = tmp_path / "logs"
+        run(["rollout", "--policy", "constant:0.2,0.0", "--map", map_path,
+             "--episodes", 1, "--seed", 8, "--log", log_dir])
+        log = log_dir / "episode_00000.jsonl"
+        _edit_json_line(log, 0 if kind == "log_header" else 1, edit)
+        argv = ["replay", "--log", log]
+        expected = 3
+    assert run(argv) == expected
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["distill", "--out", "model.json", "--workers", "2"],
+    ["gen-map", "--kind", "corridor", "--length", "20", "--out", "map.json", "--log-dir", "D"],
+    ["replay", "--log", "episode.jsonl", "--seed", "1"],
+], ids=["distill_workers", "gen_map_log_dir", "replay_seed"])
+def test_a_flag_the_command_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_rollout_is_eval_under_another_name():
+    flags = ["--policy", "oracle", "--map", "map.json", "--episodes", "3", "--density", "4",
+             "--seed", "5", "--workers", "2", "--report", "eval.json"]
+    rollout = vars(build_parser().parse_args(["rollout", *flags, "--log", "logs"]))
+    evaluation = vars(build_parser().parse_args(["eval", *flags, "--log-dir", "logs"]))
+    assert (rollout.pop("command"), evaluation.pop("command")) == ("rollout", "eval")
+    assert rollout == evaluation
+
+
+def test_a_bare_rollout_runs_with_evals_defaults():
+    args = build_parser().parse_args(["rollout", "--policy", "oracle"])
+    assert (args.density, args.episodes) == (5.0, 100)
 
 
 def test_unknown_subcommand_exits_two(capsys):

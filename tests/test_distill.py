@@ -19,7 +19,6 @@ from sidewalksim.distill import (
     dagger_run,
     denormalize_action,
     flatten_realistic,
-    load_transitions,
     normalize_action,
     prefill,
     save_transitions,
@@ -118,7 +117,8 @@ def test_save_load_transitions_round_trip(tmp_path):
         ds.append(fake_transition(i, episode_id=i // 3))
     path = tmp_path / "transitions.npy"
     save_transitions(path, ds)
-    back = load_transitions(path)
+    back = AggregatedDataset()
+    back.extend(np.load(path))
     assert len(back) == 9
     for a, b in zip(ds.transitions(), back.transitions()):
         assert np.array_equal(a.features, b.features)

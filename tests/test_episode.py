@@ -331,12 +331,21 @@ def test_config_round_trip(corridor):
 def test_config_from_dict_coerces_types_and_defaults_a_missing_optional(corridor):
     d = full_config(corridor).to_dict()
     d.update(seed=5.0, obstacle_density=2, max_steps=90.0, render_bev=0)
-    del d["start"]
+    del d["start"], d["waypoints"]  # a route is given whole or not at all
     back = EpisodeConfig.from_dict(d)
     assert (back.seed, back.obstacle_density, back.max_steps,
-            back.render_bev, back.start) == (5, 2.0, 90, False, None)
+            back.render_bev, back.start, back.waypoints) == (5, 2.0, 90, False, None, None)
     assert [type(v) for v in (back.seed, back.obstacle_density, back.max_steps,
                               back.render_bev)] == [int, float, int, bool]
+
+
+@pytest.mark.parametrize("route", [{"start": (2.0, 1.5, 0.0)},
+                                   {"start": (2.0, 1.5, 0.0), "waypoints": []},
+                                   {"waypoints": [(20.0, 1.5)]}],
+                         ids=["start_only", "start_and_empty_waypoints", "waypoints_only"])
+def test_config_rejects_a_half_given_route(corridor, route):
+    with pytest.raises(ValueError, match="start and waypoints"):
+        EpisodeConfig(map=corridor, **route)
 
 
 def test_observation_modes(corridor_long):
