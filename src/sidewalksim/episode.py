@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import sensors
 from .errors import EpisodeTerminatedError, MapTooSmallError, NoPathError
-from .gridnav import bfs_connected, dijkstra_distances, free_space_grid
+from .gridnav import OccupancyGrid, bfs_connected, dijkstra_distances, free_space_grid
 from .walkmap import WalkableMap
 from .world import (
     AGENT_RADIUS,
@@ -33,6 +34,7 @@ SUCCESS_RADIUS = 0.5
 GOAL_DISTANCE_RANGE = (10.0, 15.0)
 WAYPOINT_ADVANCE_RADIUS = 2.0
 MAX_GEODESIC = 23.0  # meters of path to the goal at most, so tasks stay winnable within MAX_STEPS
+PLAN_INFLATE = AGENT_RADIUS + 0.18  # the plan's obstacle inflation: agent radius + steering margin
 
 START_GOAL_MAX_TRIES = 200
 
@@ -102,6 +104,12 @@ class EpisodeConfig:
             raise ValueError(f"obs_mode must be one of {OBS_MODES}")
         if (self.start is None) != (not self.waypoints):
             raise ValueError("start and waypoints are given together or not at all")
+        points = [(self.start, 3)] if self.start is not None else []
+        for point, n in points + [(w, 2) for w in self.waypoints or ()]:
+            if not (isinstance(point, (tuple, list)) and len(point) == n
+                    and all(isinstance(v, numbers.Real) for v in point)):
+                raise ValueError(f"{point!r} is not {n} numbers: start is (x, y, heading), "
+                                 "a waypoint (x, y)")
 
     def to_dict(self) -> dict:
         """Every field in declaration order, JSON-ready: the map as its dict,
@@ -148,15 +156,26 @@ class StepOutcome:
     terminal: Optional[str]
 
 
+class Plan(NamedTuple):
+    """Free space at PLAN_INFLATE and meters to the goal's cell (all inf if it is blocked)."""
+
+    grid: OccupancyGrid
+    values: np.ndarray
+
+
+def plan_route(wmap: WalkableMap, obstacles, goal) -> Plan:
+    grid = free_space_grid(wmap, obstacles, inflate=PLAN_INFLATE)
+    return Plan(grid, dijkstra_distances(grid, grid.cell_of(goal[0], goal[1])))
+
+
 @dataclass
 class EpisodeContext:
     """Ground-truth episode description handed to policies at reset."""
 
     map: WalkableMap
-    obstacles: list
     start: tuple[float, float, float]
     goal: tuple[float, float]
-    config: EpisodeConfig
+    plan: Plan
 
 
 class EpisodeResult(NamedTuple):
@@ -208,6 +227,7 @@ class Episode:
         self.initial_obstacles: list[dict] = []
         self.goal: Optional[tuple[float, float]] = None
         self.route: Optional[WaypointRoute] = None
+        self.plan: Optional[Plan] = None
         self.terminal: Optional[str] = None
         # earlier BEV frames, most recent first
         self._bev_history = deque(maxlen=sensors.BEV_STACK - 1)
@@ -234,9 +254,10 @@ class Episode:
                 pedestrian_fraction=cfg.pedestrian_fraction,
                 keep_clear=[(start[0], start[1])],
             )
+            self.plan = plan_route(cfg.map, obstacles, goal)
         else:
             self.route = None
-            start, goal, obstacles = self._sample_layout(sample_rng)
+            start, goal, obstacles, self.plan = self._sample_layout(sample_rng)
 
         agent = AgentState(start[0], start[1], start[2])
         self.world = WorldState(agent=agent, obstacles=obstacles, map=cfg.map, rng=world_rng)
@@ -261,23 +282,18 @@ class Episode:
                     pedestrian_fraction=cfg.pedestrian_fraction,
                     keep_clear=[(start[0], start[1])],
                 )
-                if self._layout_ok(start, goal, obstacles):
-                    return start, goal, obstacles
+                plan = plan_route(cfg.map, obstacles, goal)
+                cell = plan.grid.cell_of(start[0], start[1])
+                # reachable within the step budget; an unreachable start reads inf
+                if plan.grid.in_bounds(*cell) and plan.values[cell] <= MAX_GEODESIC:
+                    return start, goal, obstacles, plan
         raise MapTooSmallError("could not place obstacles while keeping the goal reachable")
-
-    def _layout_ok(self, start, goal, obstacles) -> bool:
-        """Reachable with obstacles, and the detour fits the step budget."""
-        grid = free_space_grid(self.config.map, obstacles, inflate=AGENT_RADIUS)
-        dist = dijkstra_distances(grid, grid.cell_of(goal[0], goal[1]))
-        cell = grid.cell_of(start[0], start[1])
-        # an unreachable start reads inf, which fails the bound too
-        return grid.in_bounds(*cell) and bool(dist[cell] <= MAX_GEODESIC)
 
     def context(self) -> EpisodeContext:
         if not self._started:
             raise RuntimeError("reset() must run before context()")
-        return EpisodeContext(map=self.config.map, obstacles=self.world.obstacles,
-                              start=self.start_pose, goal=self.goal, config=self.config)
+        return EpisodeContext(map=self.config.map, start=self.start_pose, goal=self.goal,
+                              plan=self.plan)
 
     # -- stepping ----------------------------------------------------------
 
@@ -373,19 +389,13 @@ def run_episode(episode: Episode, policy) -> EpisodeResult:
     outcome = "timeout"
     try:
         policy.reset(episode.context())
+        for _ in range(episode.config.max_steps):
+            out = episode.step(policy.act(obs))
+            obs = out.observation
+            total += out.reward.total
+            if out.terminal is not None:
+                outcome = out.terminal
+                break
     except NoPathError:
         episode.terminal = "timeout"
-        return EpisodeResult(outcome, total, 0)
-    for _ in range(episode.config.max_steps):
-        try:
-            action = policy.act(obs)
-        except NoPathError:
-            episode.terminal = "timeout"
-            break
-        out = episode.step(action)
-        obs = out.observation
-        total += out.reward.total
-        if out.terminal is not None:
-            outcome = out.terminal
-            break
     return EpisodeResult(outcome=outcome, reward_total=total, steps=episode.world.step_count)

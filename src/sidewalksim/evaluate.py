@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .episode import Episode, EpisodeConfig, episode_seed, run_episode
-from .errors import ReplayIntegrityError
+from .errors import MapFormatError, ReplayIntegrityError
 from .geometry import oriented_rect_corners
 from .world import Action
 
@@ -238,7 +238,7 @@ def replay(log_path, dump_bev_dir: Optional[str] = None,
                                        "that is no [speed, yaw rate] pair")
     try:
         config = EpisodeConfig.from_dict(header["config"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MapFormatError) as exc:
         raise ReplayIntegrityError(f"the config on log line 1 is malformed: {exc}") from exc
     if config.seed != header["seed"]:
         raise ReplayIntegrityError("header seed does not match config seed")

@@ -20,14 +20,12 @@ from .gridnav import (
     OccupancyGrid,
     dijkstra_distances,
     eroded as gridnav_eroded,
-    free_space_grid,
     line_of_sight,
 )
 from .sensors import Observation
 from .walkmap import WalkableMap
-from .world import AGENT_RADIUS, Action, SPEED_MAX, SPEED_MIN, YAW_LIMIT
+from .world import Action, SPEED_MAX, SPEED_MIN, YAW_LIMIT
 
-FIELD_MARGIN = 0.18        # extra obstacle inflation beyond the agent radius
 CLEARANCE_THRESHOLD = 0.8  # frontal range below which the teacher backs up
 CLEARANCE_RELEASE = 1.2    # hysteresis factor: back up until threshold * this
 FRONTAL_HALF_ANGLE = math.radians(23.0)
@@ -183,21 +181,14 @@ _LOOKAHEAD = _ckernel.Kernel("_gridnav.c", "grid_lookahead", "dddppiidddddp",
                              "Python lookahead walk")
 
 
-def build_distance_field(wmap: WalkableMap, obstacles, goal: tuple[float, float],
-                         start=None) -> DistanceField:
-    """Dijkstra from the goal over free cells inflated by AGENT_RADIUS + FIELD_MARGIN.
-
-    Prefers a grid with one extra cell of wall margin; if that margin would
-    leave the start disconnected (narrow passages), falls back to the plain
-    inflated grid.
-    """
-    if not wmap.is_walkable(goal[0], goal[1]):
-        raise NoPathError(f"goal {goal} is not on walkable area")
-    grid = free_space_grid(wmap, obstacles, inflate=AGENT_RADIUS + FIELD_MARGIN)
-    plain = _field_on_grid(grid, goal)
+def build_distance_field(plan, goal: tuple[float, float], start=None) -> DistanceField:
+    """The teacher's field over an episode's plan (episode.plan_route): on the
+    plan's grid with one extra cell of wall margin, or the plan's own field when
+    that margin would leave the start disconnected (narrow passages)."""
+    plain = _field_on_grid(plan.grid, goal, plan.values)
     if plain is None:
         raise NoPathError(f"no free cell near goal {goal}")
-    safe = _field_on_grid(gridnav_eroded(grid), goal)
+    safe = _field_on_grid(gridnav_eroded(plan.grid), goal)
     if safe is None or start is None:
         return safe or plain
     d_safe = _distance_near(safe, start)
@@ -226,31 +217,28 @@ def _distance_near(field: DistanceField, point) -> float:
     return best
 
 
-def _field_on_grid(grid: OccupancyGrid, goal) -> DistanceField | None:
+def _field_on_grid(grid: OccupancyGrid, goal, values=None) -> DistanceField | None:
+    """Field from the goal's cell, or from the nearest free cell when that one
+    is blocked; `values` are the distances from the goal's cell, if known."""
     cell = grid.cell_of(goal[0], goal[1])
     if not (grid.in_bounds(*cell) and grid.free[cell]):
-        cell = _nearest_free_cell(grid, cell)
+        cell, values = _nearest_free_cell(grid, cell), None
         if cell is None:
             return None
-    return DistanceField(grid=grid, values=dijkstra_distances(grid, cell), goal=goal)
+    if values is None:
+        values = dijkstra_distances(grid, cell)
+    return DistanceField(grid=grid, values=values, goal=goal)
 
 
 def _nearest_free_cell(grid: OccupancyGrid, cell):
-    row, col = cell
-    for ring in range(1, GOAL_SNAP_RINGS + 1):
-        best = None
-        for dr in range(-ring, ring + 1):
-            for dc in range(-ring, ring + 1):
-                if max(abs(dr), abs(dc)) != ring:
-                    continue
-                rr, cc = row + dr, col + dc
-                if grid.in_bounds(rr, cc) and grid.free[rr, cc]:
-                    d = dr * dr + dc * dc
-                    if best is None or d < best[0]:
-                        best = (d, (rr, cc))
-        if best is not None:
-            return best[1]
-    return None
+    """Free cell within GOAL_SNAP_RINGS of `cell`: innermost square ring first,
+    then nearest, then lowest (row, col); None when there is none."""
+    span = range(-GOAL_SNAP_RINGS, GOAL_SNAP_RINGS + 1)
+    free = [(max(abs(dr), abs(dc)), dr * dr + dc * dc, (cell[0] + dr, cell[1] + dc))
+            for dr in span for dc in span
+            if (dr or dc) and grid.in_bounds(cell[0] + dr, cell[1] + dc)
+            and grid.free[cell[0] + dr, cell[1] + dc]]
+    return min(free)[2] if free else None
 
 
 _TWO_PI = 2.0 * math.pi
@@ -370,7 +358,9 @@ class OracleTeacher(Policy):
     def reset(self, context) -> None:
         self._engaged = False
         self._map = context.map
-        self.field = build_distance_field(context.map, context.obstacles, context.goal,
+        if not context.map.is_walkable(context.goal[0], context.goal[1]):
+            raise NoPathError(f"goal {context.goal} is not on walkable area")
+        self.field = build_distance_field(context.plan, context.goal,
                                           start=(context.start[0], context.start[1]))
 
     def act(self, obs: Observation) -> Action:

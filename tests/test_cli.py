@@ -207,6 +207,11 @@ MALFORMED_INPUTS = {
     "osm_tag_without_v": ("osm", ('<tag k="highway" v="footway"/>', '<tag k="highway"/>')),
     "log_waypoints_int": ("log_header", lambda d: d["config"].update(waypoints=5)),
     "log_max_steps_null": ("log_header", lambda d: d["config"].update(max_steps=None)),
+    "log_start_short": ("log_header",
+                        lambda d: d["config"].update(start=[1], waypoints=[[5.0, 1.75]])),
+    "log_waypoint_short": ("log_header",
+                           lambda d: d["config"].update(start=[1.0, 1.75, 0.0], waypoints=[[5]])),
+    "log_map_origin_int": ("log_header", lambda d: d["config"]["map"].update(origin=5)),
     "log_action_short": ("log_row", lambda d: d.update(action=[1])),
     "log_action_int": ("log_row", lambda d: d.update(action=5)),
 }

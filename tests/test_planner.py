@@ -1,13 +1,24 @@
 import itertools
 import math
 import pickle
+import sys
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sidewalksim import _ckernel, gridnav, planner, suites
-from sidewalksim.episode import Episode, run_episode
+from sidewalksim import episode as episode_module
+from sidewalksim.episode import (
+    PLAN_INFLATE,
+    Episode,
+    EpisodeContext,
+    episode_seed,
+    plan_route,
+    run_episode,
+)
 from sidewalksim.errors import NoPathError
 from sidewalksim.gridnav import (
     bfs_connected,
@@ -17,7 +28,6 @@ from sidewalksim.gridnav import (
 )
 from sidewalksim.planner import (
     CORRIDOR_HALF_WIDTH,
-    FIELD_MARGIN,
     FRONTAL_HALF_ANGLE,
     ConstantPolicy,
     OracleTeacher,
@@ -29,7 +39,6 @@ from sidewalksim.planner import (
 from sidewalksim.sensors import Observation, PrivilegedObs, raycast
 from sidewalksim.walkmap import generate_synthetic_map
 from sidewalksim.world import (
-    AGENT_RADIUS,
     SPEED_MAX,
     SPEED_MIN,
     YAW_LIMIT,
@@ -48,6 +57,11 @@ def teacher_act(field, obs, pose):
 
 def distance_at(field, x, y):
     return field.value_at_cell(*field.grid.cell_of(x, y))
+
+
+def field_for(wmap, obstacles, goal, start=None):
+    """The teacher's field for a layout, built on the episode's plan of it."""
+    return build_distance_field(plan_route(wmap, obstacles, goal), goal, start=start)
 
 
 def privileged_obs(world, goal):
@@ -98,7 +112,7 @@ def test_bfs_connected_basic(corridor):
 
 
 def test_field_goal_cell_is_zero(corridor):
-    field = build_distance_field(corridor, (), (15.0, 1.5))
+    field = field_for(corridor, (), (15.0, 1.5))
     assert distance_at(field, 15.0, 1.5) == pytest.approx(0.0, abs=0.3)
     cell = field.grid.cell_of(15.0, 1.5)
     assert field.values[cell] == 0.0
@@ -106,7 +120,7 @@ def test_field_goal_cell_is_zero(corridor):
 
 def test_field_monotone_along_corridor(corridor):
     goal = (18.0, 1.5)
-    field = build_distance_field(corridor, (), goal)
+    field = field_for(corridor, (), goal)
     xs = np.linspace(1.0, 17.0, 30)
     vals = [distance_at(field, x, 1.5) for x in xs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -117,7 +131,7 @@ def test_field_monotone_along_corridor(corridor):
 
 
 def test_field_neighbor_differences_bounded(corridor):
-    field = build_distance_field(corridor, (), (18.0, 1.5), start=(2.0, 1.5))
+    field = field_for(corridor, (), (18.0, 1.5), start=(2.0, 1.5))
     vals = field.values
     res = field.grid.resolution
     step = math.sqrt(2.0) * res + 1e-12
@@ -132,13 +146,18 @@ def test_field_neighbor_differences_bounded(corridor):
 
 def test_field_unreachable_is_inf(corridor):
     wall = Obstacle(kind="cuboid", x=10.0, y=1.5, half_w=0.3, half_h=1.6)
-    field = build_distance_field(corridor, [wall], (18.0, 1.5))
+    field = field_for(corridor, [wall], (18.0, 1.5))
     assert math.isinf(distance_at(field, 1.0, 1.5))
 
 
 def test_field_goal_not_walkable_raises(corridor):
+    # just off the corridor, yet within snapping reach of its free cells: only
+    # the teacher's walkability check turns this goal away
+    goal = (10.0, 3.2)
+    plan = plan_route(corridor, (), goal)
+    assert not corridor.is_walkable(*goal) and _field_on_grid(plan.grid, goal) is not None
     with pytest.raises(NoPathError):
-        build_distance_field(corridor, (), (10.0, 10.0))
+        OracleTeacher().reset(EpisodeContext(corridor, (2.0, 1.5, 0.0), goal, plan))
 
 
 # -- compiled lookahead walk vs the Python reference ------------------------------
@@ -152,7 +171,7 @@ def suite_fields():
         for _ in range(2):
             obstacles = populate_obstacles(cfg.map, cfg.obstacle_density, rng)
             goal = cfg.map.sample_walkable_point(rng)
-            grid = free_space_grid(cfg.map, obstacles, inflate=AGENT_RADIUS + FIELD_MARGIN)
+            grid = free_space_grid(cfg.map, obstacles, inflate=PLAN_INFLATE)
             for g in (grid, eroded(grid)):
                 field = _field_on_grid(g, goal)
                 if field is not None:
@@ -386,7 +405,7 @@ def test_corridor_hit_ties_and_edges():
 
 def test_teacher_aligned_full_speed(corridor):
     goal = (18.0, 1.5)
-    field = build_distance_field(corridor, (), goal, start=(4.0, 1.5))
+    field = field_for(corridor, (), goal, start=(4.0, 1.5))
     w = make_world(corridor, 4.0, 1.5, 0.0)
     action = teacher_act(field, privileged_obs(w, goal), (4.0, 1.5, 0.0))
     assert action.speed == pytest.approx(SPEED_MAX, abs=0.01)
@@ -396,7 +415,7 @@ def test_teacher_aligned_full_speed(corridor):
 
 def test_teacher_goal_behind(corridor):
     goal = (2.0, 1.5)
-    field = build_distance_field(corridor, (), goal, start=(15.0, 1.5))
+    field = field_for(corridor, (), goal, start=(15.0, 1.5))
     w = make_world(corridor, 15.0, 1.5, 0.0)  # facing away from the goal
     action = teacher_act(field, privileged_obs(w, goal), (15.0, 1.5, 0.0))
     assert abs(action.yaw_delta) == YAW_LIMIT
@@ -406,7 +425,7 @@ def test_teacher_goal_behind(corridor):
 def test_teacher_reverses_on_blocked_front(big_plane):
     goal = (30.0, 0.0)
     ob = Obstacle(kind="cylinder", x=1.0, y=0.0, radius=0.5)  # frontal ray 0.5 m
-    field = build_distance_field(big_plane, [ob], goal, start=(0.0, 0.0))
+    field = field_for(big_plane, [ob], goal, start=(0.0, 0.0))
     w = make_world(big_plane, 0.0, 0.0, 0.0, obstacles=[ob])
     obs = privileged_obs(w, goal)
     assert corridor_hit(obs.privileged.lidar, 0.0, FRONTAL_HALF_ANGLE)[0] == pytest.approx(
@@ -466,7 +485,85 @@ def test_no_path_error_when_agent_sealed():
     # walkable plane but the goal region is walled off by obstacles
     m = generate_synthetic_map("corridor", 20.0, 3.0)
     wall = Obstacle(kind="cuboid", x=10.0, y=1.5, half_w=0.4, half_h=1.6)
-    field = build_distance_field(m, [wall], (18.0, 1.5))
+    field = field_for(m, [wall], (18.0, 1.5))
     w = make_world(m, 2.0, 1.5, 0.0, obstacles=[wall])
     with pytest.raises(NoPathError):
         teacher_act(field, privileged_obs(w, (18.0, 1.5)), (2.0, 1.5, 0.0))
+
+
+# -- one plan per layout -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("index", [58, 131, 170, 178, 250, 275])
+def test_teacher_moves_on_layouts_its_grid_once_closed(index):
+    # with the layout checked on a thinner inflation than the teacher's grid,
+    # each of these episodes ended in a NoPathError before the first step
+    cfgs = suites.validation_suite(5.0, obs_mode="privileged", render_bev=False)
+    episode = Episode(replace(cfgs[index % len(cfgs)], seed=episode_seed(101, index)))
+    assert run_episode(episode, OracleTeacher()).steps > 0
+
+
+def count_calls(monkeypatch, calls, owner, name):
+    """Count calls to owner.<name> under every sidewalksim module name bound to it."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("sidewalksim") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+
+
+def test_a_teacher_episode_builds_one_grid_and_one_field_per_layout_attempt(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, gridnav, "free_space_grid")
+    count_calls(monkeypatch, calls, gridnav, "dijkstra_distances")
+    count_calls(monkeypatch, calls, episode_module, "populate_obstacles")
+    count_calls(monkeypatch, calls, episode_module, "sample_start_goal")
+    plain_fields = []
+    field_on_grid = planner._field_on_grid
+
+    def recording_field_on_grid(grid, goal, values=None):
+        field = field_on_grid(grid, goal, values)
+        if values is not None:  # the teacher's plain field, from the episode's plan
+            plain_fields.append(field)
+        return field
+
+    monkeypatch.setattr(planner, "_field_on_grid", recording_field_on_grid)
+    cfgs = suites.validation_suite(5.0, obs_mode="privileged", render_bev=False)
+    attempts = 0
+    for i in range(24):
+        calls.clear()
+        plain_fields.clear()
+        episode = Episode(replace(cfgs[i % len(cfgs)], seed=episode_seed(7, i)))
+        episode.reset()
+        OracleTeacher().reset(episode.context())
+        layouts = calls["populate_obstacles"]
+        # sample_start_goal rasterises the bare map once per start/goal draw
+        assert calls["free_space_grid"] == layouts + calls["sample_start_goal"]
+        assert calls["dijkstra_distances"] == layouts + 1  # + the eroded field
+        assert len(plain_fields) == 1 and plain_fields[0].values is episode.plan.values
+        attempts += layouts
+    assert attempts > 24  # some layouts were resampled, so the counts say "per attempt"
+
+
+def test_a_route_ending_on_an_obstacle_gets_a_finite_teacher_field(corridor_long):
+    start = (1.0, 1.75, 0.0)
+    cfg = make_config(corridor_long, seed=3, obstacle_density=2.0, start=start,
+                      waypoints=[(16.0, 1.75), (30.0, 1.75)])
+    episode = Episode(cfg)
+    episode.reset()
+    layout = [(o.x, o.y) for o in episode.world.obstacles]
+    gx, gy = max(layout)
+    # obstacles depend on the seed and the start only, so ending the route on
+    # one leaves the layout as it was
+    episode = Episode(replace(cfg, waypoints=[(16.0, 1.75), (gx, gy)]))
+    episode.reset()
+    assert [(o.x, o.y) for o in episode.world.obstacles] == layout
+    plan = episode.plan
+    assert not plan.grid.free[plan.grid.cell_of(gx, gy)] and np.isinf(plan.values).all()
+    teacher = OracleTeacher()
+    teacher.reset(episode.context())
+    assert math.isfinite(distance_at(teacher.field, start[0], start[1]))
