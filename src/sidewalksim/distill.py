@@ -43,8 +43,10 @@ NORMALIZATION = {
 
 
 def flatten_realistic(obs: RealisticObs) -> np.ndarray:
-    """275 features in [-1, 1]: normalized ranges, capped distance, bearing."""
-    out = np.empty(FEATURE_DIM)
+    """275 float32 features in [-1, 1]: normalized ranges, capped distance,
+    bearing. The dtype is the one `_TRANSITION_DTYPE` stores, so the student
+    acts on exactly the features it trains on."""
+    out = np.empty(FEATURE_DIM, dtype=np.float32)
     out[:272] = obs.lidar / REALISTIC_LIDAR_MAX_RANGE
     out[272] = min(obs.goal.distance, GOAL_DISTANCE_CAP) / GOAL_DISTANCE_CAP
     out[273] = math.sin(obs.goal.bearing)
@@ -266,8 +268,7 @@ def train_epochs(net: StudentNet, dataset: AggregatedDataset, config: TrainConfi
         losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            # float32 to float64 is exact, so the batch is the one recorded
-            loss, grads = net.loss_and_grads(features[idx].astype(float), actions[idx])
+            loss, grads = net.loss_and_grads(features[idx], actions[idx])
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss on batch at offset {lo}")
             optimizer.step(net, grads)

@@ -3,6 +3,10 @@
 The architecture is fixed (275 -> 256 -> 128 -> 2, rectifier hidden units,
 tanh output), so the gradients are spelled out directly instead of pulling in
 an autodiff framework. Sub-gradients at the rectifier and L1 kinks are zero.
+
+The parameters are float32, and every pass runs in the parameters' dtype:
+inputs are cast to it on entry, and the optimizer's moments follow it. A
+float64 copy of the parameters therefore runs the same code in float64.
 """
 
 from __future__ import annotations
@@ -33,13 +37,14 @@ class StudentNet:
         rng = np.random.default_rng(seed)
         self.params = []
         for fan_in, fan_out in zip(ARCH[:-1], ARCH[1:]):
-            self.params.append(_glorot(rng, fan_in, fan_out))
-            self.params.append(np.zeros(fan_out))
+            self.params.append(_glorot(rng, fan_in, fan_out).astype(np.float32))
+            self.params.append(np.zeros(fan_out, dtype=np.float32))
 
     # parameters are ordered W1, b1, W2, b2, W3, b3
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Network output for a (B, 275) batch or a single (275,) vector."""
+        x = np.asarray(x, dtype=self.params[0].dtype)
         out = self._forward_cache(np.atleast_2d(x))[-1]
         return out[0] if x.ndim == 1 else out
 
@@ -58,8 +63,9 @@ class StudentNet:
 
     def loss_and_grads(self, x: np.ndarray, target: np.ndarray):
         """L1 loss and its exact gradients for every parameter."""
-        x = np.atleast_2d(x)
-        target = np.atleast_2d(target)
+        dtype = self.params[0].dtype
+        x = np.atleast_2d(np.asarray(x, dtype=dtype))
+        target = np.atleast_2d(np.asarray(target, dtype=dtype))
         w1, b1, w2, b2, w3, b3 = self.params
         z1, a1, z2, a2, y = self._forward_cache(x)
         resid = y - target
@@ -149,6 +155,16 @@ def load_model(path) -> tuple[StudentNet, dict]:
     weights = doc["weights"]
     if not (isinstance(weights, list) and all(isinstance(w, (int, float)) for w in weights)):
         raise ValueError("model file weights are not a list of numbers")
+    # each weight rounds once to the float32 parameter the net stores; one
+    # beyond float32's range becomes infinite, and an integer beyond any
+    # float's range cannot convert at all
+    try:
+        with np.errstate(over="ignore"):
+            flat = np.array(weights, dtype=np.float32)
+    except OverflowError:
+        flat = None
+    if flat is None or not np.isfinite(flat).all():
+        raise ValueError("model file weights hold a value that is not a finite float32")
     net = StudentNet(seed=0)
-    net.set_flat(np.array(weights, dtype=float))
+    net.set_flat(flat)
     return net, doc["norm"]

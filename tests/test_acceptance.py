@@ -18,13 +18,12 @@ from sidewalksim.cli import main as cli_main
 from sidewalksim.distill import AggregatedDataset, TrainConfig, Transition, dagger_run, prefill
 from sidewalksim.episode import Episode, EpisodeConfig, compute_reward, run_episode
 from sidewalksim.evaluate import bench, evaluate
-from sidewalksim.nets import StudentNet
 from sidewalksim.planner import OracleTeacher
 from sidewalksim.sensors import raycast, render_bev_frame
 from sidewalksim.walkmap import WalkableMap
 from sidewalksim.world import Action, AgentState, Obstacle, WorldState
 
-from tests.test_nets import finite_difference_grad, signatures_match
+from tests.test_nets import finite_difference_grad, float64_net, signatures_match
 from tests.test_sensors import bev_bruteforce, random_world
 
 TEACHER_EVAL_SEED = 20_260_810
@@ -214,7 +213,7 @@ def test_criterion_5_gradient_correctness():
     worst = 0.0
     checked = 0
     for batch_idx in range(20):
-        net = StudentNet(seed=int(rng.integers(10_000)))
+        net = float64_net(int(rng.integers(10_000)))
         x = rng.uniform(-1.0, 1.0, size=(10, 275))
         y = rng.uniform(-0.9, 0.9, size=(10, 2))
         _, grads = net.loss_and_grads(x, y)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sidewalksim.distill import (
     StudentPolicy,
     TrainConfig,
     Transition,
+    _run_labeled_episode,
     collect_round,
     dagger_run,
     denormalize_action,
@@ -64,8 +66,8 @@ def test_flatten_realistic_structure():
     obs = RealisticObs(lidar=np.linspace(0.0, 6.0, 272),
                        goal=GoalPolar(20.0, -1.0))
     f = flatten_realistic(obs)
-    assert f.shape == (275,)
-    assert np.all(f[:272] == np.linspace(0.0, 6.0, 272) / 6.0)
+    assert f.shape == (275,) and f.dtype == np.float32
+    assert np.all(f[:272] == (np.linspace(0.0, 6.0, 272) / 6.0).astype(np.float32))
     assert f[272] == 1.0  # distance clipped at the cap
     assert f[273] == pytest.approx(math.sin(-1.0))
     assert f[274] == pytest.approx(math.cos(-1.0))
@@ -169,7 +171,6 @@ def test_prefill_exact_count_success_only():
     stored_ids = sorted({t.episode_id for t in ds.transitions()})
     counts = {eid: sum(1 for t in ds.transitions() if t.episode_id == eid)
               for eid in stored_ids}
-    from dataclasses import replace
 
     total = 0
     for eid in stored_ids:
@@ -210,8 +211,6 @@ def test_collect_round_grows_by_episode_lengths():
 
 def test_teacher_labels_deterministic():
     cfg = small_suite()[0]
-    from dataclasses import replace
-
     episode = Episode(replace(cfg, seed=123))
     obs = episode.reset()
     ctx = episode.context()
@@ -267,6 +266,22 @@ def test_student_policy_outputs_valid_actions():
     a = policy.act(Observation(realistic=obs_r))
     assert SPEED_MIN <= a.speed <= SPEED_MAX
     assert -YAW_LIMIT <= a.yaw_delta <= YAW_LIMIT
+
+
+def test_the_student_acts_on_the_features_it_trains_on():
+    class RecordingStudent(StudentPolicy):
+        def act(self, obs):
+            seen.append(flatten_realistic(obs.realistic))
+            return super().act(obs)
+
+    seen = []
+    net = StudentNet(seed=2)
+    episode = Episode(replace(small_suite()[0], seed=123))
+    _, rows = _run_labeled_episode(episode, RecordingStudent(net), OracleTeacher(), 0)
+    assert len(seen) == len(rows) > 0
+    assert rows["features"].tobytes() == np.stack(seen).tobytes()
+    for features in seen:
+        assert np.array_equal(net.forward(features.astype(np.float64)), net.forward(features))
 
 
 # -- full loop --------------------------------------------------------------------

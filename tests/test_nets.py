@@ -74,14 +74,22 @@ def test_output_always_in_tanh_bounds(rng=np.random.default_rng(0)):
     net = StudentNet(seed=1)
     x = rng.uniform(-100, 100, size=(64, 275))
     out = net.forward(x)
-    # tanh saturates to exactly +-1.0 in float64 for huge activations
+    # tanh saturates to exactly +-1.0 for huge activations
     assert np.all(np.abs(out) <= 1.0)
     assert np.isfinite(out).all()
 
 
+def float64_net(seed):
+    """A net whose parameters are the float32 ones widened to float64, so
+    that central differences at h = 1e-5 resolve the loss."""
+    net = StudentNet(seed=seed)
+    net.params = [p.astype(np.float64) for p in net.params]
+    return net
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
-    net = StudentNet(seed=3)
+    net = float64_net(3)
     x, y = random_batch(rng)
     _, grads = net.loss_and_grads(x, y)
     flat_grad = np.concatenate([g.ravel() for g in grads])
@@ -99,6 +107,23 @@ def test_gradient_matches_finite_differences():
         assert rel < 1e-4, f"coord {i}: analytic {g_an} vs fd {g_fd}"
         checked += 1
     assert checked > 150  # margin test may drop only a few coordinates
+
+
+def test_float32_gradients_stay_near_the_float64_ones():
+    # same float32-rounded weights and the same float32 batch of 256 rows in
+    # both dtypes; 4.6e-7 is the worst seen over these ten batches
+    rng = np.random.default_rng(0)
+    for seed in range(10):
+        net32, net64 = StudentNet(seed=seed), float64_net(seed)
+        x = rng.uniform(-1.0, 1.0, size=(256, ARCH[0])).astype(np.float32)
+        y = rng.uniform(-0.9, 0.9, size=(256, ARCH[-1])).astype(np.float32)
+        _, g32 = net32.loss_and_grads(x, y)
+        _, g64 = net64.loss_and_grads(x, y)
+        assert {g.dtype for g in g32} == {np.dtype(np.float32)}
+        assert {g.dtype for g in g64} == {np.dtype(np.float64)}
+        g32 = np.concatenate([g.ravel() for g in g32])
+        g64 = np.concatenate([g.ravel() for g in g64])
+        assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
 
 
 def test_overfit_single_sample():
