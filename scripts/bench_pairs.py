@@ -10,13 +10,14 @@ both build their C kernels the same way. The script writes one JSON file:
 
 - `pairs`: alternating pairs of `perfbench/run.py --trace 0` runs, the parent
   first in even pairs and the change first in odd ones, at the run length
-  `BENCHMARK.json` sets unless `--seconds` is given: `--pairs` pairs on the
-  `distill` workload and `--guard-pairs` on each other workload. Per
-  end-to-end metric: every run, each side's median and quartiles, and the
-  pairs the change wins (lower reads better; ties count for neither side).
-- `traced`: `--traced-pairs` pairs of `--trace 1` runs on `distill`, with the
-  median of each per-layer metric per side.
-- `criterion_2`: for each seed of `--criterion-seeds`, criterion 2's desk
+  `BENCHMARK.json` sets: `PAIRS` pairs on the `distill` workload and
+  `GUARD_PAIRS` on each other workload. Per end-to-end metric: every run, each
+  side's median and quartiles, and the pairs the change wins (lower reads
+  better; ties count for neither side).
+- `traced`: `TRACED_PAIRS` pairs of `--trace 1` runs on `distill`, with the
+  median of each of the student network's and the distillation's per-layer
+  metrics per side. The script measures a change to `nets` or `distill`.
+- `criterion_2`: for each seed of `CRITERION_SEEDS`, criterion 2's desk
   distillation, `dagger_run(training_suite(), validation_suite(),
   TrainConfig(seed=seed))`, in each checkout with one BLAS thread, two runs at
   a time: teacher, student and baseline success, the best round and the
@@ -45,6 +46,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+GUARD_PAIRS = 3
+TRACED_PAIRS = 3
+CRITERION_SEEDS = (7, 1, 2)
 WORKLOADS = ("distill", "teacher_eval", "sensor_stream")
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 TRACED_METRICS = ("nets.forward.calls", "nets.forward.us_p50", "nets.forward.busy_s",
@@ -176,12 +181,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path)
     parser.add_argument("--seed", type=int, help="the perfbench workload seed")
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--seconds", type=float,
-                        help="run length of each perfbench run (default: BENCHMARK.json's)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--guard-pairs", type=int, default=3)
-    parser.add_argument("--traced-pairs", type=int, default=3)
-    parser.add_argument("--criterion-seeds", type=int, nargs="*", default=[7, 1, 2])
     parser.add_argument("--criterion-2-run", type=int, metavar="SEED",
                         help="run criterion 2 once in this interpreter and print its JSON")
     args = parser.parse_args(argv)
@@ -191,18 +190,16 @@ def main(argv=None) -> int:
         return 0
     if None in (args.parent, args.change, args.seed, args.out):
         parser.error("--parent, --change, --seed and --out are required")
-    if args.pairs < 4 or args.guard_pairs < 2 or args.traced_pairs < 2:
-        parser.error("quartiles need at least 4 distill pairs and 2 of the others")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = args.seconds or json.loads(
+    seconds = json.loads(
         (checkouts["parent"] / "BENCHMARK.json").read_text())["run_seconds"]
     doc = {"environment": environment(),
            "sources": {side: {"src_sha256": src_digest(checkouts[side])} for side in SIDES},
            "perfbench": {"seed": args.seed, "run_seconds": seconds}}
 
     # criterion 2 first: its runs share the cores, so no timed run may overlap them
-    jobs = [(side, seed) for seed in args.criterion_seeds for side in SIDES]
+    jobs = [(side, seed) for seed in CRITERION_SEEDS for side in SIDES]
     with ThreadPoolExecutor(max_workers=2) as pool:
         futures = [pool.submit(criterion_2, checkouts[side], seed) for side, seed in jobs]
         results = [f.result() for f in futures]
@@ -211,13 +208,13 @@ def main(argv=None) -> int:
 
     doc["pairs"] = {}
     for workload in WORKLOADS:
-        n = args.pairs if workload == "distill" else args.guard_pairs
+        n = PAIRS if workload == "distill" else GUARD_PAIRS
         pairs = run_pairs(checkouts, workload, args.seed, seconds, n, trace=0)
         doc["pairs"][workload] = {"metrics": compare(pairs, END_TO_END),
                                   "operations": failures(pairs),
                                   "info": {side: [p[side]["info"] for p in pairs]
                                            for side in SIDES}}
-    traced = run_pairs(checkouts, "distill", args.seed, seconds, args.traced_pairs, trace=1)
+    traced = run_pairs(checkouts, "distill", args.seed, seconds, TRACED_PAIRS, trace=1)
     doc["traced"] = {"distill": compare(traced, TRACED_METRICS)}
 
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -158,13 +158,14 @@ def load_model(path) -> tuple[StudentNet, dict]:
     # each weight rounds once to the float32 parameter the net stores; one
     # beyond float32's range becomes infinite, and an integer beyond any
     # float's range cannot convert at all
+    not_finite = "model file weights hold a value that is not a finite float32"
     try:
         with np.errstate(over="ignore"):
             flat = np.array(weights, dtype=np.float32)
     except OverflowError:
-        flat = None
-    if flat is None or not np.isfinite(flat).all():
-        raise ValueError("model file weights hold a value that is not a finite float32")
+        raise ValueError(not_finite) from None
+    if not np.isfinite(flat).all():
+        raise ValueError(not_finite)
     net = StudentNet(seed=0)
     net.set_flat(flat)
     return net, doc["norm"]

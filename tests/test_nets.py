@@ -182,6 +182,27 @@ def test_model_save_load_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_model_file_of_float64_weights_loads_rounded_to_float32(tmp_path):
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(StudentNet(seed=11), {}, path)
+    doc = json.loads(path.read_text())
+    # float64 values that float32 cannot hold exactly
+    weights = [w + 1e-9 * (1 + k % 7) for k, w in enumerate(doc["weights"])]
+    assert any(float(np.float32(w)) != w for w in weights)
+    doc["weights"] = weights
+    path.write_text(json.dumps(doc))
+    loaded, _ = load_model(path)
+    for p in loaded.params:
+        assert p.dtype == np.float32
+    assert np.array_equal(loaded.get_flat(), np.array([np.float32(w) for w in weights]))
+    # re-saving writes the rounded decimals
+    path2 = tmp_path / "model2.json"
+    save_model(loaded, {}, path2)
+    assert json.loads(path2.read_text())["weights"] == [float(np.float32(w)) for w in weights]
+
+
 def test_model_version_check(tmp_path):
     import json
 
