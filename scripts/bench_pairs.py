@@ -19,10 +19,12 @@ both build their C kernels the same way. The script writes one JSON file:
   metrics per side. The script measures a change to `nets` or `distill`.
 - `criterion_2`: for each seed of `CRITERION_SEEDS`, criterion 2's desk
   distillation, `dagger_run(training_suite(), validation_suite(),
-  TrainConfig(seed=seed))`, in each checkout with one BLAS thread, two runs at
-  a time: teacher, student and baseline success, the best round and the
-  validation curve. These are deterministic; the wall times are not, since two
-  run side by side.
+  TrainConfig(seed=seed))`, in each checkout with one BLAS thread, one run at
+  a time, the parent first for even seed indices and the change first for odd
+  ones. Per side: teacher, student and baseline success, the best round, the
+  validation curve, `wall_s`, and the SHA-256 of the report JSON (as
+  `sidewalksim distill --report` writes it), of the best weights and of the
+  transition rows. Per seed: whether the two sides' three digests agree.
 - `environment`: interpreter, numpy and its BLAS build, core count, and
   whether numba and scipy are importable.
 
@@ -42,7 +44,6 @@ import statistics
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -50,6 +51,7 @@ PAIRS = 10
 GUARD_PAIRS = 3
 TRACED_PAIRS = 3
 CRITERION_SEEDS = (7, 1, 2)
+DIGESTS = ("report_sha256", "weights_sha256", "transitions_sha256")  # of criterion 2's outputs
 WORKLOADS = ("distill", "teacher_eval", "sensor_stream")
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 TRACED_METRICS = ("nets.forward.calls", "nets.forward.us_p50", "nets.forward.busy_s",
@@ -120,21 +122,29 @@ def failures(pairs: list[dict]) -> dict:
 
 def criterion_2_once(seed: int) -> dict:
     """The desk distillation of criterion 2 in this interpreter (the checkout's
-    `src/` on PYTHONPATH), reduced to the figures the criterion reads."""
+    `src/` on PYTHONPATH), reduced to the figures the criterion reads and the
+    digests of its three outputs."""
     from sidewalksim import suites
     from sidewalksim.distill import TrainConfig, dagger_run
 
     train = suites.training_suite(obs_mode="both", render_bev=False)
     val = suites.validation_suite(obs_mode="realistic")
     t0 = time.perf_counter()
-    report = dagger_run(train, val, TrainConfig(seed=seed)).report
+    result = dagger_run(train, val, TrainConfig(seed=seed))
+    wall = time.perf_counter() - t0
+    report = result.report
+    report_json = json.dumps(report.to_dict(), separators=(",", ":"), indent=None) + "\n"
+    outputs = (report_json.encode(), result.net.get_flat().tobytes(),
+               result.dataset.rows.tobytes())
     return {"seed": seed,
             "teacher": report.teacher_final["success_rate"],
             "student": report.best_final["success_rate"],
             "baseline": report.baseline_final["success_rate"],
             "best_round": report.best_round,
             "validation_curve": [r.val_success_rate for r in report.rounds],
-            "wall_s": time.perf_counter() - t0}
+            "wall_s": wall,
+            **{name: hashlib.sha256(data).hexdigest()
+               for name, data in zip(DIGESTS, outputs)}}
 
 
 def criterion_2(checkout: Path, seed: int) -> dict:
@@ -198,13 +208,13 @@ def main(argv=None) -> int:
            "sources": {side: {"src_sha256": src_digest(checkouts[side])} for side in SIDES},
            "perfbench": {"seed": args.seed, "run_seconds": seconds}}
 
-    # criterion 2 first: its runs share the cores, so no timed run may overlap them
-    jobs = [(side, seed) for seed in CRITERION_SEEDS for side in SIDES]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(criterion_2, checkouts[side], seed) for side, seed in jobs]
-        results = [f.result() for f in futures]
-    doc["criterion_2"] = {side: [r for (s, _), r in zip(jobs, results) if s == side]
-                          for side in SIDES}
+    doc["criterion_2"] = []
+    for k, seed in enumerate(CRITERION_SEEDS):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        runs = {side: criterion_2(checkouts[side], seed) for side in order}
+        doc["criterion_2"].append({
+            "seed": seed, "first": order[0], **runs,
+            "bytes_identical": all(runs["parent"][d] == runs["change"][d] for d in DIGESTS)})
 
     doc["pairs"] = {}
     for workload in WORKLOADS:

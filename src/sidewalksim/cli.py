@@ -79,7 +79,7 @@ def cmd_collect(args) -> int:
     policy, _ = _parse_policy(args.policy)
     configs = _episode_configs(_load_maps(args), args.density, "both")
     teacher = OracleTeacher()
-    dataset = distill_mod.AggregatedDataset(capacity=args.capacity)
+    dataset = distill_mod.AggregatedDataset()
     distill_mod.collect_round(dataset, policy, teacher, configs, args.episodes,
                               seed=args.seed)
     distill_mod.save_transitions(args.out, dataset)
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-dir", default=None)
     p.add_argument("--episodes", type=int, default=10)
     p.add_argument("--density", type=float, default=suites.DEFAULT_OBSTACLE_DENSITY)
-    p.add_argument("--capacity", type=int, default=200_000)
     p.add_argument("--out", required=True, help="output transitions .npy")
     p.set_defaults(func=cmd_collect)
 

@@ -9,12 +9,12 @@ the mean L1 error with exact hand-written gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .episode import Episode, EpisodeConfig, episode_seed, run_episode
+from .episode import GOAL_DISTANCE_RANGE, Episode, EpisodeConfig, episode_seed, run_episode
 from .errors import PrefillStallError, TrainingDivergedError
 from .evaluate import evaluate
 from .nets import Adam, StudentNet
@@ -23,12 +23,15 @@ from .sensors import (
     Observation,
     RealisticObs,
     REALISTIC_LIDAR_MAX_RANGE,
+    REALISTIC_LIDAR_RAYS,
 )
 from .world import Action, SPEED_MAX, SPEED_MIN, YAW_LIMIT
 
-GOAL_DISTANCE_CAP = 15.0  # meters; matches the far end of the goal sampling range
+GOAL_DISTANCE_CAP = GOAL_DISTANCE_RANGE[1]  # meters
 
-FEATURE_DIM = 272 + 3
+FEATURE_DIM = REALISTIC_LIDAR_RAYS + 3
+
+DATASET_CAPACITY = 200_000  # rows; past it the oldest leave first
 
 _SPEED_CENTER = (SPEED_MAX + SPEED_MIN) / 2.0
 _SPEED_HALF = (SPEED_MAX - SPEED_MIN) / 2.0
@@ -47,10 +50,11 @@ def flatten_realistic(obs: RealisticObs) -> np.ndarray:
     bearing. The dtype is the one `_TRANSITION_DTYPE` stores, so the student
     acts on exactly the features it trains on."""
     out = np.empty(FEATURE_DIM, dtype=np.float32)
-    out[:272] = obs.lidar / REALISTIC_LIDAR_MAX_RANGE
-    out[272] = min(obs.goal.distance, GOAL_DISTANCE_CAP) / GOAL_DISTANCE_CAP
-    out[273] = math.sin(obs.goal.bearing)
-    out[274] = math.cos(obs.goal.bearing)
+    n = REALISTIC_LIDAR_RAYS
+    out[:n] = obs.lidar / REALISTIC_LIDAR_MAX_RANGE
+    out[n] = min(obs.goal.distance, GOAL_DISTANCE_CAP) / GOAL_DISTANCE_CAP
+    out[n + 1] = math.sin(obs.goal.bearing)
+    out[n + 2] = math.cos(obs.goal.bearing)
     return out
 
 
@@ -71,20 +75,11 @@ _TRANSITION_DTYPE = np.dtype([
 ])
 
 
-@dataclass
-class Transition:
-    """One row of `_TRANSITION_DTYPE` as an object."""
-    features: np.ndarray      # (275,) float32
-    action: np.ndarray        # (2,) float64
-    episode_id: int
-    step_index: int
-
-
 class AggregatedDataset:
     """FIFO-bounded store of `_TRANSITION_DTYPE` rows, oldest first, with
-    per-round bookkeeping."""
+    the count of rows each `extend` brought in."""
 
-    def __init__(self, capacity: int = 200_000):
+    def __init__(self, capacity: int = DATASET_CAPACITY):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -95,20 +90,11 @@ class AggregatedDataset:
         return len(self.rows)
 
     def extend(self, rows: np.ndarray) -> None:
-        """Append rows; past `capacity` the oldest leave first."""
+        """Append one round's rows; past `capacity` the oldest leave first."""
+        self.round_counts.append(len(rows))
         rows = np.concatenate((self.rows, rows))
         # a copy, so that the evicted rows are freed rather than kept as its base
         self.rows = rows[-self.capacity:].copy() if len(rows) > self.capacity else rows
-
-    def append(self, transition: Transition) -> None:
-        self.extend(np.array([astuple(transition)], dtype=_TRANSITION_DTYPE))
-
-    def record_round(self, count: int) -> None:
-        self.round_counts.append(count)
-
-    def transitions(self):
-        for features, action, episode_id, step_index in self.rows:
-            yield Transition(features, action, int(episode_id), int(step_index))
 
 
 def save_transitions(path, dataset: AggregatedDataset) -> None:
@@ -131,31 +117,23 @@ class StudentPolicy(Policy):
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
     batch_size: int = 256
     epochs_per_round: int = 8
     rounds: int = 10
     prefill_count: int = 20_000
     seed: int = 0
-    capacity: int = 200_000
     bc_epochs: int = 40                 # round-0 training on the prefill data
     collect_episodes_per_round: int = 60
     round_eval_episodes: int = 100
     final_eval_episodes: int = 100
 
     def __post_init__(self):
-        # integer fields take an int, the learning rate any real number; a
-        # bool is neither, although Python counts it as an int
+        # every field takes an int; a bool is none, although Python counts it as one
         for f in fields(self):
             value = getattr(self, f.name)
-            real = f.type == "float"
-            if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
-                kind = "a real number" if real else "an integer"
-                raise ValueError(f"{f.name} must be {kind}, not {value!r}")
-            if real and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, not {value!r}")
-        for name in ("learning_rate", "batch_size", "epochs_per_round",
-                     "capacity", "bc_epochs"):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        for name in ("batch_size", "epochs_per_round", "bc_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.rounds < 0 or self.prefill_count < 0:
@@ -210,24 +188,19 @@ def prefill(dataset: AggregatedDataset, teacher: OracleTeacher,
     """Fill the dataset with transitions from successful teacher episodes only."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        dataset.record_round(0)
-        return dataset
     budget = max(100, count)
     stream = _episode_stream(configs, seed)
-    kept = []
+    kept = [dataset.rows[:0]]   # keeps the dtype when no episode is kept
     stored = 0
     episodes_run = 0
     successes = 0
-    for episode in stream:
-        if stored >= count:
-            break
+    while stored < count:
         if episodes_run >= budget or (episodes_run >= 50 and successes == 0):
             raise PrefillStallError(
                 f"teacher yielded {successes} successes in {episodes_run} episodes; "
                 f"stored {stored} of {count}"
             )
-        outcome, rows = _run_labeled_episode(episode, teacher, teacher, episodes_run)
+        outcome, rows = _run_labeled_episode(next(stream), teacher, teacher, episodes_run)
         episodes_run += 1
         if outcome != "success":
             continue
@@ -235,7 +208,6 @@ def prefill(dataset: AggregatedDataset, teacher: OracleTeacher,
         kept.append(rows[:count - stored])
         stored += len(kept[-1])
     dataset.extend(np.concatenate(kept))
-    dataset.record_round(stored)
     return dataset
 
 
@@ -249,7 +221,6 @@ def collect_round(dataset: AggregatedDataset, student: Policy, teacher: OracleTe
         _run_labeled_episode(episode, student, teacher, episode_id)[1]
         for episode_id, episode in zip(range(n_episodes), stream)])
     dataset.extend(rows)
-    dataset.record_round(len(rows))
     return dataset
 
 
@@ -301,7 +272,7 @@ class DaggerReport:
 class DaggerResult:
     net: StudentNet
     report: DaggerReport
-    dataset: AggregatedDataset = field(repr=False, default=None)
+    dataset: AggregatedDataset = field(repr=False)
 
 
 def dagger_run(train_configs: list[EpisodeConfig], val_configs: list[EpisodeConfig],
@@ -322,12 +293,12 @@ def dagger_run(train_configs: list[EpisodeConfig], val_configs: list[EpisodeConf
     )
 
     teacher = OracleTeacher()
-    dataset = AggregatedDataset(config.capacity)
+    dataset = AggregatedDataset()
     say(f"prefilling {config.prefill_count} transitions from successful teacher episodes")
     prefill(dataset, teacher, train_configs, config.prefill_count, seed=s_prefill)
 
     net = StudentNet(seed=s_net)
-    optimizer = Adam(net, config.learning_rate)
+    optimizer = Adam(net)
     train_rng = np.random.default_rng(s_train)
 
     rounds: list[RoundRecord] = []

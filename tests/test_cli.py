@@ -252,7 +252,8 @@ def test_malformed_input_file_exits_with_an_error_not_a_traceback(tmp_path, caps
     ["distill", "--out", "model.json", "--workers", "2"],
     ["gen-map", "--kind", "corridor", "--length", "20", "--out", "map.json", "--log-dir", "D"],
     ["replay", "--log", "episode.jsonl", "--seed", "1"],
-], ids=["distill_workers", "gen_map_log_dir", "replay_seed"])
+    ["collect", "--policy", "oracle", "--out", "t.npy", "--capacity", "10"],
+], ids=["distill_workers", "gen_map_log_dir", "replay_seed", "collect_capacity"])
 def test_a_flag_the_command_does_not_read_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
@@ -346,7 +347,10 @@ def test_distill_empty_map_dir_exits_config_error_before_any_episode(
     assert not model.exists()
 
 
-@pytest.mark.parametrize("config", [{"learning_rat": 0.01}, [1]], ids=["unknown_key", "list"])
+@pytest.mark.parametrize("config", [{"learning_rat": 0.01}, [1], {"learning_rate": "1e-3"},
+                                    {"learning_rate": math.nan}, {"learning_rate": math.inf}],
+                         ids=["unknown_key", "list", "learning_rate_str", "learning_rate_nan",
+                              "learning_rate_inf"])
 def test_distill_bad_config_exits_config_error_before_any_episode(
         tmp_path, capsys, monkeypatch, config):
     def no_run(*args, **kwargs):
@@ -361,11 +365,8 @@ def test_distill_bad_config_exits_config_error_before_any_episode(
     assert not model.exists()
 
 
-@pytest.mark.parametrize("config", [{"batch_size": "64"}, {"rounds": 1.5}, {"bc_epochs": True},
-                                    {"learning_rate": "1e-3"}, {"learning_rate": math.nan},
-                                    {"learning_rate": math.inf}],
-                         ids=["str_int", "float_int", "bool_int", "str_real", "nan_real",
-                              "inf_real"])
+@pytest.mark.parametrize("config", [{"batch_size": "64"}, {"rounds": 1.5}, {"bc_epochs": True}],
+                         ids=["str_int", "float_int", "bool_int"])
 def test_distill_config_of_the_wrong_type_exits_config_error_before_any_episode(
         tmp_path, capsys, monkeypatch, config):
     def no_run(*args, **kwargs):

@@ -15,7 +15,7 @@ from sidewalksim.distill import (
     RoundRecord,
     StudentPolicy,
     TrainConfig,
-    Transition,
+    _TRANSITION_DTYPE,
     _run_labeled_episode,
     collect_round,
     dagger_run,
@@ -43,10 +43,9 @@ def small_suite():
     return [make_config(m, obstacle_density=3.0, obs_mode="both") for m in maps]
 
 
-def fake_transition(i, episode_id=0):
-    return Transition(features=np.full(275, 0.1, dtype=np.float32),
-                      action=np.array([0.0, 0.1 * (i % 5)]),
-                      episode_id=episode_id, step_index=i)
+def fake_row(i, episode_id=0):
+    return np.array([(np.full(275, 0.1, dtype=np.float32), [0.0, 0.1 * (i % 5)],
+                      episode_id, i)], dtype=_TRANSITION_DTYPE)
 
 
 # -- normalization ----------------------------------------------------------------
@@ -80,16 +79,16 @@ def test_flatten_realistic_structure():
 def test_dataset_fifo_eviction():
     ds = AggregatedDataset(capacity=10)
     for i in range(15):
-        ds.append(fake_transition(i))
+        ds.extend(fake_row(i))
     assert len(ds) == 10
-    indices = [t.step_index for t in ds.transitions()]
+    indices = list(ds.rows["step_index"])
     assert indices == list(range(5, 15))  # oldest five evicted first
 
 
 def test_dataset_matrices_order():
     ds = AggregatedDataset(capacity=100)
     for i in range(7):
-        ds.append(fake_transition(i))
+        ds.extend(fake_row(i))
     x, y = ds.rows["features"], ds.rows["action"]
     assert x.shape == (7, 275) and y.shape == (7, 2)
     assert np.all(y[:, 1] == [0.1 * (i % 5) for i in range(7)])
@@ -105,27 +104,28 @@ def test_dataset_extend_keeps_the_newest_rows_in_order():
 
     ds.extend(rows(0, 6))
     ds.extend(rows(6, 13))     # crosses the capacity: rows 0-2 leave
-    assert [t.step_index for t in ds.transitions()] == list(range(3, 13))
+    assert list(ds.rows["step_index"]) == list(range(3, 13))
     ds.extend(rows(13, 30))    # a batch larger than the capacity on its own
     assert list(ds.rows["step_index"]) == list(range(20, 30))
     assert ds.rows.base is None  # the kept rows are a copy; the evicted ones are freed
     ds.extend(rows(30, 30))
     assert len(ds) == 10
+    assert ds.round_counts == [6, 7, 17, 0]   # each extend is one round
 
 
 def test_save_load_transitions_round_trip(tmp_path):
     ds = AggregatedDataset(capacity=50)
     for i in range(9):
-        ds.append(fake_transition(i, episode_id=i // 3))
+        ds.extend(fake_row(i, episode_id=i // 3))
     path = tmp_path / "transitions.npy"
     save_transitions(path, ds)
     back = AggregatedDataset()
     back.extend(np.load(path))
     assert len(back) == 9
-    for a, b in zip(ds.transitions(), back.transitions()):
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.action, b.action)
-        assert (a.episode_id, a.step_index) == (b.episode_id, b.step_index)
+    for a, b in zip(ds.rows, back.rows):
+        assert np.array_equal(a["features"], b["features"])
+        assert np.array_equal(a["action"], b["action"])
+        assert (a["episode_id"], a["step_index"]) == (b["episode_id"], b["step_index"])
 
 
 # the file `save_transitions` writes after a 300-row teacher prefill, pinned so
@@ -162,15 +162,14 @@ def test_prefill_exact_count_success_only():
     prefill(ds, OracleTeacher(), configs, 400, seed=5)
     assert len(ds) == 400
     assert ds.round_counts == [400]
-    for t in ds.transitions():
-        assert np.isfinite(t.features).all()
-        assert np.all(np.abs(t.features) <= 1.0 + 1e-9)
-        assert np.all(np.abs(t.action) <= 1.0 + 1e-9)
+    for t in ds.rows:
+        assert np.isfinite(t["features"]).all()
+        assert np.all(np.abs(t["features"]) <= 1.0 + 1e-9)
+        assert np.all(np.abs(t["action"]) <= 1.0 + 1e-9)
 
     # independent re-simulation: every contributing episode must be a success
-    stored_ids = sorted({t.episode_id for t in ds.transitions()})
-    counts = {eid: sum(1 for t in ds.transitions() if t.episode_id == eid)
-              for eid in stored_ids}
+    stored_ids = sorted({int(eid) for eid in ds.rows["episode_id"]})
+    counts = {eid: int(np.sum(ds.rows["episode_id"] == eid)) for eid in stored_ids}
 
     total = 0
     for eid in stored_ids:
@@ -203,8 +202,8 @@ def test_collect_round_grows_by_episode_lengths():
     assert ds.round_counts == [len(ds)]
     assert len(ds) > 0
     by_episode = {}
-    for t in ds.transitions():
-        by_episode.setdefault(t.episode_id, []).append(t.step_index)
+    for eid, step in zip(ds.rows["episode_id"], ds.rows["step_index"]):
+        by_episode.setdefault(int(eid), []).append(int(step))
     for eid, steps in by_episode.items():
         assert steps == list(range(len(steps)))  # in order, no gaps
 
@@ -233,15 +232,15 @@ def synthetic_dataset(n=600, seed=0):
     for i in range(n):
         f = rng.uniform(-1, 1, 275).astype(np.float32)
         label = np.tanh(f @ w)
-        ds.append(Transition(features=f, action=label, episode_id=0, step_index=i))
+        ds.extend(np.array([(f, label, 0, i)], dtype=_TRANSITION_DTYPE))
     return ds
 
 
 def test_train_loss_non_increasing_within_tolerance():
     ds = synthetic_dataset()
     net = StudentNet(seed=1)
-    cfg = TrainConfig(learning_rate=1e-3, batch_size=64)
-    adam = Adam(net, cfg.learning_rate)
+    cfg = TrainConfig(batch_size=64)
+    adam = Adam(net, 1e-3)
     history = train_epochs(net, ds, cfg, adam, np.random.default_rng(0), epochs=8)
     assert len(history) == 8
     for prev, cur in zip(history, history[1:]):
@@ -288,7 +287,7 @@ def test_the_student_acts_on_the_features_it_trains_on():
 
 
 def tiny_config(rounds):
-    return TrainConfig(learning_rate=1e-3, batch_size=64, epochs_per_round=1,
+    return TrainConfig(batch_size=64, epochs_per_round=1,
                        rounds=rounds, prefill_count=250, seed=9, bc_epochs=2,
                        collect_episodes_per_round=2, round_eval_episodes=4,
                        final_eval_episodes=6)

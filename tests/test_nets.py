@@ -168,6 +168,22 @@ def test_adam_rejects_nonfinite_gradient():
         adam.step(net, grads)
 
 
+def test_adam_first_moments_never_go_subnormal():
+    # after one real gradient every first moment decays by ADAM_BETA1 a step,
+    # and passes float32's subnormal range within about 1 800 steps
+    net = StudentNet(seed=3)
+    adam = Adam(net, 1e-3)
+    _, grads = net.loss_and_grads(*random_batch(np.random.default_rng(3)))
+    adam.step(net, grads)
+    zeros = [np.zeros_like(p) for p in net.params]
+    tiny = np.finfo(np.float32).tiny
+    for step in range(2500):
+        adam.step(net, zeros)
+        for m in adam.m:
+            assert not ((m != 0) & (np.abs(m) < tiny)).any(), f"subnormal after step {step}"
+    assert all(not m.any() for m in adam.m)
+
+
 def test_model_save_load_round_trip(tmp_path):
     net = StudentNet(seed=11)
     norm = {"speed_center": 0.05, "speed_half": 0.15, "yaw_half": 0.9425}
