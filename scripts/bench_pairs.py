@@ -180,6 +180,9 @@ def environment() -> dict:
             "usable_cores": len(os.sched_getaffinity(0)),
             "numpy": np.__version__,
             "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+            # every run measured has one BLAS thread: criterion 2's runs through
+            # ONE_BLAS_THREAD, and perfbench's runs because perfbench/run.py sets
+            # one before numpy loads
             "blas_threads_in_runs": 1,
             "numba_present": importlib.util.find_spec("numba") is not None,
             "scipy_present": importlib.util.find_spec("scipy") is not None}

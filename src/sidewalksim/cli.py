@@ -32,7 +32,11 @@ def _parse_policy(spec: str):
     if spec.startswith("constant:"):
         v, w = (float(t) for t in spec.split(":", 1)[1].split(","))
         return ConstantPolicy(v, w), "none"
-    net, _ = load_model(spec)
+    net, norm = load_model(spec)
+    if norm != distill_mod.NORMALIZATION:
+        # features scaled under other constants would reach the net unchecked
+        raise ValueError(f"{spec}: normalization {norm!r} is not this build's "
+                         f"{distill_mod.NORMALIZATION!r}")
     return distill_mod.StudentPolicy(net), "realistic"
 
 

@@ -133,11 +133,15 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{f.name} must be an integer, not {value!r}")
-        for name in ("batch_size", "epochs_per_round", "bc_epochs"):
+        # checked here, so that a run fails before its first episode, not
+        # after prefill and training; 0 collection episodes stays legal
+        for name in ("batch_size", "epochs_per_round", "bc_epochs",
+                     "round_eval_episodes", "final_eval_episodes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.rounds < 0 or self.prefill_count < 0:
-            raise ValueError("rounds and prefill_count must be >= 0")
+        for name in ("rounds", "prefill_count", "collect_episodes_per_round"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def _episode_stream(configs: list[EpisodeConfig], seed: int):
@@ -215,6 +219,8 @@ def collect_round(dataset: AggregatedDataset, student: Policy, teacher: OracleTe
                   configs: list[EpisodeConfig], n_episodes: int,
                   seed: int = 0) -> AggregatedDataset:
     """Student-driven rollouts labeled by the teacher at every visited state."""
+    if n_episodes < 0:
+        raise ValueError("n_episodes must be >= 0")
     stream = _episode_stream(configs, seed)
     # the empty leading array keeps the dtype when no episode runs
     rows = np.concatenate([dataset.rows[:0]] + [

@@ -63,7 +63,6 @@ def compute_reward(d_prev: float, d_curr: float, terminal: Optional[str]) -> Rew
 class WaypointRoute:
     waypoints: list[tuple[float, float]]
     current_index: int = 0
-    advance_radius: float = WAYPOINT_ADVANCE_RADIUS
 
     @property
     def current(self) -> tuple[float, float]:
@@ -78,7 +77,7 @@ def advance_waypoint(route: WaypointRoute, x: float, y: float) -> WaypointRoute:
     """Advance past every waypoint within the advance radius, never past the last."""
     while not route.on_last:
         wx, wy = route.current
-        if math.hypot(x - wx, y - wy) <= route.advance_radius:
+        if math.hypot(x - wx, y - wy) <= WAYPOINT_ADVANCE_RADIUS:
             route.current_index += 1
         else:
             break

@@ -9,9 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _ckernel
-from .walkmap import WalkableMap
-
-NAV_RESOLUTION = 0.25  # meters per cell for reachability and planning grids
+from .walkmap import NAV_RESOLUTION, WalkableMap
 
 
 @dataclass
@@ -50,7 +48,7 @@ def free_space_grid(wmap: WalkableMap, obstacles=(), inflate: float = 0.0) -> Oc
     copy, so callers may modify the returned grid.
     """
     minx, miny = wmap.bounds[0], wmap.bounds[1]
-    free = wmap.cell_centers_inside(NAV_RESOLUTION).copy()
+    free = wmap.cell_centers_inside().copy()
     ny, nx = free.shape
     xs = minx + (np.arange(nx) + 0.5) * NAV_RESOLUTION
     ys = miny + (np.arange(ny) + 0.5) * NAV_RESOLUTION

@@ -107,8 +107,8 @@ class StudentNet:
 class Adam:
     """Per-parameter adaptive steps with (0.9, 0.999) moment decay."""
 
-    def __init__(self, net: StudentNet, learning_rate: float = LEARNING_RATE):
-        self.lr = learning_rate
+    def __init__(self, net: StudentNet):
+        self.lr = LEARNING_RATE
         self.t = 0
         self.m = [np.zeros_like(p) for p in net.params]
         self.v = [np.zeros_like(p) for p in net.params]

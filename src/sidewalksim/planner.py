@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _ckernel
 from .errors import NoPathError
-from .geometry import normalize_angle
+from .geometry import TWO_PI, normalize_angle
 from .gridnav import (
     _NEIGHBORS8,
     OccupancyGrid,
@@ -241,9 +241,6 @@ def _nearest_free_cell(grid: OccupancyGrid, cell):
     return min(free)[2] if free else None
 
 
-_TWO_PI = 2.0 * math.pi
-
-
 def corridor_hit(lidar: np.ndarray, bearing: float, half_angle: float) -> tuple[float, float]:
     """(depth, lateral offset) of the nearest lidar hit in the corridor toward a bearing.
 
@@ -257,8 +254,8 @@ def corridor_hit(lidar: np.ndarray, bearing: float, half_angle: float) -> tuple[
     # visit only the window of rays that can lie within half_angle, in
     # ascending index order; floor and ceil keep the window a superset of the
     # rays the exact angle test below accepts
-    lo = math.floor((bearing - half_angle) * n / _TWO_PI)
-    hi = math.ceil((bearing + half_angle) * n / _TWO_PI)
+    lo = math.floor((bearing - half_angle) * n / TWO_PI)
+    hi = math.ceil((bearing + half_angle) * n / TWO_PI)
     if hi - lo + 1 >= n:
         window = range(n)
     else:
@@ -268,11 +265,11 @@ def corridor_hit(lidar: np.ndarray, bearing: float, half_angle: float) -> tuple[
     ranges = lidar.tolist()  # Python floats index and multiply faster than numpy scalars
     depth, lateral = math.inf, 0.0
     for j in window:
-        a = _TWO_PI * j / n - bearing
+        a = TWO_PI * j / n - bearing
         if a > math.pi:
-            a -= _TWO_PI
+            a -= TWO_PI
         elif a <= -math.pi:
-            a += _TWO_PI
+            a += TWO_PI
         if abs(a) <= half_angle:
             r = ranges[j]
             lat = r * math.sin(a)

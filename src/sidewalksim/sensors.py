@@ -146,25 +146,6 @@ def _ray_units(n_rays: int):
 _KERNEL = _ckernel.Kernel("_walkmap.c", "raycast_loop", "ddddpidpippipppip", "numpy path")
 
 
-def _kernel_world_args(world: WorldState) -> tuple:
-    """Obstacle arrays as kernel arguments, data addresses and row counts,
-    followed by the map's WalkableMap.kernel_args.
-
-    The obstacle arrays are checked for dtype and contiguity and returned with
-    the arguments, so whoever caches the arguments also keeps the buffers alive.
-    """
-    tables = world.obstacle_tables()
-    if len(tables.rect_segments) != 4 * len(tables.rect_bounds):
-        raise ValueError("expected four sides per rectangular obstacle")
-    arrays = (np.ascontiguousarray(tables.circles, dtype=np.float64),
-              np.ascontiguousarray(tables.rect_segments, dtype=np.float64),
-              np.ascontiguousarray(tables.rect_bounds, dtype=np.float64))
-    c, r, rb = arrays
-    args = (c.ctypes.data, len(c), r.ctypes.data, rb.ctypes.data, len(rb),
-            *world.map.kernel_args())
-    return args, arrays
-
-
 def _raycast_numpy(world, ox, oy, ch, sh, units, max_range):
     """Vectorized reference implementation of the union-boundary raycast."""
     n_rays = units.shape[1]
@@ -231,7 +212,8 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
     units, units_ptr = _ray_units(n_rays)
     ch, sh = math.cos(agent.heading), math.sin(agent.heading)
 
-    bounds = world.obstacle_tables().bounds
+    tables = world.obstacle_tables()
+    bounds = tables.bounds
     if len(bounds):
         dx = bounds[:, 0] - ox
         dy = bounds[:, 1] - oy
@@ -243,9 +225,9 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
     kernel = _KERNEL.load()
     if kernel is None:
         return _raycast_numpy(world, ox, oy, ch, sh, units, max_range)
-    args, _ = world.obstacle_derived("raycast_kernel_args", _kernel_world_args)
     out = np.empty(n_rays)
-    if kernel(ox, oy, ch, sh, units_ptr, n_rays, max_range, *args, out.ctypes.data):
+    if kernel(ox, oy, ch, sh, units_ptr, n_rays, max_range, *tables.kernel_args,
+              *world.map.kernel_args(), out.ctypes.data):
         raise MemoryError("raycast kernel could not allocate its scratch buffers")
     return out
 
@@ -253,22 +235,19 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
 class GpsNoiseModel:
     """Latency-delayed, Gaussian-corrupted localization of the agent position."""
 
-    def __init__(self, sigma_pos: float = GPS_SIGMA_POS,
-                 latency_steps: int = GPS_LATENCY_STEPS,
-                 rng: Optional[np.random.Generator] = None):
-        if sigma_pos < 0.0 or latency_steps < 0:
-            raise ValueError("sigma_pos >= 0 and latency_steps >= 0 required")
-        self.sigma_pos = float(sigma_pos)
-        self.latency_steps = int(latency_steps)
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self._history: deque = deque(maxlen=self.latency_steps + 1)
+    def __init__(self, rng: np.random.Generator):
+        # read here, not bound as defaults at import, so a patched module
+        # constant takes effect on the next model built
+        self.sigma = GPS_SIGMA_POS
+        self.rng = rng
+        self._history: deque = deque(maxlen=GPS_LATENCY_STEPS + 1)
 
     def localize(self, x: float, y: float) -> tuple[float, float]:
         """Push the true position, return the delayed noisy estimate."""
         self._history.append((x, y))
-        dx_, dy_ = self._history[0]  # oldest available, up to latency_steps back
-        nx = self.sigma_pos * float(self.rng.standard_normal())
-        ny = self.sigma_pos * float(self.rng.standard_normal())
+        dx_, dy_ = self._history[0]  # oldest available, up to GPS_LATENCY_STEPS back
+        nx = self.sigma * float(self.rng.standard_normal())
+        ny = self.sigma * float(self.rng.standard_normal())
         return (dx_ + nx, dy_ + ny)
 
 

@@ -23,7 +23,7 @@ MAP_SCHEMA_VERSION = 1
 SIDEWALK_WIDTH_RANGE = (2.0, 5.0)  # meters, uniform sampling range
 
 SAMPLE_MAX_TRIES = 200  # bbox draws before sample_walkable_point gives up
-AREA_RESOLUTION = 0.25  # meters per cell of the walkable_area estimate
+NAV_RESOLUTION = 0.25  # meters per cell of the map raster: area estimate and planning grids
 
 
 class SidewalkNetwork:
@@ -86,7 +86,7 @@ class WalkableMap:
         if total > 0:
             self._area_cdf = (areas / total).cumsum()
             self._area_cdf /= self._area_cdf[-1]
-        self._rasters: dict[float, np.ndarray] = {}
+        self._raster = None  # cell_centers_inside, built on first use
         self._kernel_args = None  # data addresses for _walkmap.c, built on first use
 
     def __getstate__(self):
@@ -180,27 +180,26 @@ class WalkableMap:
                 return (x, y)
         raise GeometryError("failed to sample a walkable point")
 
-    def cell_centers_inside(self, resolution: float) -> np.ndarray:
+    def cell_centers_inside(self) -> np.ndarray:
         """Read-only (ny, nx) union membership of the centers of the square
-        cells of side `resolution` that tile the bounds from (minx, miny);
-        computed once per resolution."""
-        inside = self._rasters.get(resolution)
+        cells of side NAV_RESOLUTION that tile the bounds from (minx, miny);
+        computed once."""
+        inside = self._raster
         if inside is None:
             minx, miny, maxx, maxy = self.bounds
-            nx = max(1, int(math.ceil((maxx - minx) / resolution)))
-            ny = max(1, int(math.ceil((maxy - miny) / resolution)))
-            xs = minx + (np.arange(nx) + 0.5) * resolution
-            ys = miny + (np.arange(ny) + 0.5) * resolution
+            nx = max(1, int(math.ceil((maxx - minx) / NAV_RESOLUTION)))
+            ny = max(1, int(math.ceil((maxy - miny) / NAV_RESOLUTION)))
+            xs = minx + (np.arange(nx) + 0.5) * NAV_RESOLUTION
+            ys = miny + (np.arange(ny) + 0.5) * NAV_RESOLUTION
             gx, gy = np.meshgrid(xs, ys)
             inside = self.contains_points(gx.ravel(), gy.ravel()).reshape(ny, nx)
             inside.setflags(write=False)
-            self._rasters[resolution] = inside
+            self._raster = inside
         return inside
 
     def walkable_area(self) -> float:
         """Union area estimated by counting walkable cell centers."""
-        return (float(self.cell_centers_inside(AREA_RESOLUTION).sum())
-                * AREA_RESOLUTION * AREA_RESOLUTION)
+        return float(self.cell_centers_inside().sum()) * NAV_RESOLUTION * NAV_RESOLUTION
 
     def to_dict(self) -> dict:
         return {

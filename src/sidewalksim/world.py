@@ -147,22 +147,17 @@ class WorldState:
         tables = self.obstacle_tables()
         return tables.circles, tables.rect_segments
 
-    def obstacle_derived(self, key: str, build):
-        """Cached `build(self)` for data derived from the obstacles.
-
-        The value is dropped with the other obstacle caches when pedestrians move.
-        """
-        value = self._obstacle_cache.get(key)
-        if value is None:
-            value = self._obstacle_cache[key] = build(self)
-        return value
-
 
 class ObstacleTables(NamedTuple):
+    """C-contiguous float64 tables; the arrays live as long as the tables do,
+    so their data addresses in `kernel_args` stay valid with them."""
+
     circles: np.ndarray        # (C, 3) x, y, radius of each cylinder
     rect_segments: np.ndarray  # (4R, 4) sides (x1, y1, x2, y2) of each cuboid, CCW
     bounds: np.ndarray         # (N, 3) x, y, reach of each obstacle
     rect_bounds: np.ndarray    # (R, 3) the rows of bounds that belong to cuboids
+    kernel_args: tuple         # raycast kernel arguments: addresses of circles,
+                               # rect_segments and rect_bounds, with row counts
 
 
 def _build_obstacle_tables(obstacles) -> ObstacleTables:
@@ -176,10 +171,14 @@ def _build_obstacle_tables(obstacles) -> ObstacleTables:
     corners = oriented_rects_corners(rects[:, 0], rects[:, 1], rects[:, 4], rects[:, 5],
                                      rects[:, 6], rects[:, 7])
     sides = np.concatenate([corners, corners[:, [1, 2, 3, 0]]], axis=2)
-    return ObstacleTables(circles=rows[~is_rect][:, [0, 1, 3]],
-                          rect_segments=sides.reshape(-1, 4),
-                          bounds=rows[:, :3].copy(),
-                          rect_bounds=rects[:, :3].copy())
+    circles = np.ascontiguousarray(rows[~is_rect][:, [0, 1, 3]])
+    rect_segments = sides.reshape(-1, 4)
+    rect_bounds = rects[:, :3].copy()
+    return ObstacleTables(circles=circles, rect_segments=rect_segments,
+                          bounds=rows[:, :3].copy(), rect_bounds=rect_bounds,
+                          kernel_args=(circles.ctypes.data, len(circles),
+                                       rect_segments.ctypes.data,
+                                       rect_bounds.ctypes.data, len(rect_bounds)))
 
 
 def populate_obstacles(wmap: WalkableMap, density: float, rng: np.random.Generator,

@@ -175,6 +175,32 @@ def test_collect_writes_transitions(tmp_path):
     assert len(ds) > 0
 
 
+def test_collect_with_a_negative_episode_count_exits_config_error(tmp_path, capsys):
+    map_path = tmp_path / "map.json"
+    run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5,
+         "--out", map_path])
+    out = tmp_path / "transitions.npy"
+    assert run(["collect", "--policy", "constant:0.1,0.0", "--map", map_path,
+                "--episodes", -1, "--out", out]) == 2
+    assert "n_episodes must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_model_of_another_normalization_exits_config_error(tmp_path, capsys):
+    map_path = tmp_path / "map.json"
+    run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5,
+         "--out", map_path])
+    model = tmp_path / "model.json"
+    # as a model trained under a 9 m lidar cap would be saved
+    save_model(StudentNet(seed=0), {**distill_mod.NORMALIZATION, "lidar_max_range": 9.0},
+               model)
+    report = tmp_path / "eval.json"
+    assert run(["eval", "--policy", model, "--map", map_path, "--episodes", 1,
+                "--report", report]) == 2
+    assert "normalization" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_missing_map_argument_is_config_error(tmp_path):
     assert run(["rollout", "--policy", "oracle", "--episodes", 1]) == 2
 
@@ -362,6 +388,23 @@ def test_distill_bad_config_exits_config_error_before_any_episode(
     model = tmp_path / "model.json"
     assert run(["distill", "--config", cfg, "--out", model]) == 2
     assert str(cfg) in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("config", [{"round_eval_episodes": 0}, {"final_eval_episodes": 0},
+                                    {"collect_episodes_per_round": -3}],
+                         ids=["round_eval_0", "final_eval_0", "collect_negative"])
+def test_distill_config_that_would_fail_late_exits_config_error_before_any_episode(
+        tmp_path, capsys, monkeypatch, config):
+    def no_run(*args, **kwargs):
+        raise AssertionError("distillation started despite a bad --config")
+
+    monkeypatch.setattr(distill_mod, "dagger_run", no_run)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(config))
+    model = tmp_path / "model.json"
+    assert run(["distill", "--config", cfg, "--out", model]) == 2
+    assert f"{next(iter(config))} must be" in capsys.readouterr().err
     assert not model.exists()
 
 

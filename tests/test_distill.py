@@ -195,6 +195,17 @@ def test_prefill_stalls_on_hopeless_teacher():
 # -- collection -------------------------------------------------------------------
 
 
+def test_collect_round_rejects_a_negative_episode_count():
+    ds = AggregatedDataset()
+    with pytest.raises(ValueError, match="n_episodes"):
+        collect_round(ds, ConstantPolicy(0.05, 0.0), OracleTeacher(), small_suite(), -1)
+    assert len(ds) == 0
+
+
+def test_train_config_allows_rounds_without_collection():
+    assert TrainConfig(collect_episodes_per_round=0).collect_episodes_per_round == 0
+
+
 def test_collect_round_grows_by_episode_lengths():
     configs = small_suite()
     ds = AggregatedDataset()
@@ -240,7 +251,7 @@ def test_train_loss_non_increasing_within_tolerance():
     ds = synthetic_dataset()
     net = StudentNet(seed=1)
     cfg = TrainConfig(batch_size=64)
-    adam = Adam(net, 1e-3)
+    adam = Adam(net)
     history = train_epochs(net, ds, cfg, adam, np.random.default_rng(0), epochs=8)
     assert len(history) == 8
     for prev, cur in zip(history, history[1:]):
@@ -252,7 +263,7 @@ def test_train_requires_data():
     net = StudentNet(seed=0)
     cfg = TrainConfig()
     with pytest.raises(ValueError):
-        train_epochs(net, AggregatedDataset(), cfg, Adam(net, 1e-3),
+        train_epochs(net, AggregatedDataset(), cfg, Adam(net),
                      np.random.default_rng(0))
 
 

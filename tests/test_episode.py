@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sidewalksim import sensors
 from sidewalksim.episode import (
     Episode,
     EpisodeConfig,
@@ -214,6 +215,28 @@ def test_waypoint_route_episode_runs():
     assert out.terminal == "success"
     assert indices == sorted(indices)  # non-decreasing
     assert ep.route.current_index == 2
+
+
+def test_patched_gps_constants_make_the_realistic_goal_exact(monkeypatch):
+    # the GPS model reads the module constants when an episode resets, so
+    # noise and latency switched off there reach every realistic observation
+    monkeypatch.setattr(sensors, "GPS_SIGMA_POS", 0.0)
+    monkeypatch.setattr(sensors, "GPS_LATENCY_STEPS", 0)
+    m = generate_synthetic_map("corridor", 30.0, 3.5)
+    cfg = make_config(m, seed=4, obs_mode="realistic", start=(1.0, 1.75, 0.0),
+                      waypoints=[(8.0, 1.75), (16.0, 1.75), (24.0, 1.75)])
+    ep = Episode(cfg)
+    obs = ep.reset()
+    steps = 0
+    while True:
+        exact = sensors.compute_gdd(ep.world.agent, ep.current_target())
+        assert obs.realistic.goal == exact, f"step {steps}"
+        out = ep.step(Action(0.2, 0.0))
+        obs = out.observation
+        steps += 1
+        if out.terminal:
+            break
+    assert out.terminal == "success" and steps > 100
 
 
 # -- stepping ------------------------------------------------------------------

@@ -168,11 +168,12 @@ def test_bfs_connected_start_equals_goal():
 # -- free-space raster -----------------------------------------------------------
 
 
-def free_space_grid_oracle(wmap, obstacles, resolution, inflate) -> np.ndarray:
+def free_space_grid_oracle(wmap, obstacles, inflate) -> np.ndarray:
     """Per-kind stamping: disc of radius + inflate, or cells within `inflate`
     of the rectangle's clamp point, over the same cell window."""
+    resolution = gridnav.NAV_RESOLUTION
     minx, miny = wmap.bounds[0], wmap.bounds[1]
-    free = wmap.cell_centers_inside(resolution).copy()
+    free = wmap.cell_centers_inside().copy()
     ny, nx = free.shape
     xs = minx + (np.arange(nx) + 0.5) * resolution
     ys = miny + (np.arange(ny) + 0.5) * resolution
@@ -210,11 +211,9 @@ def test_free_space_grid_equals_per_kind_stamping_oracle():
             obstacles = populate_obstacles(cfg.map, density, rng, pedestrian_fraction=0.3)
             for inflate in (0.0, 0.3, 0.35, 0.48):
                 got = free_space_grid(cfg.map, obstacles, inflate=inflate).free
-                want = free_space_grid_oracle(cfg.map, obstacles, gridnav.NAV_RESOLUTION,
-                                              inflate)
+                want = free_space_grid_oracle(cfg.map, obstacles, inflate)
                 assert np.array_equal(got, want), (ci, density, inflate)
-                blocked += int((cfg.map.cell_centers_inside(gridnav.NAV_RESOLUTION)
-                                & ~got).sum())
+                blocked += int((cfg.map.cell_centers_inside() & ~got).sum())
     assert blocked > 10_000  # the obstacles really stamp cells
 
 

@@ -133,7 +133,7 @@ def test_overfit_single_sample():
     net = StudentNet(seed=5)
     x = rng.uniform(-1, 1, size=(1, 275))
     y = np.array([[0.4, -0.3]])
-    adam = Adam(net, 1e-3)
+    adam = Adam(net)
     loss = None
     for _ in range(2000):
         loss, grads = net.loss_and_grads(x, y)
@@ -146,7 +146,8 @@ def test_zero_learning_rate_keeps_params():
     rng = np.random.default_rng(9)
     net = StudentNet(seed=2)
     before = net.get_flat().copy()
-    adam = Adam(net, 0.0)
+    adam = Adam(net)
+    adam.lr = 0.0
     x, y = random_batch(rng)
     for _ in range(5):
         _, grads = net.loss_and_grads(x, y)
@@ -161,7 +162,7 @@ def test_init_is_deterministic():
 
 def test_adam_rejects_nonfinite_gradient():
     net = StudentNet(seed=0)
-    adam = Adam(net, 1e-3)
+    adam = Adam(net)
     grads = [np.zeros_like(p) for p in net.params]
     grads[0][0, 0] = np.nan
     with pytest.raises(TrainingDivergedError):
@@ -172,7 +173,7 @@ def test_adam_first_moments_never_go_subnormal():
     # after one real gradient every first moment decays by ADAM_BETA1 a step,
     # and passes float32's subnormal range within about 1 800 steps
     net = StudentNet(seed=3)
-    adam = Adam(net, 1e-3)
+    adam = Adam(net)
     _, grads = net.loss_and_grads(*random_batch(np.random.default_rng(3)))
     adam.step(net, grads)
     zeros = [np.zeros_like(p) for p in net.params]

@@ -4,7 +4,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from sidewalksim import _ckernel, sensors
+from sidewalksim import _ckernel, sensors, suites
 from sidewalksim.geometry import normalize_angle, point_in_polygon
 from sidewalksim.sensors import (
     BEV_RESOLUTION,
@@ -17,7 +17,14 @@ from sidewalksim.sensors import (
     render_bev_frame,
 )
 from sidewalksim.walkmap import WalkableMap, generate_synthetic_map
-from sidewalksim.world import AgentState, Obstacle, WorldState
+from sidewalksim.world import (
+    Action,
+    AgentState,
+    Obstacle,
+    WorldState,
+    populate_obstacles,
+    step_dynamics,
+)
 
 from tests.conftest import needs_c_compiler
 from tests.test_world import make_world
@@ -229,6 +236,35 @@ def test_raycast_compiled_matches_numpy_grazing_rect_corners(big_plane, monkeypa
     assert np.array_equal(fast, reference)
 
 
+@needs_c_compiler
+def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
+    # pedestrians move every step, so the obstacle tables, and the data
+    # addresses the kernel reads from them, are rebuilt before every cast
+    kernel = sensors._KERNEL.load()
+    assert kernel is not None, "the raycast kernel failed to build or load"
+    rng = np.random.default_rng(41)
+    wmap = suites.bench_config().map
+    x, y = wmap.sample_walkable_point(rng)
+    obstacles = populate_obstacles(wmap, suites.BENCH_OBSTACLE_DENSITY, rng,
+                                   pedestrian_fraction=0.5, keep_clear=[(x, y)])
+    assert sum(ob.is_pedestrian for ob in obstacles) >= 10
+    w = make_world(wmap, x, y, obstacles=obstacles, seed=41)
+    cases = ((sensors.PRIVILEGED_LIDAR_RAYS, sensors.PRIVILEGED_LIDAR_MAX_RANGE),
+             (sensors.REALISTIC_LIDAR_RAYS, sensors.REALISTIC_LIDAR_MAX_RANGE))
+    clear = 0
+    for step in range(200):
+        tables = w.obstacle_tables()
+        monkeypatch.setattr(sensors._KERNEL, "fn", kernel)
+        fast = [raycast(w, n_rays, max_range) for n_rays, max_range in cases]
+        monkeypatch.setattr(sensors._KERNEL, "fn", None)
+        for (n_rays, max_range), ranges in zip(cases, fast):
+            assert np.array_equal(ranges, raycast(w, n_rays, max_range)), (step, n_rays)
+        clear += bool(fast[0].any())
+        step_dynamics(w, Action(0.0, 0.3))
+        assert w.obstacle_tables() is not tables
+    assert clear > 150  # casts from inside a pedestrian read 0 on both paths
+
+
 def test_raycast_falls_back_to_numpy_when_kernel_build_fails(monkeypatch):
     def failing_build(source):
         raise OSError("cc failed: error: unknown type name")
@@ -318,20 +354,22 @@ def test_gdd_bearing_always_normalized(rng):
         assert g2.distance == pytest.approx(g.distance, abs=1e-12)
 
 
-def test_noiseless_gps_is_bitwise_exact():
+def test_noiseless_gps_is_bitwise_exact(monkeypatch):
+    monkeypatch.setattr(sensors, "GPS_SIGMA_POS", 0.0)
+    monkeypatch.setattr(sensors, "GPS_LATENCY_STEPS", 0)
     agent = AgentState(1.234567, -2.345678, 0.7)
     goal = (7.0, 3.0)
-    gps = GpsNoiseModel(sigma_pos=0.0, latency_steps=0,
-                        rng=np.random.default_rng(0))
+    gps = GpsNoiseModel(np.random.default_rng(0))
     exact = compute_gdd(agent, goal)
     noisy = compute_gdd(agent, goal, gps)
     assert noisy.distance == exact.distance
     assert noisy.bearing == exact.bearing
 
 
-def test_gps_latency_uses_delayed_position():
-    gps = GpsNoiseModel(sigma_pos=0.0, latency_steps=2,
-                        rng=np.random.default_rng(0))
+def test_gps_latency_uses_delayed_position(monkeypatch):
+    monkeypatch.setattr(sensors, "GPS_SIGMA_POS", 0.0)
+    monkeypatch.setattr(sensors, "GPS_LATENCY_STEPS", 2)
+    gps = GpsNoiseModel(np.random.default_rng(0))
     positions = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
     outs = [gps.localize(*p) for p in positions]
     assert outs[0] == (0.0, 0.0)
@@ -340,9 +378,10 @@ def test_gps_latency_uses_delayed_position():
     assert outs[3] == (1.0, 0.0)
 
 
-def test_gps_noise_statistics():
-    gps = GpsNoiseModel(sigma_pos=0.5, latency_steps=0,
-                        rng=np.random.default_rng(42))
+def test_gps_noise_statistics(monkeypatch):
+    monkeypatch.setattr(sensors, "GPS_SIGMA_POS", 0.5)
+    monkeypatch.setattr(sensors, "GPS_LATENCY_STEPS", 0)
+    gps = GpsNoiseModel(np.random.default_rng(42))
     errs = []
     for _ in range(4000):
         nx, ny = gps.localize(10.0, -4.0)

@@ -225,6 +225,13 @@ def assert_tables_match_oracle(world):
     assert np.array_equal(world.obstacle_tables().rect_bounds, rect_bounds)
     for ob, row in zip(world.obstacles, bounds):
         assert ob.reach == row[2]
+    # the raycast kernel reads the tables through their data addresses
+    tables = world.obstacle_tables()
+    for table in (tables.circles, tables.rect_segments, tables.bounds, tables.rect_bounds):
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+    assert tables.kernel_args == (
+        tables.circles.ctypes.data, len(tables.circles), tables.rect_segments.ctypes.data,
+        tables.rect_bounds.ctypes.data, len(tables.rect_bounds))
 
 
 def test_obstacle_tables_match_per_obstacle_loop_while_pedestrians_move():
