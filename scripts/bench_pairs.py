@@ -25,6 +25,12 @@ both build their C kernels the same way. The script writes one JSON file:
   validation curve, `wall_s`, and the SHA-256 of the report JSON (as
   `sidewalksim distill --report` writes it), of the best weights and of the
   transition rows. Per seed: whether the two sides' three digests agree.
+- `digests`: for each workload and kernel mode of `DIGEST_RUNS`, the digest
+  of one perfbench pass at the perfbench seed, in each checkout with one BLAS
+  thread, and whether the two sides agree. With the kernels `off`, every
+  `_ckernel.Kernel` found in the `sidewalksim` modules has its `fn` set to
+  None, so each pass runs the pure-Python paths; with them `loaded`, a kernel
+  that fails to load is an error.
 - `environment`: interpreter, numpy and its BLAS build, core count, and
   whether numba and scipy are importable.
 
@@ -36,9 +42,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import platform
 import statistics
 import subprocess
@@ -53,6 +61,9 @@ TRACED_PAIRS = 3
 CRITERION_SEEDS = (7, 1, 2)
 DIGESTS = ("report_sha256", "weights_sha256", "transitions_sha256")  # of criterion 2's outputs
 WORKLOADS = ("distill", "teacher_eval", "sensor_stream")
+DIGEST_RUNS = (("teacher_eval", "loaded"), ("teacher_eval", "off"),
+               ("sensor_stream", "loaded"), ("sensor_stream", "off"),
+               ("distill", "loaded"))
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 TRACED_METRICS = ("nets.forward.calls", "nets.forward.us_p50", "nets.forward.busy_s",
                   "nets.loss_and_grads.calls", "nets.loss_and_grads.ms_p50",
@@ -147,16 +158,48 @@ def criterion_2_once(seed: int) -> dict:
                for name, data in zip(DIGESTS, outputs)}}
 
 
-def criterion_2(checkout: Path, seed: int) -> dict:
-    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(checkout / "src")}
-    proc = subprocess.run([sys.executable, __file__, "--criterion-2-run", str(seed)],
-                          cwd=checkout, env=env, capture_output=True, text=True, check=False)
+def run_in_checkout(checkout: Path, what: str, *args: str) -> dict:
+    """The JSON object this script prints last when run with `args` in a
+    subprocess in the checkout, with one BLAS thread and the checkout's `src/`
+    and `perfbench/` on the path. `what` names the run in messages."""
+    env = {**os.environ, **ONE_BLAS_THREAD,
+           "PYTHONPATH": os.pathsep.join(str(checkout / d) for d in ("src", "perfbench"))}
+    proc = subprocess.run([sys.executable, __file__, *args], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=False)
     if proc.returncode != 0:
-        raise RuntimeError(f"criterion 2, seed {seed}, in {checkout.name} exited "
-                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise RuntimeError(f"{what} in {checkout.name} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.splitlines()[-1])
-    print(f"criterion 2 {checkout.name} seed {seed}: {result}", file=sys.stderr)
+    print(f"{what} {checkout.name}: {result}", file=sys.stderr)
     return result
+
+
+def pass_digest_once(workload: str, seed: int, kernels: str) -> dict:
+    """One pass of a perfbench workload in this interpreter (the checkout's
+    `src/` and `perfbench/` on the path) with every C kernel of the package
+    loaded or off, and the digest of its outputs."""
+    import sidewalksim
+    from sidewalksim import _ckernel
+
+    import workloads
+
+    for info in pkgutil.iter_modules(sidewalksim.__path__):
+        if info.name != "__main__":  # runs the CLI on import
+            importlib.import_module(f"sidewalksim.{info.name}")
+    found = {id(value): value for name, module in list(sys.modules.items())
+             if name.startswith("sidewalksim.")
+             for value in vars(module).values() if isinstance(value, _ckernel.Kernel)}
+    for kernel in found.values():
+        if kernels == "off":
+            kernel.fn = None
+        elif kernel.load() is None:
+            raise RuntimeError(f"kernel {kernel.symbol} did not load")
+    run = workloads.WORKLOADS[workload](seed)
+    run.build()
+    result = run.run()
+    return {"workload": workload, "kernels": kernels,
+            "symbols": sorted(k.symbol for k in found.values()), "digest": result.digest}
+
 
 
 def src_digest(checkout: Path) -> str:
@@ -196,10 +239,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--criterion-2-run", type=int, metavar="SEED",
                         help="run criterion 2 once in this interpreter and print its JSON")
+    parser.add_argument("--digest-run", nargs=3, metavar=("WORKLOAD", "SEED", "KERNELS"),
+                        help="run one perfbench pass in this interpreter and print its digest")
     args = parser.parse_args(argv)
 
     if args.criterion_2_run is not None:
         print(json.dumps(criterion_2_once(args.criterion_2_run)))
+        return 0
+    if args.digest_run is not None:
+        workload, seed, kernels = args.digest_run
+        if kernels not in ("loaded", "off"):
+            parser.error("KERNELS is loaded or off")
+        print(json.dumps(pass_digest_once(workload, int(seed), kernels)))
         return 0
     if None in (args.parent, args.change, args.seed, args.out):
         parser.error("--parent, --change, --seed and --out are required")
@@ -211,10 +262,21 @@ def main(argv=None) -> int:
            "sources": {side: {"src_sha256": src_digest(checkouts[side])} for side in SIDES},
            "perfbench": {"seed": args.seed, "run_seconds": seconds}}
 
+    doc["digests"] = []
+    for workload, kernels in DIGEST_RUNS:
+        runs = {side: run_in_checkout(checkouts[side], f"{workload} pass, kernels {kernels}",
+                                      "--digest-run", workload, str(args.seed), kernels)
+                for side in SIDES}
+        doc["digests"].append({
+            "workload": workload, "kernels": kernels, **runs,
+            "bytes_identical": runs["parent"]["digest"] == runs["change"]["digest"]})
+
     doc["criterion_2"] = []
     for k, seed in enumerate(CRITERION_SEEDS):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        runs = {side: criterion_2(checkouts[side], seed) for side in order}
+        runs = {side: run_in_checkout(checkouts[side], f"criterion 2 seed {seed}",
+                                      "--criterion-2-run", str(seed))
+                for side in order}
         doc["criterion_2"].append({
             "seed": seed, "first": order[0], **runs,
             "bytes_identical": all(runs["parent"][d] == runs["change"][d] for d in DIGESTS)})

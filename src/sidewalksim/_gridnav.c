@@ -1,5 +1,5 @@
-/* 8-connected grid Dijkstra, loaded by gridnav.py through ctypes, and the
- * teacher's lookahead walk over its fields, loaded by planner.py.
+/* 8-connected grid Dijkstra and the teacher's lookahead walk over its
+ * fields, both loaded by gridnav.py through ctypes.
  *
  * Each relaxation is nd = d + w, with the straight and diagonal step costs
  * passed in from Python, and the file is built with -ffp-contract=off, so
@@ -105,7 +105,7 @@ int grid_dijkstra(const unsigned char *free_cells, int64_t ny, int64_t nx,
 
 /* -- lookahead walk ----------------------------------------------------------
  *
- * The body of planner.DistanceField._lookahead_walk and of
+ * The body of gridnav.DistanceField._lookahead_walk and of
  * gridnav.line_of_sight, written with Python's expressions in Python's order.
  * Lengths are sqrt(dx * dx + dy * dy) on both sides, not hypot: IEEE 754
  * rounds *, + and sqrt correctly in C (built with -ffp-contract=off) and in

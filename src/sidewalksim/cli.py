@@ -33,10 +33,10 @@ def _parse_policy(spec: str):
         v, w = (float(t) for t in spec.split(":", 1)[1].split(","))
         return ConstantPolicy(v, w), "none"
     net, norm = load_model(spec)
-    if norm != distill_mod.NORMALIZATION:
+    expected = distill_mod.normalization()
+    if norm != expected:
         # features scaled under other constants would reach the net unchecked
-        raise ValueError(f"{spec}: normalization {norm!r} is not this build's "
-                         f"{distill_mod.NORMALIZATION!r}")
+        raise ValueError(f"{spec}: normalization {norm!r} is not this build's {expected!r}")
     return distill_mod.StudentPolicy(net), "realistic"
 
 
@@ -117,7 +117,7 @@ def cmd_distill(args) -> int:
 
     result = distill_mod.dagger_run(train_configs, val_configs, config,
                                     log=lambda m: print(m, flush=True))
-    save_model(result.net, distill_mod.NORMALIZATION, args.out)
+    save_model(result.net, distill_mod.normalization(), args.out)
     if args.report:
         with open(args.report, "w") as f:
             json.dump(result.report.to_dict(), f, separators=(",", ":"), indent=None)

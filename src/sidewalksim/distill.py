@@ -14,17 +14,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import sensors
 from .episode import GOAL_DISTANCE_RANGE, Episode, EpisodeConfig, episode_seed, run_episode
 from .errors import PrefillStallError, TrainingDivergedError
 from .evaluate import evaluate
 from .nets import Adam, StudentNet
 from .planner import OracleTeacher, Policy
-from .sensors import (
-    Observation,
-    RealisticObs,
-    REALISTIC_LIDAR_MAX_RANGE,
-    REALISTIC_LIDAR_RAYS,
-)
+from .sensors import Observation, RealisticObs, REALISTIC_LIDAR_RAYS
 from .world import Action, SPEED_MAX, SPEED_MIN, YAW_LIMIT
 
 GOAL_DISTANCE_CAP = GOAL_DISTANCE_RANGE[1]  # meters
@@ -36,13 +32,17 @@ DATASET_CAPACITY = 200_000  # rows; past it the oldest leave first
 _SPEED_CENTER = (SPEED_MAX + SPEED_MIN) / 2.0
 _SPEED_HALF = (SPEED_MAX - SPEED_MIN) / 2.0
 
-NORMALIZATION = {
-    "lidar_max_range": REALISTIC_LIDAR_MAX_RANGE,
-    "goal_distance_cap": GOAL_DISTANCE_CAP,
-    "speed_center": _SPEED_CENTER,
-    "speed_half": _SPEED_HALF,
-    "yaw_half": YAW_LIMIT,
-}
+def normalization() -> dict:
+    """The scales `flatten_realistic` and `normalize_action` apply, as a model
+    file's `norm` records them; read when called, like the lidar cap the
+    episodes cast with."""
+    return {
+        "lidar_max_range": sensors.REALISTIC_LIDAR_MAX_RANGE,
+        "goal_distance_cap": GOAL_DISTANCE_CAP,
+        "speed_center": _SPEED_CENTER,
+        "speed_half": _SPEED_HALF,
+        "yaw_half": YAW_LIMIT,
+    }
 
 
 def flatten_realistic(obs: RealisticObs) -> np.ndarray:
@@ -51,7 +51,7 @@ def flatten_realistic(obs: RealisticObs) -> np.ndarray:
     acts on exactly the features it trains on."""
     out = np.empty(FEATURE_DIM, dtype=np.float32)
     n = REALISTIC_LIDAR_RAYS
-    out[:n] = obs.lidar / REALISTIC_LIDAR_MAX_RANGE
+    out[:n] = obs.lidar / sensors.REALISTIC_LIDAR_MAX_RANGE
     out[n] = min(obs.goal.distance, GOAL_DISTANCE_CAP) / GOAL_DISTANCE_CAP
     out[n + 1] = math.sin(obs.goal.bearing)
     out[n + 2] = math.cos(obs.goal.bearing)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import sensors
 from .errors import EpisodeTerminatedError, MapTooSmallError, NoPathError
-from .gridnav import OccupancyGrid, bfs_connected, dijkstra_distances, free_space_grid
+from .gridnav import DistanceField, bfs_connected, dijkstra_distances, free_space_grid
 from .walkmap import WalkableMap
 from .world import (
     AGENT_RADIUS,
@@ -155,16 +155,10 @@ class StepOutcome:
     terminal: Optional[str]
 
 
-class Plan(NamedTuple):
+def plan_route(wmap: WalkableMap, obstacles, goal) -> DistanceField:
     """Free space at PLAN_INFLATE and meters to the goal's cell (all inf if it is blocked)."""
-
-    grid: OccupancyGrid
-    values: np.ndarray
-
-
-def plan_route(wmap: WalkableMap, obstacles, goal) -> Plan:
     grid = free_space_grid(wmap, obstacles, inflate=PLAN_INFLATE)
-    return Plan(grid, dijkstra_distances(grid, grid.cell_of(goal[0], goal[1])))
+    return DistanceField(grid, dijkstra_distances(grid, grid.cell_of(goal[0], goal[1])), goal)
 
 
 @dataclass
@@ -174,7 +168,7 @@ class EpisodeContext:
     map: WalkableMap
     start: tuple[float, float, float]
     goal: tuple[float, float]
-    plan: Plan
+    plan: DistanceField
 
 
 class EpisodeResult(NamedTuple):
@@ -226,7 +220,7 @@ class Episode:
         self.initial_obstacles: list[dict] = []
         self.goal: Optional[tuple[float, float]] = None
         self.route: Optional[WaypointRoute] = None
-        self.plan: Optional[Plan] = None
+        self.plan: Optional[DistanceField] = None
         self.terminal: Optional[str] = None
         # earlier BEV frames, most recent first
         self._bev_history = deque(maxlen=sensors.BEV_STACK - 1)
@@ -282,9 +276,8 @@ class Episode:
                     keep_clear=[(start[0], start[1])],
                 )
                 plan = plan_route(cfg.map, obstacles, goal)
-                cell = plan.grid.cell_of(start[0], start[1])
-                # reachable within the step budget; an unreachable start reads inf
-                if plan.grid.in_bounds(*cell) and plan.values[cell] <= MAX_GEODESIC:
+                # reachable within the step budget; an unreachable or off-grid start reads inf
+                if plan.value_at_cell(*plan.grid.cell_of(start[0], start[1])) <= MAX_GEODESIC:
                     return start, goal, obstacles, plan
         raise MapTooSmallError("could not place obstacles while keeping the goal reachable")
 

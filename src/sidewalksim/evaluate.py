@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -165,6 +166,8 @@ def bench(config: EpisodeConfig, modes=BENCH_MODES, n_steps: int = 5000,
     """Time env steps under each observation mode with a fixed action script.
 
     Episode resets are excluded from the timing; only step() calls count.
+    Each mode starts after a full garbage collection, so that no full pass,
+    which lasts as long as ~1 000 steps without sensing, runs within its steps.
     """
     if n_steps < 1000:
         raise ValueError("n_steps must be >= 1000")
@@ -178,6 +181,7 @@ def bench(config: EpisodeConfig, modes=BENCH_MODES, n_steps: int = 5000,
         cfg = _bench_mode_config(config, mode)
         episode = Episode(replace(cfg, seed=episode_seed(seed, 0)))
         episode.reset()
+        gc.collect()
         elapsed = 0.0
         done = 0
         ep_index = 0

@@ -1,7 +1,9 @@
-"""Occupancy-grid helpers: free-space rasterization, connectivity, Dijkstra fields."""
+"""The planning grid: free-space rasters at NAV_RESOLUTION, connectivity,
+Dijkstra fields and the descent walk over them."""
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import math
 from dataclasses import dataclass
@@ -9,17 +11,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _ckernel
+from .errors import NoPathError
 from .walkmap import NAV_RESOLUTION, WalkableMap
+
+NEAR_RINGS = 2  # cells searched around the agent for a finite field value
 
 
 @dataclass
 class OccupancyGrid:
-    """Boolean free-space raster over the map bounds; True = traversable."""
+    """Boolean free-space raster over the map bounds at NAV_RESOLUTION; True = traversable."""
 
     free: np.ndarray       # (ny, nx)
     minx: float
     miny: float
-    resolution: float
 
     @property
     def shape(self):
@@ -27,8 +31,8 @@ class OccupancyGrid:
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """(row, col) of the containing cell; may be out of bounds."""
-        col = int(math.floor((x - self.minx) / self.resolution))
-        row = int(math.floor((y - self.miny) / self.resolution))
+        col = int(math.floor((x - self.minx) / NAV_RESOLUTION))
+        row = int(math.floor((y - self.miny) / NAV_RESOLUTION))
         return row, col
 
     def in_bounds(self, row: int, col: int) -> bool:
@@ -36,8 +40,8 @@ class OccupancyGrid:
         return 0 <= row < ny and 0 <= col < nx
 
     def center_of(self, row: int, col: int) -> tuple[float, float]:
-        return (self.minx + (col + 0.5) * self.resolution,
-                self.miny + (row + 0.5) * self.resolution)
+        return (self.minx + (col + 0.5) * NAV_RESOLUTION,
+                self.miny + (row + 0.5) * NAV_RESOLUTION)
 
 
 def free_space_grid(wmap: WalkableMap, obstacles=(), inflate: float = 0.0) -> OccupancyGrid:
@@ -61,7 +65,7 @@ def free_space_grid(wmap: WalkableMap, obstacles=(), inflate: float = 0.0) -> Oc
         r1 = min(ny, int((ob.y + reach - miny) / NAV_RESOLUTION) + 2)
         if c0 < c1 and r0 < r1:
             free[r0:r1, c0:c1] &= ~ob.covers(xs[None, c0:c1], ys[r0:r1, None], inflate)
-    return OccupancyGrid(free=free, minx=minx, miny=miny, resolution=NAV_RESOLUTION)
+    return OccupancyGrid(free=free, minx=minx, miny=miny)
 
 
 def line_of_sight(grid: OccupancyGrid, x0: float, y0: float, x1: float, y1: float) -> bool:
@@ -70,13 +74,13 @@ def line_of_sight(grid: OccupancyGrid, x0: float, y0: float, x1: float, y1: floa
     dist = math.sqrt(dx * dx + dy * dy)  # not hypot: see _gridnav.c
     free = grid.free
     ny, nx = free.shape
-    n = max(1, int(math.ceil(dist / (grid.resolution / 3.0))))
+    n = max(1, int(math.ceil(dist / (NAV_RESOLUTION / 3.0))))
     for i in range(n + 1):
         t = i / n
         x = x0 + t * dx
         y = y0 + t * dy
-        col = int(math.floor((x - grid.minx) / grid.resolution))
-        row = int(math.floor((y - grid.miny) / grid.resolution))
+        col = int(math.floor((x - grid.minx) / NAV_RESOLUTION))
+        row = int(math.floor((y - grid.miny) / NAV_RESOLUTION))
         if not (0 <= row < ny and 0 <= col < nx) or not free[row, col]:
             return False
     return True
@@ -90,8 +94,7 @@ def eroded(grid: OccupancyGrid) -> OccupancyGrid:
         for dc in (-1, 0, 1):
             out &= padded[1 + dr:padded.shape[0] - 1 + dr,
                           1 + dc:padded.shape[1] - 1 + dc]
-    return OccupancyGrid(free=out, minx=grid.minx, miny=grid.miny,
-                         resolution=grid.resolution)
+    return OccupancyGrid(free=out, minx=grid.minx, miny=grid.miny)
 
 
 def bfs_connected(grid: OccupancyGrid, start_cell, goal_cell) -> bool:
@@ -107,19 +110,141 @@ def bfs_connected(grid: OccupancyGrid, start_cell, goal_cell) -> bool:
 def dijkstra_distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
     """Geodesic meters from every free cell to the source; inf where unreachable.
 
-    8-connected, diagonal moves cost sqrt(2) * resolution.
+    8-connected, diagonal moves cost sqrt(2) * NAV_RESOLUTION.
     """
     return _distances(grid, source_cell)
 
 
-# -- compiled Dijkstra kernel ----------------------------------------------------
+@dataclass
+class DistanceField:
+    """Geodesic meters-to-goal on an occupancy grid; inf marks blocked cells.
+    An episode's plan (episode.plan_route) is one, and the teacher steers on it."""
+
+    grid: OccupancyGrid
+    values: np.ndarray           # (ny, nx) meters
+    goal: tuple[float, float]
+    _kernel_args = None  # not a dataclass field: built on the first lookahead
+
+    def __getstate__(self):
+        # data addresses are valid only in the process that took them
+        state = self.__dict__.copy()
+        state.pop("_kernel_args", None)
+        return state
+
+    def value_at_cell(self, row: int, col: int) -> float:
+        if not self.grid.in_bounds(row, col):
+            return math.inf
+        return float(self.values[row, col])
+
+    def _best_neighbor_direction(self, x: float, y: float) -> float:
+        row, col = self.grid.cell_of(x, y)
+        best = math.inf
+        best_dir = None
+        for dr in range(-NEAR_RINGS, NEAR_RINGS + 1):
+            for dc in range(-NEAR_RINGS, NEAR_RINGS + 1):
+                val = self.value_at_cell(row + dr, col + dc)
+                if val < best:
+                    cx, cy = self.grid.center_of(row + dr, col + dc)
+                    d = math.hypot(cx - x, cy - y)
+                    if (dr, dc) != (0, 0) or d > 1e-9:
+                        best = val
+                        best_dir = math.atan2(cy - y, cx - x)
+        if best_dir is None or not math.isfinite(best):
+            raise NoPathError("no finite distance-field value near the agent")
+        return best_dir
+
+    def lookahead_point(self, x: float, y: float, lookahead: float) -> tuple[float, float]:
+        """Farthest visible point on the descent path within `lookahead` meters.
+
+        Walks cell-to-cell along the steepest finite descent and keeps the
+        last path point with free line of sight from (x, y), so steering at
+        it never cuts through blocked cells. Reaching the goal cell snaps to
+        the exact goal. From a blocked or off-grid cell, steps one cell
+        toward the best nearby cell instead. Raises NoPathError when no
+        finite cell is near the agent.
+
+        The walk runs in the compiled kernel (_gridnav.c) when one can be
+        built, else in _lookahead_walk, which returns the same points.
+        """
+        kernel = _LOOKAHEAD.load()
+        if kernel is None:
+            target = self._lookahead_walk(x, y, lookahead)
+        else:
+            cached = self._kernel_args
+            if cached is None:
+                cached = self._kernel_args = self._build_kernel_args()
+            out = cached[1]
+            target = (out[0], out[1]) if kernel(x, y, lookahead, *cached[0]) == 0 else None
+        if target is not None:
+            return target
+        # blocked or off-grid start: nudge onto the best nearby cell first
+        direction = self._best_neighbor_direction(x, y)
+        return (x + NAV_RESOLUTION * math.cos(direction),
+                y + NAV_RESOLUTION * math.sin(direction))
+
+    def _build_kernel_args(self) -> tuple:
+        """(the kernel's arguments after x, y and lookahead, its output
+        buffer, the arrays the addresses point into); whoever keeps the
+        addresses keeps the arrays alive."""
+        grid = self.grid
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        free = np.ascontiguousarray(grid.free, dtype=bool)
+        if values.ndim != 2 or free.shape != values.shape:
+            raise ValueError(f"field {values.shape} does not match its grid {free.shape}")
+        out = (ctypes.c_double * 2)()
+        ny, nx = values.shape
+        args = (values.ctypes.data, free.ctypes.data, ny, nx, grid.minx, grid.miny,
+                NAV_RESOLUTION, self.goal[0], self.goal[1], ctypes.addressof(out))
+        return args, out, (values, free)
+
+    def _lookahead_walk(self, x: float, y: float,
+                        lookahead: float) -> tuple[float, float] | None:
+        """Pure-Python fallback for the compiled walk, and its reference;
+        None when the start cell is blocked or off the grid."""
+        grid, vals = self.grid, self.values
+        row, col = grid.cell_of(x, y)
+        if not (grid.in_bounds(row, col) and math.isfinite(vals[row, col])):
+            return None
+        ny, nx = vals.shape
+        px, py = x, y
+        travelled = 0.0
+        cur = (row, col)
+        target = None
+        while travelled < lookahead:
+            best_val = vals[cur]
+            nxt = None
+            for dr, dc in _NEIGHBORS8:
+                rr, cc = cur[0] + dr, cur[1] + dc
+                if 0 <= rr < ny and 0 <= cc < nx and vals[rr, cc] < best_val:
+                    best_val = vals[rr, cc]
+                    nxt = (rr, cc)
+            if nxt is None:
+                # local minimum: the goal cell itself
+                if target is None or line_of_sight(grid, x, y, self.goal[0], self.goal[1]):
+                    return self.goal
+                return target
+            cx, cy = grid.center_of(*nxt)
+            if target is not None and not line_of_sight(grid, x, y, cx, cy):
+                break  # path curls out of sight; steer at the last visible point
+            target = (cx, cy)
+            dx, dy = cx - px, cy - py
+            travelled += math.sqrt(dx * dx + dy * dy)  # not hypot: see _gridnav.c
+            px, py = cx, cy
+            cur = nxt
+        return target if target is not None else (px, py)
+
+
+# -- compiled kernels ------------------------------------------------------------
 #
-# _gridnav.c is built and loaded through _ckernel on the first field. When no
-# kernel can be built, fields come from _dijkstra_heapq, which returns the same
-# values bit for bit, only slower.
+# _gridnav.c is built and loaded through _ckernel on the first field and on the
+# first lookahead. When no kernel can be built, fields come from
+# _dijkstra_heapq and lookahead points from DistanceField._lookahead_walk,
+# which return the same values bit for bit, only slower.
 
 # argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
 _KERNEL = _ckernel.Kernel("_gridnav.c", "grid_dijkstra", "piiiiddp", "heapq Dijkstra")
+_LOOKAHEAD = _ckernel.Kernel("_gridnav.c", "grid_lookahead", "dddppiidddddp",
+                             "Python lookahead walk")
 
 
 def _distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
@@ -138,7 +263,7 @@ def _distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
     ny, nx = cells.shape
     dist = np.empty((ny, nx))
     if kernel(cells.ctypes.data, ny, nx, int(source_cell[0]), int(source_cell[1]),
-              grid.resolution, math.sqrt(2.0) * grid.resolution, dist.ctypes.data):
+              NAV_RESOLUTION, math.sqrt(2.0) * NAV_RESOLUTION, dist.ctypes.data):
         raise MemoryError("grid Dijkstra kernel could not allocate its heap")
     return dist
 
@@ -153,8 +278,8 @@ def _dijkstra_heapq(grid: OccupancyGrid, source_cell) -> np.ndarray:
     dist = np.full((ny, nx), np.inf)
     if not grid.in_bounds(*source_cell) or not free[source_cell]:
         return dist
-    straight = grid.resolution
-    diagonal = math.sqrt(2.0) * grid.resolution
+    straight = NAV_RESOLUTION
+    diagonal = math.sqrt(2.0) * NAV_RESOLUTION
     dist[source_cell] = 0.0
     heap = [(0.0, source_cell[0], source_cell[1])]
     while heap:

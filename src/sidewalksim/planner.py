@@ -1,4 +1,5 @@
-"""Privileged oracle teacher: geodesic distance field plus local steering.
+"""Privileged oracle teacher: local steering on the episode's geodesic
+distance field (gridnav.DistanceField).
 
 The teacher stands behind the same Policy interface as any learned student,
 so episode and evaluation code never special-cases it.
@@ -6,21 +7,18 @@ so episode and evaluation code never special-cases it.
 
 from __future__ import annotations
 
-import ctypes
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import _ckernel
 from .errors import NoPathError
 from .geometry import TWO_PI, normalize_angle
 from .gridnav import (
-    _NEIGHBORS8,
+    NEAR_RINGS,
+    DistanceField,
     OccupancyGrid,
     dijkstra_distances,
     eroded as gridnav_eroded,
-    line_of_sight,
 )
 from .sensors import Observation
 from .walkmap import WalkableMap
@@ -33,7 +31,6 @@ CORRIDOR_HALF_WIDTH = 0.35  # lateral band that counts as "in the way"
 TURN_AWAY = 0.35           # extra yaw away from the blocking side while reversing
 REAR_MIN_CLEARANCE = 0.3   # backing room required before the reflex may reverse
 LOOKAHEAD = 1.2            # meters of descent path the teacher steers toward
-NEAR_RINGS = 2             # cells searched around the agent for a finite field value
 GOAL_SNAP_RINGS = 6        # cells searched around a blocked goal for a free one
 
 
@@ -57,138 +54,19 @@ class ConstantPolicy(Policy):
         return self.action
 
 
-@dataclass
-class DistanceField:
-    """Geodesic meters-to-goal on a uniform grid; inf marks blocked cells."""
-
-    grid: OccupancyGrid
-    values: np.ndarray           # (ny, nx) meters
-    goal: tuple[float, float]
-    _kernel_args = None  # not a dataclass field: built on the first lookahead
-
-    def __getstate__(self):
-        # data addresses are valid only in the process that took them
-        state = self.__dict__.copy()
-        state.pop("_kernel_args", None)
-        return state
-
-    def value_at_cell(self, row: int, col: int) -> float:
-        if not self.grid.in_bounds(row, col):
-            return math.inf
-        return float(self.values[row, col])
-
-    def _best_neighbor_direction(self, x: float, y: float) -> float:
-        row, col = self.grid.cell_of(x, y)
-        best = math.inf
-        best_dir = None
-        for dr in range(-NEAR_RINGS, NEAR_RINGS + 1):
-            for dc in range(-NEAR_RINGS, NEAR_RINGS + 1):
-                val = self.value_at_cell(row + dr, col + dc)
-                if val < best:
-                    cx, cy = self.grid.center_of(row + dr, col + dc)
-                    d = math.hypot(cx - x, cy - y)
-                    if (dr, dc) != (0, 0) or d > 1e-9:
-                        best = val
-                        best_dir = math.atan2(cy - y, cx - x)
-        if best_dir is None or not math.isfinite(best):
-            raise NoPathError("no finite distance-field value near the agent")
-        return best_dir
-
-    def lookahead_point(self, x: float, y: float,
-                        lookahead: float = LOOKAHEAD) -> tuple[float, float]:
-        """Farthest visible point on the descent path within `lookahead` meters.
-
-        Walks cell-to-cell along the steepest finite descent and keeps the
-        last path point with free line of sight from (x, y), so steering at
-        it never cuts through blocked cells. Reaching the goal cell snaps to
-        the exact goal. From a blocked or off-grid cell, steps one cell
-        toward the best nearby cell instead. Raises NoPathError when no
-        finite cell is near the agent.
-
-        The walk runs in the compiled kernel (_gridnav.c) when one can be
-        built, else in _lookahead_walk, which returns the same points.
-        """
-        kernel = _LOOKAHEAD.load()
-        if kernel is None:
-            target = self._lookahead_walk(x, y, lookahead)
-        else:
-            cached = self._kernel_args
-            if cached is None:
-                cached = self._kernel_args = self._build_kernel_args()
-            out = cached[1]
-            target = (out[0], out[1]) if kernel(x, y, lookahead, *cached[0]) == 0 else None
-        if target is not None:
-            return target
-        # blocked or off-grid start: nudge onto the best nearby cell first
-        direction = self._best_neighbor_direction(x, y)
-        step = self.grid.resolution
-        return (x + step * math.cos(direction), y + step * math.sin(direction))
-
-    def _build_kernel_args(self) -> tuple:
-        """(the kernel's arguments after x, y and lookahead, its output
-        buffer, the arrays the addresses point into); whoever keeps the
-        addresses keeps the arrays alive."""
-        grid = self.grid
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        free = np.ascontiguousarray(grid.free, dtype=bool)
-        if values.ndim != 2 or free.shape != values.shape:
-            raise ValueError(f"field {values.shape} does not match its grid {free.shape}")
-        out = (ctypes.c_double * 2)()
-        ny, nx = values.shape
-        args = (values.ctypes.data, free.ctypes.data, ny, nx, grid.minx, grid.miny,
-                grid.resolution, self.goal[0], self.goal[1], ctypes.addressof(out))
-        return args, out, (values, free)
-
-    def _lookahead_walk(self, x: float, y: float,
-                        lookahead: float) -> tuple[float, float] | None:
-        """Pure-Python fallback for the compiled walk, and its reference;
-        None when the start cell is blocked or off the grid."""
-        grid, vals = self.grid, self.values
-        row, col = grid.cell_of(x, y)
-        if not (grid.in_bounds(row, col) and math.isfinite(vals[row, col])):
-            return None
-        ny, nx = vals.shape
-        px, py = x, y
-        travelled = 0.0
-        cur = (row, col)
-        target = None
-        while travelled < lookahead:
-            best_val = vals[cur]
-            nxt = None
-            for dr, dc in _NEIGHBORS8:
-                rr, cc = cur[0] + dr, cur[1] + dc
-                if 0 <= rr < ny and 0 <= cc < nx and vals[rr, cc] < best_val:
-                    best_val = vals[rr, cc]
-                    nxt = (rr, cc)
-            if nxt is None:
-                # local minimum: the goal cell itself
-                if target is None or line_of_sight(grid, x, y, self.goal[0], self.goal[1]):
-                    return self.goal
-                return target
-            cx, cy = grid.center_of(*nxt)
-            if target is not None and not line_of_sight(grid, x, y, cx, cy):
-                break  # path curls out of sight; steer at the last visible point
-            target = (cx, cy)
-            dx, dy = cx - px, cy - py
-            travelled += math.sqrt(dx * dx + dy * dy)  # not hypot: see _gridnav.c
-            px, py = cx, cy
-            cur = nxt
-        return target if target is not None else (px, py)
-
-
-# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
-_LOOKAHEAD = _ckernel.Kernel("_gridnav.c", "grid_lookahead", "dddppiidddddp",
-                             "Python lookahead walk")
-
-
-def build_distance_field(plan, goal: tuple[float, float], start=None) -> DistanceField:
+def build_distance_field(plan: DistanceField, start=None) -> DistanceField:
     """The teacher's field over an episode's plan (episode.plan_route): on the
-    plan's grid with one extra cell of wall margin, or the plan's own field when
-    that margin would leave the start disconnected (narrow passages)."""
-    plain = _field_on_grid(plan.grid, goal, plan.values)
-    if plain is None:
-        raise NoPathError(f"no free cell near goal {goal}")
-    safe = _field_on_grid(gridnav_eroded(plan.grid), goal)
+    plan's grid with one extra cell of wall margin, or the plan itself when
+    that margin would leave the start disconnected (narrow passages). A plan
+    whose goal cell is blocked reads inf everywhere, so the plain field then
+    starts from the nearest free cell."""
+    grid, goal = plan.grid, plan.goal
+    plain = plan
+    if math.isinf(plan.value_at_cell(*grid.cell_of(goal[0], goal[1]))):
+        plain = _field_on_grid(grid, goal)
+        if plain is None:
+            raise NoPathError(f"no free cell near goal {goal}")
+    safe = _field_on_grid(gridnav_eroded(grid), goal)
     if safe is None or start is None:
         return safe or plain
     d_safe = _distance_near(safe, start)
@@ -217,17 +95,15 @@ def _distance_near(field: DistanceField, point) -> float:
     return best
 
 
-def _field_on_grid(grid: OccupancyGrid, goal, values=None) -> DistanceField | None:
+def _field_on_grid(grid: OccupancyGrid, goal) -> DistanceField | None:
     """Field from the goal's cell, or from the nearest free cell when that one
-    is blocked; `values` are the distances from the goal's cell, if known."""
+    is blocked."""
     cell = grid.cell_of(goal[0], goal[1])
     if not (grid.in_bounds(*cell) and grid.free[cell]):
-        cell, values = _nearest_free_cell(grid, cell), None
+        cell = _nearest_free_cell(grid, cell)
         if cell is None:
             return None
-    if values is None:
-        values = dijkstra_distances(grid, cell)
-    return DistanceField(grid=grid, values=values, goal=goal)
+    return DistanceField(grid=grid, values=dijkstra_distances(grid, cell), goal=goal)
 
 
 def _nearest_free_cell(grid: OccupancyGrid, cell):
@@ -304,7 +180,7 @@ def _teacher_step(field: DistanceField, obs: Observation, pose,
     if homing:
         tx, ty = gx, gy
     else:
-        tx, ty = field.lookahead_point(x, y, lookahead=min(LOOKAHEAD, max(goal_dist, 0.3)))
+        tx, ty = field.lookahead_point(x, y, min(LOOKAHEAD, max(goal_dist, 0.3)))
         if math.hypot(tx - x, ty - y) < 1e-9:
             tx, ty = gx, gy
     if math.hypot(tx - x, ty - y) < 1e-9:
@@ -357,7 +233,7 @@ class OracleTeacher(Policy):
         self._map = context.map
         if not context.map.is_walkable(context.goal[0], context.goal[1]):
             raise NoPathError(f"goal {context.goal} is not on walkable area")
-        self.field = build_distance_field(context.plan, context.goal,
+        self.field = build_distance_field(context.plan,
                                           start=(context.start[0], context.start[1]))
 
     def act(self, obs: Observation) -> Action:

@@ -157,7 +157,7 @@ def test_eval_malformed_model_exits_config_error(tmp_path, capsys, edit):
     run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5,
          "--out", map_path])
     model = tmp_path / "model.json"
-    save_model(StudentNet(seed=0), distill_mod.NORMALIZATION, model)
+    save_model(StudentNet(seed=0), distill_mod.normalization(), model)
     model.write_text(json.dumps(edit(json.loads(model.read_text()))))
     assert run(["eval", "--policy", model, "--map", map_path, "--episodes", 1]) == 2
     assert "model file" in capsys.readouterr().err
@@ -192,7 +192,7 @@ def test_eval_model_of_another_normalization_exits_config_error(tmp_path, capsys
          "--out", map_path])
     model = tmp_path / "model.json"
     # as a model trained under a 9 m lidar cap would be saved
-    save_model(StudentNet(seed=0), {**distill_mod.NORMALIZATION, "lidar_max_range": 9.0},
+    save_model(StudentNet(seed=0), {**distill_mod.normalization(), "lidar_max_range": 9.0},
                model)
     report = tmp_path / "eval.json"
     assert run(["eval", "--policy", model, "--map", map_path, "--episodes", 1,
@@ -258,7 +258,7 @@ def test_malformed_input_file_exits_with_an_error_not_a_traceback(tmp_path, caps
         expected = 2
     elif kind in ("map", "model"):
         model = tmp_path / "model.json"
-        save_model(StudentNet(seed=0), distill_mod.NORMALIZATION, model)
+        save_model(StudentNet(seed=0), distill_mod.normalization(), model)
         _edit_json_line(map_path if kind == "map" else model, 0, edit)
         argv = ["eval", "--policy", model, "--map", map_path, "--episodes", 1]
         expected = 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidewalksim import gridnav, planner, sensors, suites, walkmap
+from sidewalksim import gridnav, sensors, suites, walkmap
 from sidewalksim.distill import (
     AggregatedDataset,
     DaggerReport,
@@ -21,6 +21,7 @@ from sidewalksim.distill import (
     dagger_run,
     denormalize_action,
     flatten_realistic,
+    normalization,
     normalize_action,
     prefill,
     save_transitions,
@@ -71,6 +72,14 @@ def test_flatten_realistic_structure():
     assert f[273] == pytest.approx(math.sin(-1.0))
     assert f[274] == pytest.approx(math.cos(-1.0))
     assert np.all(np.abs(f) <= 1.0)
+
+
+def test_a_patched_lidar_cap_scales_the_features_and_the_saved_normalization(monkeypatch):
+    monkeypatch.setattr(sensors, "REALISTIC_LIDAR_MAX_RANGE", 9.0)
+    obs = Episode(suites.validation_suite(obs_mode="realistic")[0]).reset()
+    assert obs.realistic.lidar.max() > 6.0  # the rays reach past the default cap
+    assert np.abs(flatten_realistic(obs.realistic)).max() <= 1.0
+    assert normalization()["lidar_max_range"] == 9.0
 
 
 # -- dataset ----------------------------------------------------------------------
@@ -136,7 +145,7 @@ PREFILL_300_SHA256 = "3a41a4d1d697eed5407f1f444279151b245390277875b716c7b8a99900
 @pytest.mark.parametrize("kernels", ["loaded", "off"])
 def test_saved_prefill_bytes_are_pinned(tmp_path, monkeypatch, kernels):
     if kernels == "off":
-        for kernel in (sensors._KERNEL, gridnav._KERNEL, planner._LOOKAHEAD, walkmap._KERNEL):
+        for kernel in (sensors._KERNEL, gridnav._KERNEL, gridnav._LOOKAHEAD, walkmap._KERNEL):
             kernel.load()
             monkeypatch.setattr(kernel, "fn", None)
     ds = prefill(AggregatedDataset(), OracleTeacher(),
@@ -333,7 +342,7 @@ def test_dagger_round_zero_is_pure_behavior_cloning():
 def test_dagger_run_is_the_same_with_every_kernel_off(tmp_path, monkeypatch):
     # criterion 7's micro run: prefill, training and evaluation run both
     # 272-ray raycast paths, both membership paths, Dijkstra and the lookahead
-    kernels = (sensors._KERNEL, gridnav._KERNEL, planner._LOOKAHEAD, walkmap._KERNEL)
+    kernels = (sensors._KERNEL, gridnav._KERNEL, gridnav._LOOKAHEAD, walkmap._KERNEL)
     assert all(kernel.load() is not None for kernel in kernels)
     cfg = TrainConfig(prefill_count=120, rounds=1, bc_epochs=1, epochs_per_round=1,
                       batch_size=64, collect_episodes_per_round=1, round_eval_episodes=2,

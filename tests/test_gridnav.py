@@ -20,8 +20,7 @@ from tests.conftest import needs_c_compiler
 
 
 def make_grid(free) -> OccupancyGrid:
-    return OccupancyGrid(free=np.asarray(free, dtype=bool), minx=0.0, miny=0.0,
-                         resolution=0.25)
+    return OccupancyGrid(free=np.asarray(free, dtype=bool), minx=0.0, miny=0.0)
 
 
 def random_grid(rng, ny, nx, p_free) -> OccupancyGrid:

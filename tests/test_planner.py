@@ -61,7 +61,7 @@ def distance_at(field, x, y):
 
 def field_for(wmap, obstacles, goal, start=None):
     """The teacher's field for a layout, built on the episode's plan of it."""
-    return build_distance_field(plan_route(wmap, obstacles, goal), goal, start=start)
+    return build_distance_field(plan_route(wmap, obstacles, goal), start=start)
 
 
 def privileged_obs(world, goal):
@@ -133,8 +133,7 @@ def test_field_monotone_along_corridor(corridor):
 def test_field_neighbor_differences_bounded(corridor):
     field = field_for(corridor, (), (18.0, 1.5), start=(2.0, 1.5))
     vals = field.values
-    res = field.grid.resolution
-    step = math.sqrt(2.0) * res + 1e-12
+    step = math.sqrt(2.0) * gridnav.NAV_RESOLUTION + 1e-12
     finite = np.isfinite(vals)
     for dr, dc in ((0, 1), (1, 0), (1, 1)):
         a = vals[:vals.shape[0] - dr, :vals.shape[1] - dc]
@@ -183,8 +182,8 @@ def points_in_cells(rng, grid, cells, k):
     if not len(cells):
         return []
     rows, cols = cells[rng.integers(len(cells), size=k)].T
-    xs = grid.minx + (cols + rng.random(k)) * grid.resolution
-    ys = grid.miny + (rows + rng.random(k)) * grid.resolution
+    xs = grid.minx + (cols + rng.random(k)) * gridnav.NAV_RESOLUTION
+    ys = grid.miny + (rows + rng.random(k)) * gridnav.NAV_RESOLUTION
     return list(zip(xs.tolist(), ys.tolist()))
 
 
@@ -200,8 +199,8 @@ def lookahead_points(rng, field):
     finite = np.isfinite(vals)
     near_blocked = finite & ~np.isfinite(neighbours).all(axis=0)
     tied = finite & (lowest < vals) & ((neighbours == lowest).sum(axis=0) >= 2)
-    xs = rng.uniform(grid.minx - 1.0, grid.minx + nx * grid.resolution + 1.0, 40)
-    ys = rng.uniform(grid.miny - 1.0, grid.miny + ny * grid.resolution + 1.0, 40)
+    xs = rng.uniform(grid.minx - 1.0, grid.minx + nx * gridnav.NAV_RESOLUTION + 1.0, 40)
+    ys = rng.uniform(grid.miny - 1.0, grid.miny + ny * gridnav.NAV_RESOLUTION + 1.0, 40)
     return {
         "goal cell": points_in_cells(rng, grid, np.argwhere(vals == 0.0), 6),
         "first step": points_in_cells(rng, grid, np.argwhere(finite), 40),
@@ -220,12 +219,12 @@ def lookahead_outcome(field, x, y, lookahead):
 
 @needs_c_compiler
 def test_kernel_lookahead_equals_python_walk_on_suite_fields(monkeypatch):
-    assert planner._LOOKAHEAD.load() is not None, "the lookahead kernel failed to build or load"
+    assert gridnav._LOOKAHEAD.load() is not None, "the lookahead kernel failed to build or load"
     rng = np.random.default_rng(3)
     sight_failures = []
 
     def recording_line_of_sight(*args):
-        seen = gridnav.line_of_sight(*args)
+        seen = line_of_sight(*args)  # the imported original, not the patched gridnav name
         sight_failures.append(not seen)
         return seen
 
@@ -244,8 +243,8 @@ def test_kernel_lookahead_equals_python_walk_on_suite_fields(monkeypatch):
                 fast = lookahead_outcome(field, x, y, lookahead)
                 sight_failures.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(planner._LOOKAHEAD, "fn", None)
-                    m.setattr(planner, "line_of_sight", recording_line_of_sight)
+                    m.setattr(gridnav._LOOKAHEAD, "fn", None)
+                    m.setattr(gridnav, "line_of_sight", recording_line_of_sight)
                     reference = lookahead_outcome(field, x, y, lookahead)
                 assert fast == reference, (kind, x, y, lookahead)
                 assert reference == "NoPathError" or all(type(v) is float for v in fast)
@@ -268,13 +267,13 @@ def test_failed_kernel_build_warns_once_and_walks_in_python(monkeypatch):
         raise OSError("cc failed: error: unknown type name")
 
     monkeypatch.setattr(_ckernel, "build", failing_build)
-    monkeypatch.setattr(planner._LOOKAHEAD, "fn", _ckernel._UNLOADED)
+    monkeypatch.setattr(gridnav._LOOKAHEAD, "fn", _ckernel._UNLOADED)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         answers = [lookahead_outcome(*q) for q in queries]
     messages = [str(w.message) for w in caught]
     assert len(messages) == 1 and "Python lookahead walk" in messages[0]
-    assert planner._LOOKAHEAD.fn is None
+    assert gridnav._LOOKAHEAD.fn is None
     assert answers == expected
 
 
@@ -522,13 +521,12 @@ def test_a_teacher_episode_builds_one_grid_and_one_field_per_layout_attempt(monk
     count_calls(monkeypatch, calls, gridnav, "dijkstra_distances")
     count_calls(monkeypatch, calls, episode_module, "populate_obstacles")
     count_calls(monkeypatch, calls, episode_module, "sample_start_goal")
-    plain_fields = []
+    built_fields = []
     field_on_grid = planner._field_on_grid
 
-    def recording_field_on_grid(grid, goal, values=None):
-        field = field_on_grid(grid, goal, values)
-        if values is not None:  # the teacher's plain field, from the episode's plan
-            plain_fields.append(field)
+    def recording_field_on_grid(grid, goal):
+        field = field_on_grid(grid, goal)
+        built_fields.append(field)
         return field
 
     monkeypatch.setattr(planner, "_field_on_grid", recording_field_on_grid)
@@ -536,15 +534,21 @@ def test_a_teacher_episode_builds_one_grid_and_one_field_per_layout_attempt(monk
     attempts = 0
     for i in range(24):
         calls.clear()
-        plain_fields.clear()
+        built_fields.clear()
         episode = Episode(replace(cfgs[i % len(cfgs)], seed=episode_seed(7, i)))
         episode.reset()
-        OracleTeacher().reset(episode.context())
+        teacher = OracleTeacher()
+        teacher.reset(episode.context())
         layouts = calls["populate_obstacles"]
         # sample_start_goal rasterises the bare map once per start/goal draw
         assert calls["free_space_grid"] == layouts + calls["sample_start_goal"]
         assert calls["dijkstra_distances"] == layouts + 1  # + the eroded field
-        assert len(plain_fields) == 1 and plain_fields[0].values is episode.plan.values
+        # the plan is the teacher's plain field; the one field it builds has
+        # the wall margin
+        plan = episode.plan
+        assert len(built_fields) == 1
+        assert np.array_equal(built_fields[0].grid.free, eroded(plan.grid).free)
+        assert teacher.field is plan or teacher.field is built_fields[0]
         attempts += layouts
     assert attempts > 24  # some layouts were resampled, so the counts say "per attempt"
 
