@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Compare a parent and a changed checkout on the benchmark and on criterion 2.
+"""Compare a parent and a changed checkout on the benchmark and on criteria 2 and 6.
 
     python3 scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --seed 913 --out BENCH.json
+        --workload teacher_eval --seed 913 --out BENCH.json
 
 Each checkout is a directory holding `src/`, `perfbench/` and `BENCHMARK.json`,
 such as the output of `git archive`. Run each side from a fresh copy, so that
@@ -10,13 +10,12 @@ both build their C kernels the same way. The script writes one JSON file:
 
 - `pairs`: alternating pairs of `perfbench/run.py --trace 0` runs, the parent
   first in even pairs and the change first in odd ones, at the run length
-  `BENCHMARK.json` sets: `PAIRS` pairs on the `distill` workload and
-  `GUARD_PAIRS` on each other workload. Per end-to-end metric: every run, each
-  side's median and quartiles, and the pairs the change wins (lower reads
-  better; ties count for neither side).
-- `traced`: `TRACED_PAIRS` pairs of `--trace 1` runs on `distill`, with the
-  median of each of the student network's and the distillation's per-layer
-  metrics per side. The script measures a change to `nets` or `distill`.
+  `BENCHMARK.json` sets: `PAIRS` pairs on the workload named by `--workload`,
+  the one whose gain is claimed, and `GUARD_PAIRS` on each other workload.
+  Per end-to-end metric: every run, each side's median and quartiles, and the
+  pairs the change wins (lower reads better; ties count for neither side).
+- `traced`: `TRACED_PAIRS` pairs of `--trace 1` runs on the claimed workload,
+  with every per-layer metric `BENCHMARK.json` lists, per side.
 - `criterion_2`: for each seed of `CRITERION_SEEDS`, criterion 2's desk
   distillation, `dagger_run(training_suite(), validation_suite(),
   TrainConfig(seed=seed))`, in each checkout with one BLAS thread, one run at
@@ -25,6 +24,12 @@ both build their C kernels the same way. The script writes one JSON file:
   validation curve, `wall_s`, and the SHA-256 of the report JSON (as
   `sidewalksim distill --report` writes it), of the best weights and of the
   transition rows. Per seed: whether the two sides' three digests agree.
+- `criterion_6`: `CRITERION_6_RUNS` runs per side, alternating sides, of
+  criterion 6's own call, `evaluate.bench(suites.bench_config(),
+  n_steps=4000, seed=0)`, each in a process of its own with one BLAS thread.
+  Per run and per side (median and minimum): the `full_privileged` and
+  `lidar_only` steps/s, their ratio, and both margins, the `full_privileged`
+  rate over its floor and the ratio over its gate (above 1 passes).
 - `digests`: for each workload and kernel mode of `DIGEST_RUNS`, the digest
   of one perfbench pass at the perfbench seed, in each checkout with one BLAS
   thread, and whether the two sides agree. With the kernels `off`, every
@@ -56,8 +61,11 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
-GUARD_PAIRS = 3
+GUARD_PAIRS = 5
 TRACED_PAIRS = 3
+CRITERION_6_RUNS = 5
+FULL_FLOOR = 500.0  # criterion 6: full_privileged steps/s at least this
+RATIO_GATE = 10.0   # criterion 6: lidar_only at least this many times full_privileged
 CRITERION_SEEDS = (7, 1, 2)
 DIGESTS = ("report_sha256", "weights_sha256", "transitions_sha256")  # of criterion 2's outputs
 WORKLOADS = ("distill", "teacher_eval", "sensor_stream")
@@ -65,11 +73,6 @@ DIGEST_RUNS = (("teacher_eval", "loaded"), ("teacher_eval", "off"),
                ("sensor_stream", "loaded"), ("sensor_stream", "off"),
                ("distill", "loaded"))
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
-TRACED_METRICS = ("nets.forward.calls", "nets.forward.us_p50", "nets.forward.busy_s",
-                  "nets.loss_and_grads.calls", "nets.loss_and_grads.ms_p50",
-                  "nets.loss_and_grads.busy_s", "nets.adam_step.busy_s",
-                  "nets.train_rows_per_s", "distill.train_s", "distill.collect_s",
-                  "distill.eval_s", "distill.prefill_s", "trace.overhead_frac")
 ONE_BLAS_THREAD = {var: "1" for var in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -174,6 +177,25 @@ def run_in_checkout(checkout: Path, what: str, *args: str) -> dict:
     return result
 
 
+def criterion_6_once() -> dict:
+    """Criterion 6's throughput call in this interpreter (the checkout's `src/`
+    on PYTHONPATH), with its rates, their ratio and both margins."""
+    from sidewalksim import suites
+    from sidewalksim.evaluate import bench
+
+    rates = bench(suites.bench_config(), n_steps=4000, seed=0).steps_per_second
+    full, lidar = rates["full_privileged"], rates["lidar_only"]
+    return {"full_privileged": full, "lidar_only": lidar, "ratio": lidar / full,
+            "full_over_floor": full / FULL_FLOOR, "ratio_over_gate": lidar / full / RATIO_GATE}
+
+
+def criterion_6_summary(runs: list[dict]) -> dict:
+    return {key: {"median": statistics.median(r[key] for r in runs),
+                  "min": min(r[key] for r in runs)}
+            for key in ("full_privileged", "lidar_only", "ratio", "full_over_floor",
+                        "ratio_over_gate")}
+
+
 def pass_digest_once(workload: str, seed: int, kernels: str) -> dict:
     """One pass of a perfbench workload in this interpreter (the checkout's
     `src/` and `perfbench/` on the path) with every C kernel of the package
@@ -235,16 +257,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
+    parser.add_argument("--workload", choices=WORKLOADS,
+                        help="the workload whose gain is claimed: PAIRS pairs and the traced runs")
     parser.add_argument("--seed", type=int, help="the perfbench workload seed")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--criterion-2-run", type=int, metavar="SEED",
                         help="run criterion 2 once in this interpreter and print its JSON")
     parser.add_argument("--digest-run", nargs=3, metavar=("WORKLOAD", "SEED", "KERNELS"),
                         help="run one perfbench pass in this interpreter and print its digest")
+    parser.add_argument("--criterion-6-run", action="store_true",
+                        help="run criterion 6 once in this interpreter and print its JSON")
     args = parser.parse_args(argv)
 
     if args.criterion_2_run is not None:
         print(json.dumps(criterion_2_once(args.criterion_2_run)))
+        return 0
+    if args.criterion_6_run:
+        print(json.dumps(criterion_6_once()))
         return 0
     if args.digest_run is not None:
         workload, seed, kernels = args.digest_run
@@ -252,15 +281,16 @@ def main(argv=None) -> int:
             parser.error("KERNELS is loaded or off")
         print(json.dumps(pass_digest_once(workload, int(seed), kernels)))
         return 0
-    if None in (args.parent, args.change, args.seed, args.out):
-        parser.error("--parent, --change, --seed and --out are required")
+    if None in (args.parent, args.change, args.workload, args.seed, args.out):
+        parser.error("--parent, --change, --workload, --seed and --out are required")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = json.loads(
-        (checkouts["parent"] / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     doc = {"environment": environment(),
            "sources": {side: {"src_sha256": src_digest(checkouts[side])} for side in SIDES},
-           "perfbench": {"seed": args.seed, "run_seconds": seconds}}
+           "perfbench": {"seed": args.seed, "run_seconds": seconds,
+                         "claimed_workload": args.workload}}
 
     doc["digests"] = []
     for workload, kernels in DIGEST_RUNS:
@@ -281,16 +311,24 @@ def main(argv=None) -> int:
             "seed": seed, "first": order[0], **runs,
             "bytes_identical": all(runs["parent"][d] == runs["change"][d] for d in DIGESTS)})
 
+    doc["criterion_6"] = {"runs": {side: [] for side in SIDES}}
+    for k in range(CRITERION_6_RUNS):
+        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+            doc["criterion_6"]["runs"][side].append(
+                run_in_checkout(checkouts[side], f"criterion 6 run {k}", "--criterion-6-run"))
+    for side in SIDES:
+        doc["criterion_6"][side] = criterion_6_summary(doc["criterion_6"]["runs"][side])
+
     doc["pairs"] = {}
     for workload in WORKLOADS:
-        n = PAIRS if workload == "distill" else GUARD_PAIRS
+        n = PAIRS if workload == args.workload else GUARD_PAIRS
         pairs = run_pairs(checkouts, workload, args.seed, seconds, n, trace=0)
         doc["pairs"][workload] = {"metrics": compare(pairs, END_TO_END),
                                   "operations": failures(pairs),
                                   "info": {side: [p[side]["info"] for p in pairs]
                                            for side in SIDES}}
-    traced = run_pairs(checkouts, "distill", args.seed, seconds, TRACED_PAIRS, trace=1)
-    doc["traced"] = {"distill": compare(traced, TRACED_METRICS)}
+    traced = run_pairs(checkouts, args.workload, args.seed, seconds, TRACED_PAIRS, trace=1)
+    doc["traced"] = {args.workload: compare(traced, [m["name"] for m in benchmark["per_layer"]])}
 
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

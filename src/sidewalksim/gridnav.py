@@ -107,6 +107,44 @@ def bfs_connected(grid: OccupancyGrid, start_cell, goal_cell) -> bool:
     return bool(np.isfinite(_distances(grid, start_cell)[goal_cell]))
 
 
+@dataclass
+class Components:
+    """A map's inflate-0 grid with the 8-connected component of each cell."""
+
+    grid: OccupancyGrid
+    labels: np.ndarray     # (ny, nx) component id of each free cell; -1 where blocked
+
+    def connected(self, start_cell, goal_cell) -> bool:
+        """What bfs_connected(grid, start_cell, goal_cell) returns, by label lookup."""
+        grid = self.grid
+        if not (grid.in_bounds(*start_cell) and grid.in_bounds(*goal_cell)):
+            return False
+        label = self.labels[start_cell]
+        return bool(label >= 0 and label == self.labels[goal_cell])
+
+
+def map_components(wmap: WalkableMap) -> Components:
+    """The components of the map's free space without obstacles, built once per
+    map: one Dijkstra field per component, from its first free cell in raster
+    order, labels the cells that field reaches."""
+    components = wmap._components
+    if components is None:
+        grid = free_space_grid(wmap)
+        free = grid.free
+        labels = np.full(free.shape, -1, dtype=np.int32)
+        label = 0
+        while True:
+            unlabelled = np.flatnonzero(free & (labels < 0))
+            if not len(unlabelled):
+                break
+            source = divmod(int(unlabelled[0]), free.shape[1])
+            labels[np.isfinite(_distances(grid, source))] = label
+            label += 1
+        labels.setflags(write=False)
+        components = wmap._components = Components(grid, labels)
+    return components
+
+
 def dijkstra_distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
     """Geodesic meters from every free cell to the source; inf where unreachable.
 
@@ -248,10 +286,11 @@ _LOOKAHEAD = _ckernel.Kernel("_gridnav.c", "grid_lookahead", "dddppiidddddp",
 
 
 def _distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
-    """The Dijkstra field behind dijkstra_distances and bfs_connected.
+    """The Dijkstra field behind dijkstra_distances, bfs_connected and
+    map_components.
 
-    Both public functions call this rather than each other, so a wrapper
-    placed on either one sees only the calls made to it.
+    They call this rather than each other, so a wrapper placed on either
+    public function sees only the calls made to it.
     """
     kernel = _KERNEL.load()
     if kernel is None:

@@ -212,21 +212,16 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
     units, units_ptr = _ray_units(n_rays)
     ch, sh = math.cos(agent.heading), math.sin(agent.heading)
 
-    tables = world.obstacle_tables()
-    bounds = tables.bounds
-    if len(bounds):
-        dx = bounds[:, 0] - ox
-        dy = bounds[:, 1] - oy
-        if bool((dx * dx + dy * dy <= bounds[:, 2] ** 2).any()):
-            for ob in world.obstacles:
-                if ob.contains(ox, oy):
-                    return np.zeros(n_rays)
+    # an origin inside an obstacle lies in its closed bounding disc
+    if next(world.obstacles_near(ox, oy, 0.0, closed=True), None) is not None:
+        if any(ob.contains(ox, oy) for ob in world.obstacles):
+            return np.zeros(n_rays)
 
     kernel = _KERNEL.load()
     if kernel is None:
         return _raycast_numpy(world, ox, oy, ch, sh, units, max_range)
     out = np.empty(n_rays)
-    if kernel(ox, oy, ch, sh, units_ptr, n_rays, max_range, *tables.kernel_args,
+    if kernel(ox, oy, ch, sh, units_ptr, n_rays, max_range, *world.obstacle_tables().kernel_args,
               *world.map.kernel_args(), out.ctypes.data):
         raise MemoryError("raycast kernel could not allocate its scratch buffers")
     return out

@@ -87,6 +87,7 @@ class WalkableMap:
             self._area_cdf = (areas / total).cumsum()
             self._area_cdf /= self._area_cdf[-1]
         self._raster = None  # cell_centers_inside, built on first use
+        self._components = None  # gridnav.map_components, built on first use
         self._kernel_args = None  # data addresses for _walkmap.c, built on first use
 
     def __getstate__(self):
@@ -166,17 +167,30 @@ class WalkableMap:
         return self._edges[np.repeat(near, np.diff(self._edge_start))]
 
     def sample_walkable_point(self, rng) -> tuple[float, float]:
-        """Uniform-ish walkable point: area-weighted polygon, then bbox rejection."""
+        """Uniform-ish walkable point: area-weighted polygon, then bbox rejection.
+
+        A candidate is tested against the drawn polygon only, by the compiled
+        membership kernel on that polygon's rows of the edge table when one
+        can be built, else by geometry.point_in_polygon.
+        """
         cdf = self._area_cdf
         if cdf is None:
             raise GeometryError("map has no area to sample from")
+        kernel = _KERNEL.load()
+        if kernel is not None:
+            edges, edge_start, bboxes, _ = self.kernel_args()
         for _ in range(SAMPLE_MAX_TRIES):
             # the polygon rng.choice(n, p=areas / total) picks, from the same draw
             pid = int(cdf.searchsorted(rng.random(), side="right"))
             bx0, by0, bx1, by1 = self._bboxes[pid]
             x = float(rng.uniform(bx0, bx1))
             y = float(rng.uniform(by0, by1))
-            if geometry.point_in_polygon(x, y, self.polygons[pid]):
+            if kernel is None:
+                inside = geometry.point_in_polygon(x, y, self.polygons[pid])
+            else:
+                # polygon pid alone: its int64 edge offsets and its bbox row of 4 doubles
+                inside = kernel(x, y, edges, edge_start + 8 * pid, bboxes + 32 * pid, 1) != 0
+            if inside:
                 return (x, y)
         raise GeometryError("failed to sample a walkable point")
 

@@ -8,6 +8,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _ckernel
 from .geometry import normalize_angle, oriented_rects_corners, point_oriented_rect_distance
 from .walkmap import WalkableMap
 
@@ -127,6 +128,13 @@ class WorldState:
     rng: np.random.Generator
     step_count: int = 0
     _obstacle_cache: dict = field(default_factory=dict, repr=False)
+    # the pedestrians among the obstacles, in obstacle order: pedestrian status
+    # is fixed once the obstacles are populated
+    pedestrians: list[Obstacle] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.pedestrians = [ob for ob in self.obstacles if ob.is_pedestrian]
+        self._pedestrian_rows = _pedestrian_rows_of(self.obstacles) if self.pedestrians else None
 
     def invalidate_obstacle_cache(self):
         self._obstacle_cache.clear()
@@ -134,23 +142,60 @@ class WorldState:
     def obstacle_tables(self) -> ObstacleTables:
         """Cached obstacle arrays for vectorized sensing and broad-phase tests.
 
-        Built in one pass over the obstacles; pedestrian motion invalidates the
-        cache each step.
+        Built in one pass over the obstacles. After pedestrians move, the next
+        tables copy the static rows and recompute only the pedestrian rows.
         """
         cached = self._obstacle_cache.get("arrays")
         if cached is None:
-            cached = self._obstacle_cache["arrays"] = _build_obstacle_tables(self.obstacles)
+            moved = self._obstacle_cache.pop("moved", None)
+            if moved is None:
+                cached = _build_obstacle_tables(self.obstacles)
+            else:
+                cached = _move_pedestrian_rows(moved, self.pedestrians, self._pedestrian_rows)
+            self._obstacle_cache["arrays"] = cached
         return cached
+
+    def _pedestrians_moved(self):
+        # the static rows of the last tables stay valid for the next ones
+        tables = self._obstacle_cache.pop("arrays", None)
+        if tables is not None:
+            self._obstacle_cache["moved"] = tables
 
     def obstacle_arrays(self):
         """(circle centers+radii (C,3), rect segment rows (S,4)), cached."""
         tables = self.obstacle_tables()
         return tables.circles, tables.rect_segments
 
+    def obstacles_near(self, x: float, y: float, margin: float, closed: bool):
+        """Ascending indices of the obstacles whose bounding disc, grown by
+        `margin`, holds (x, y): in its interior, or also on its circle when
+        `closed`. The broad phase of collision_check and of the raycast's
+        origin test.
+
+        Answered by the compiled disc test (_walkmap.c) when one can be built,
+        else by the numpy broad phase, which yields the same indices.
+        """
+        tables = self.obstacle_tables()
+        kernel = _DISCS.load()
+        if kernel is None:
+            bounds = tables.bounds
+            dx = bounds[:, 0] - x
+            dy = bounds[:, 1] - y
+            d2 = dx * dx + dy * dy
+            reach2 = (bounds[:, 2] + margin) ** 2
+            yield from np.nonzero(d2 <= reach2 if closed else d2 < reach2)[0].tolist()
+            return
+        n = len(tables.bounds)
+        i = kernel(x, y, margin, closed, tables.bounds_address, 0, n)
+        while i < n:
+            yield i
+            i = kernel(x, y, margin, closed, tables.bounds_address, i + 1, n)
+
 
 class ObstacleTables(NamedTuple):
     """C-contiguous float64 tables; the arrays live as long as the tables do,
-    so their data addresses in `kernel_args` stay valid with them."""
+    so their data addresses in `kernel_args` and `bounds_address` stay valid
+    with them."""
 
     circles: np.ndarray        # (C, 3) x, y, radius of each cylinder
     rect_segments: np.ndarray  # (4R, 4) sides (x1, y1, x2, y2) of each cuboid, CCW
@@ -158,27 +203,80 @@ class ObstacleTables(NamedTuple):
     rect_bounds: np.ndarray    # (R, 3) the rows of bounds that belong to cuboids
     kernel_args: tuple         # raycast kernel arguments: addresses of circles,
                                # rect_segments and rect_bounds, with row counts
+    bounds_address: int        # data address of bounds, for the disc test
+
+
+def _obstacle_rows(obstacles) -> np.ndarray:
+    # one row per obstacle; cos, sin and hypot come from math, as in the scalar
+    # code, because numpy's may round differently
+    return np.array([(ob.x, ob.y, ob.reach, ob.radius, ob.half_w, ob.half_h,
+                      math.cos(ob.yaw), math.sin(ob.yaw), ob.kind != "cylinder")
+                     for ob in obstacles], dtype=float).reshape(-1, 9)
+
+
+def _rect_sides(rects: np.ndarray) -> np.ndarray:
+    """(R, 4, 4) sides of the cuboids of the rows, CCW."""
+    corners = oriented_rects_corners(rects[:, 0], rects[:, 1], rects[:, 4], rects[:, 5],
+                                     rects[:, 6], rects[:, 7])
+    return np.concatenate([corners, corners[:, [1, 2, 3, 0]]], axis=2)
+
+
+def _tables(circles, rect_segments, bounds, rect_bounds) -> ObstacleTables:
+    return ObstacleTables(circles=circles, rect_segments=rect_segments,
+                          bounds=bounds, rect_bounds=rect_bounds,
+                          kernel_args=(circles.ctypes.data, len(circles),
+                                       rect_segments.ctypes.data,
+                                       rect_bounds.ctypes.data, len(rect_bounds)),
+                          bounds_address=bounds.ctypes.data)
 
 
 def _build_obstacle_tables(obstacles) -> ObstacleTables:
-    # one row per obstacle; cos, sin and hypot come from math, as in the scalar
-    # code, because numpy's may round differently
-    rows = np.array([(ob.x, ob.y, ob.reach, ob.radius, ob.half_w, ob.half_h,
-                      math.cos(ob.yaw), math.sin(ob.yaw), ob.kind != "cylinder")
-                     for ob in obstacles], dtype=float).reshape(-1, 9)
+    rows = _obstacle_rows(obstacles)
     is_rect = rows[:, 8] != 0.0
     rects = rows[is_rect]
-    corners = oriented_rects_corners(rects[:, 0], rects[:, 1], rects[:, 4], rects[:, 5],
-                                     rects[:, 6], rects[:, 7])
-    sides = np.concatenate([corners, corners[:, [1, 2, 3, 0]]], axis=2)
-    circles = np.ascontiguousarray(rows[~is_rect][:, [0, 1, 3]])
-    rect_segments = sides.reshape(-1, 4)
-    rect_bounds = rects[:, :3].copy()
-    return ObstacleTables(circles=circles, rect_segments=rect_segments,
-                          bounds=rows[:, :3].copy(), rect_bounds=rect_bounds,
-                          kernel_args=(circles.ctypes.data, len(circles),
-                                       rect_segments.ctypes.data,
-                                       rect_bounds.ctypes.data, len(rect_bounds)))
+    return _tables(np.ascontiguousarray(rows[~is_rect][:, [0, 1, 3]]),
+                   _rect_sides(rects).reshape(-1, 4), rows[:, :3].copy(), rects[:, :3].copy())
+
+
+class _PedestrianRows(NamedTuple):
+    """The pedestrians' rows of the obstacle tables, and where they sit."""
+
+    rows: np.ndarray     # (P, 9) _obstacle_rows of the pedestrians; only x, y change
+    bounds: np.ndarray   # (N,) mask of their rows in bounds
+    circles: np.ndarray  # (C,) in circles
+    rects: np.ndarray    # (R,) in rect_bounds, and of their cuboids in rect_segments
+
+
+def _pedestrian_rows_of(obstacles) -> _PedestrianRows:
+    is_rect = np.array([ob.kind != "cylinder" for ob in obstacles], dtype=bool)
+    moving = np.array([ob.is_pedestrian for ob in obstacles], dtype=bool)
+    return _PedestrianRows(rows=_obstacle_rows([ob for ob in obstacles if ob.is_pedestrian]),
+                           bounds=moving, circles=moving[~is_rect], rects=moving[is_rect])
+
+
+def _move_pedestrian_rows(tables: ObstacleTables, pedestrians,
+                          where: _PedestrianRows) -> ObstacleTables:
+    """New tables: the static rows copied from `tables`, the pedestrian rows
+    at the pedestrians' positions, computed as _build_obstacle_tables
+    computes them."""
+    rows = where.rows.copy()
+    rows[:, 0] = [ob.x for ob in pedestrians]
+    rows[:, 1] = [ob.y for ob in pedestrians]
+    is_rect = rows[:, 8] != 0.0
+    rects = rows[is_rect]
+    circles = tables.circles.copy()
+    circles[where.circles] = rows[~is_rect][:, [0, 1, 3]]
+    rect_segments = tables.rect_segments.copy()
+    rect_segments.reshape(-1, 4, 4)[where.rects] = _rect_sides(rects)
+    bounds = tables.bounds.copy()
+    bounds[where.bounds] = rows[:, :3]
+    rect_bounds = tables.rect_bounds.copy()
+    rect_bounds[where.rects] = rects[:, :3]
+    return _tables(circles, rect_segments, bounds, rect_bounds)
+
+
+# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
+_DISCS = _ckernel.Kernel("_walkmap.c", "first_disc_holding", "dddipii", "numpy broad phase")
 
 
 def populate_obstacles(wmap: WalkableMap, density: float, rng: np.random.Generator,
@@ -225,19 +323,15 @@ def step_dynamics(state: WorldState, action: Action) -> WorldState:
     agent.x += action.speed * math.cos(agent.heading)
     agent.y += action.speed * math.sin(agent.heading)
 
-    moved = False
-    for ob in state.obstacles:
-        if not ob.is_pedestrian:
-            continue
+    for ob in state.pedestrians:
         if ob.reseed_period > 0 and state.step_count % ob.reseed_period == 0:
             ob.heading = _walkable_heading(state, ob)
         nx = ob.x + ob.speed * math.cos(ob.heading)
         ny = ob.y + ob.speed * math.sin(ob.heading)
         if state.map.is_walkable(nx, ny):
             ob.x, ob.y = nx, ny
-        moved = True
-    if moved:
-        state.invalidate_obstacle_cache()
+    if state.pedestrians:
+        state._pedestrians_moved()
     state.step_count += 1
     return state
 
@@ -257,18 +351,10 @@ def collision_check(state: WorldState) -> CollisionReport:
     """Exact agent-disc vs obstacle-footprint intersection test."""
     agent = state.agent
     r = AGENT_RADIUS
-    bounds = state.obstacle_tables().bounds
-    if len(bounds):
-        # cheap reject on bounding discs before the exact per-shape test
-        dx = bounds[:, 0] - agent.x
-        dy = bounds[:, 1] - agent.y
-        candidates = np.nonzero(dx * dx + dy * dy < (bounds[:, 2] + r) ** 2)[0]
-    else:
-        candidates = ()
-    for idx in candidates:
-        ob = state.obstacles[idx]
-        if ob.distance_to(agent.x, agent.y) < r:
-            return CollisionReport(True, int(idx))
+    # cheap reject on bounding discs before the exact per-shape test
+    for idx in state.obstacles_near(agent.x, agent.y, r, closed=False):
+        if state.obstacles[idx].distance_to(agent.x, agent.y) < r:
+            return CollisionReport(True, idx)
     return CollisionReport(False, None)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidewalksim import gridnav, sensors, suites, walkmap
+from sidewalksim import gridnav, sensors, suites, walkmap, world
 from sidewalksim.distill import (
     AggregatedDataset,
     DaggerReport,
@@ -341,8 +341,10 @@ def test_dagger_round_zero_is_pure_behavior_cloning():
 @needs_c_compiler
 def test_dagger_run_is_the_same_with_every_kernel_off(tmp_path, monkeypatch):
     # criterion 7's micro run: prefill, training and evaluation run both
-    # 272-ray raycast paths, both membership paths, Dijkstra and the lookahead
-    kernels = (sensors._KERNEL, gridnav._KERNEL, gridnav._LOOKAHEAD, walkmap._KERNEL)
+    # 272-ray raycast paths, both membership paths, Dijkstra, the lookahead
+    # and both disc-test paths
+    kernels = (sensors._KERNEL, gridnav._KERNEL, gridnav._LOOKAHEAD, walkmap._KERNEL,
+               world._DISCS)
     assert all(kernel.load() is not None for kernel in kernels)
     cfg = TrainConfig(prefill_count=120, rounds=1, bc_epochs=1, epochs_per_round=1,
                       batch_size=64, collect_episodes_per_round=1, round_eval_episodes=2,

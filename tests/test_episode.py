@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidewalksim import sensors
+from sidewalksim import sensors, world
 from sidewalksim.episode import (
+    OBS_MODES,
     Episode,
     EpisodeConfig,
     WaypointRoute,
@@ -416,3 +417,24 @@ def test_pedestrian_episode_runs(corridor_long):
     assert ep2.world.agent.x == ep.world.agent.x
     assert [(o.x, o.y) for o in ep2.world.obstacles] == \
            [(o.x, o.y) for o in ep.world.obstacles]
+
+
+@pytest.mark.parametrize("mode", OBS_MODES)
+def test_a_pedestrian_free_episode_builds_its_obstacle_tables_in_reset_only(
+        monkeypatch, corridor_long, mode):
+    # so no timed step pays for the build, in `none` mode as in the sensing ones
+    builds = []
+    build = world._build_obstacle_tables
+    monkeypatch.setattr(world, "_build_obstacle_tables",
+                        lambda obstacles: builds.append(1) or build(obstacles))
+    ep = Episode(make_config(corridor_long, seed=4, obstacle_density=4.0, obs_mode=mode,
+                             render_bev=True))
+    ep.reset()
+    assert ep.world.obstacles and not ep.world.pedestrians
+    assert len(builds) == 1
+    builds.clear()
+    for _ in range(25):
+        if ep.step(Action(0.1, 0.05)).terminal:
+            break
+    assert ep.world.step_count > 5
+    assert builds == []

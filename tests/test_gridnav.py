@@ -13,7 +13,7 @@ from sidewalksim.gridnav import (
     eroded,
     free_space_grid,
 )
-from sidewalksim.walkmap import generate_synthetic_map
+from sidewalksim.walkmap import SidewalkNetwork, build_walkable_map, generate_synthetic_map
 from sidewalksim.world import Obstacle, populate_obstacles
 
 from tests.conftest import needs_c_compiler
@@ -162,6 +162,47 @@ def test_bfs_connected_start_equals_goal():
     assert bfs_connected(grid, (0, 0), (0, 0))
     assert not bfs_connected(grid, (1, 1), (1, 1))
     assert not bfs_connected(grid, (2, 0), (2, 0))
+
+
+def component_test_maps():
+    """Every suite map, and a map of two sidewalks that do not meet."""
+    cfgs = suites.training_suite() + suites.validation_suite() + [suites.bench_config()]
+    apart = build_walkable_map(SidewalkNetwork([([(0.0, 0.0), (12.0, 0.0)], 3.0),
+                                                ([(0.0, 6.0), (9.0, 9.0)], 2.0)]))
+    return [cfg.map for cfg in cfgs] + [apart]
+
+
+def test_map_components_agree_with_bfs_connected_on_every_suite_map():
+    rng = np.random.default_rng(17)
+    labels_seen = set()
+    for wmap in component_test_maps():
+        components = gridnav.map_components(wmap)
+        assert gridnav.map_components(wmap) is components  # built once per map
+        grid = free_space_grid(wmap)
+        assert (components.grid.minx, components.grid.miny) == (grid.minx, grid.miny)
+        assert np.array_equal(components.grid.free, grid.free)
+        assert np.array_equal(components.labels >= 0, grid.free)
+        ny, nx = grid.shape
+        free_cells = [tuple(int(v) for v in cell) for cell in np.argwhere(grid.free)]
+
+        def endpoint():
+            # a free cell, or any cell up to two outside the grid
+            if rng.random() < 0.7:
+                return free_cells[rng.integers(len(free_cells))]
+            return (int(rng.integers(-2, ny + 2)), int(rng.integers(-2, nx + 2)))
+
+        for _ in range(40):
+            start, goal = endpoint(), endpoint()
+            assert components.connected(start, goal) == bfs_connected(grid, start, goal)
+        labels_seen.add(int(components.labels.max()) + 1)
+    assert labels_seen == {1, 2}  # the map of two sidewalks has two components
+
+
+def test_map_components_are_the_same_with_the_dijkstra_kernel_off(monkeypatch):
+    loaded = gridnav.map_components(component_test_maps()[-1])
+    monkeypatch.setattr(gridnav._KERNEL, "fn", None)
+    off = gridnav.map_components(component_test_maps()[-1])
+    assert off is not loaded and np.array_equal(off.labels, loaded.labels)
 
 
 # -- free-space raster -----------------------------------------------------------

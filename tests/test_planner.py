@@ -531,6 +531,8 @@ def test_a_teacher_episode_builds_one_grid_and_one_field_per_layout_attempt(monk
 
     monkeypatch.setattr(planner, "_field_on_grid", recording_field_on_grid)
     cfgs = suites.validation_suite(5.0, obs_mode="privileged", render_bev=False)
+    for cfg in cfgs:
+        gridnav.map_components(cfg.map)
     attempts = 0
     for i in range(24):
         calls.clear()
@@ -540,8 +542,9 @@ def test_a_teacher_episode_builds_one_grid_and_one_field_per_layout_attempt(monk
         teacher = OracleTeacher()
         teacher.reset(episode.context())
         layouts = calls["populate_obstacles"]
-        # sample_start_goal rasterises the bare map once per start/goal draw
-        assert calls["free_space_grid"] == layouts + calls["sample_start_goal"]
+        # start/goal draws read the bare map's grid, rasterised once per map
+        assert calls["sample_start_goal"] >= 1
+        assert calls["free_space_grid"] == layouts
         assert calls["dijkstra_distances"] == layouts + 1  # + the eroded field
         # the plan is the teacher's plain field; the one field it builds has
         # the wall margin

@@ -315,3 +315,22 @@ def test_sampler_accepts_only_inside_the_drawn_polygon():
             rejected_in_union += walkable_bruteforce(wmap, x, y)
         assert wmap.sample_walkable_point(rng) == (x, y)
     assert rejected_in_union > 0
+
+
+@needs_c_compiler
+def test_sampler_draws_and_generator_state_are_the_same_with_the_kernel_off(monkeypatch):
+    # the kernel tests a candidate against the drawn polygon only, as
+    # point_in_polygon does; the oblique map rejects candidates in the union
+    kernel = walkmap._KERNEL.load()
+    assert kernel is not None, "the membership kernel failed to build or load"
+    maps = [build_walkable_map(SidewalkNetwork([([(0.0, 0.0), (12.0, 0.0), (20.0, 8.0)], 3.0)])),
+            suites.bench_config().map, suites.validation_suite()[1].map]
+
+    def draws():
+        rng = np.random.default_rng(8)
+        points = [wmap.sample_walkable_point(rng) for _ in range(400) for wmap in maps]
+        return points, rng.bit_generator.state
+
+    loaded = draws()
+    monkeypatch.setattr(walkmap._KERNEL, "fn", None)
+    assert draws() == loaded

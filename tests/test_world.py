@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidewalksim import suites
+from sidewalksim import suites, world
 from sidewalksim.geometry import oriented_rect_corners
 from sidewalksim.world import (
+    AGENT_RADIUS,
     SPEED_MAX,
     SPEED_MIN,
     YAW_LIMIT,
@@ -21,6 +22,7 @@ from sidewalksim.world import (
     populate_obstacles,
     step_dynamics,
 )
+from tests.conftest import needs_c_compiler
 from tests.test_walkmap import walkable_bruteforce
 
 
@@ -234,7 +236,12 @@ def assert_tables_match_oracle(world):
         tables.rect_bounds.ctypes.data, len(tables.rect_bounds))
 
 
-def test_obstacle_tables_match_per_obstacle_loop_while_pedestrians_move():
+def test_obstacle_tables_match_per_obstacle_loop_while_pedestrians_move(monkeypatch):
+    # after the first build, each step recomputes only the pedestrian rows
+    builds = []
+    build = world._build_obstacle_tables
+    monkeypatch.setattr(world, "_build_obstacle_tables",
+                        lambda obstacles: builds.append(1) or build(obstacles))
     rng = np.random.default_rng(31)
     configs = suites.training_suite() + suites.validation_suite() + [suites.bench_config()]
     pedestrians = 0
@@ -244,10 +251,65 @@ def test_obstacle_tables_match_per_obstacle_loop_while_pedestrians_move():
         pedestrians += sum(ob.is_pedestrian for ob in obstacles)
         x, y = cfg.map.sample_walkable_point(rng)
         w = make_world(cfg.map, x, y, obstacles=obstacles, seed=int(rng.integers(1 << 30)))
-        for _ in range(60):
+        assert w.pedestrians == [ob for ob in obstacles if ob.is_pedestrian]
+        builds.clear()
+        for step in range(60):
+            if step == 30:
+                step_dynamics(w, Action(0.0, 0.0))  # a step whose tables nobody reads
             assert_tables_match_oracle(w)
             step_dynamics(w, Action(0.0, 0.0))
+        assert len(builds) == 1
     assert pedestrians > 100
+
+
+def test_a_world_without_pedestrians_keeps_its_tables(corridor):
+    obstacles = populate_obstacles(corridor, 5.0, np.random.default_rng(3))
+    w = make_world(corridor, 2.0, 1.5, obstacles=obstacles)
+    tables = w.obstacle_tables()
+    for _ in range(20):
+        step_dynamics(w, Action(0.1, 0.2))
+        collision_check(w)
+    assert w.pedestrians == [] and w.obstacle_tables() is tables
+
+
+def broad_phase_oracle(bounds, x, y, margin, closed):
+    """The numpy broad phase: rows whose disc of radius reach + margin holds (x, y)."""
+    dx = bounds[:, 0] - x
+    dy = bounds[:, 1] - y
+    d2 = dx * dx + dy * dy
+    reach2 = (bounds[:, 2] + margin) ** 2
+    return np.nonzero(d2 <= reach2 if closed else d2 < reach2)[0].tolist()
+
+
+@needs_c_compiler
+@pytest.mark.parametrize("margin, closed", [(AGENT_RADIUS, False), (0.0, True),
+                                            (0.25, False), (0.25, True)])
+def test_compiled_disc_test_matches_the_numpy_broad_phase(monkeypatch, margin, closed):
+    kernel = world._DISCS.load()
+    assert kernel is not None, "the disc test failed to build or load"
+    rng = np.random.default_rng(23)
+    cfg = suites.bench_config()
+    # two bounding discs of radius 0.5 at the origin: (0.5 + margin, 0) lies on
+    # both grown circles
+    edge = [Obstacle(kind="cylinder", x=0.0, y=0.0, radius=0.5),
+            Obstacle(kind="cuboid", x=0.0, y=0.0, half_w=0.3, half_h=0.4, yaw=0.4)]
+    obstacles = populate_obstacles(cfg.map, cfg.obstacle_density, rng) + edge
+    w = make_world(cfg.map, obstacles=obstacles)
+    bounds = w.obstacle_tables().bounds
+    points = [(ob.x + dx, ob.y + dy) for ob in obstacles
+              for dx, dy in rng.uniform(-1.2, 1.2, (6, 2)).tolist()]
+    points += [(0.5 + margin, 0.0), (0.0, -0.5 - margin), (0.0, 0.0), (1e9, -1e9)]
+    near = 0
+    for x, y in points:
+        monkeypatch.setattr(world._DISCS, "fn", kernel)
+        fast = list(w.obstacles_near(x, y, margin, closed))
+        monkeypatch.setattr(world._DISCS, "fn", None)
+        assert fast == list(w.obstacles_near(x, y, margin, closed))
+        assert fast == broad_phase_oracle(bounds, x, y, margin, closed), (x, y)
+        near += bool(fast)
+    assert 0 < near < len(points)
+    on_circles = broad_phase_oracle(bounds, 0.5 + margin, 0.0, margin, closed)
+    assert on_circles == ([len(obstacles) - 2, len(obstacles) - 1] if closed else [])
 
 
 @pytest.mark.parametrize("kinds", [(), ("cylinder",) * 3, ("cuboid",) * 3])
