@@ -136,9 +136,6 @@ class WorldState:
         self.pedestrians = [ob for ob in self.obstacles if ob.is_pedestrian]
         self._pedestrian_rows = _pedestrian_rows_of(self.obstacles) if self.pedestrians else None
 
-    def invalidate_obstacle_cache(self):
-        self._obstacle_cache.clear()
-
     def obstacle_tables(self) -> ObstacleTables:
         """Cached obstacle arrays for vectorized sensing and broad-phase tests.
 

@@ -262,16 +262,6 @@ def test_obstacle_tables_match_per_obstacle_loop_while_pedestrians_move(monkeypa
     assert pedestrians > 100
 
 
-def test_a_world_without_pedestrians_keeps_its_tables(corridor):
-    obstacles = populate_obstacles(corridor, 5.0, np.random.default_rng(3))
-    w = make_world(corridor, 2.0, 1.5, obstacles=obstacles)
-    tables = w.obstacle_tables()
-    for _ in range(20):
-        step_dynamics(w, Action(0.1, 0.2))
-        collision_check(w)
-    assert w.pedestrians == [] and w.obstacle_tables() is tables
-
-
 def broad_phase_oracle(bounds, x, y, margin, closed):
     """The numpy broad phase: rows whose disc of radius reach + margin holds (x, y)."""
     dx = bounds[:, 0] - x
