@@ -97,6 +97,9 @@ class EpisodeConfig:
     start: Optional[tuple[float, float, float]] = None  # (x, y, heading) override
 
     def __post_init__(self):
+        if not 0.0 <= self.obstacle_density < math.inf:  # NaN fails too
+            raise ValueError(f"obstacle_density must be finite and >= 0, "
+                             f"not {self.obstacle_density!r}")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
         if self.obs_mode not in OBS_MODES:
@@ -255,8 +258,6 @@ class Episode:
 
         agent = AgentState(start[0], start[1], start[2])
         self.world = WorldState(agent=agent, obstacles=obstacles, map=cfg.map, rng=world_rng)
-        # built here in every observation mode, so no timed step pays for it
-        self.world.obstacle_tables()
         self.start_pose = (agent.x, agent.y, agent.heading)
         self.initial_obstacles = [ob.to_dict() for ob in obstacles]
         self.goal = goal

@@ -242,7 +242,7 @@ def replay(log_path, dump_bev_dir: Optional[str] = None,
                                        "that is no [speed, yaw rate] pair")
     try:
         config = EpisodeConfig.from_dict(header["config"])
-    except (TypeError, ValueError, MapFormatError) as exc:
+    except (TypeError, ValueError, OverflowError, MapFormatError) as exc:
         raise ReplayIntegrityError(f"the config on log line 1 is malformed: {exc}") from exc
     if config.seed != header["seed"]:
         raise ReplayIntegrityError("header seed does not match config seed")

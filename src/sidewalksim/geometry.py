@@ -128,14 +128,16 @@ def oriented_rect_corners(cx, cy, half_w, half_h, yaw) -> np.ndarray:
     return local @ rot.T + np.array([cx, cy])
 
 
-def oriented_rects_corners(cx, cy, half_w, half_h, cos_yaw, sin_yaw) -> np.ndarray:
-    """Corners of R rotated rectangles as an (R, 4, 2) array, from (R,) arrays.
+def oriented_rects_offsets(half_w, half_h, cos_yaw, sin_yaw) -> np.ndarray:
+    """Corners of R rotated rectangles relative to their centres, CCW, as an
+    (R, 4, 2) array, from (R,) arrays of half-extents and of each yaw's cosine
+    and sine.
 
-    Takes the cosine and sine of each yaw, and computes every rectangle with
-    the same stacked matmul as oriented_rect_corners, so the corners are equal
-    bit for bit (an expanded lx*c - ly*s is not: BLAS may fuse it).
+    Computes every rectangle with the same stacked matmul as
+    oriented_rect_corners, so adding a centre gives its corners bit for bit
+    (an expanded lx*c - ly*s does not: BLAS may fuse it).
     """
-    n = len(cx)
+    n = len(half_w)
     local = np.empty((n, 4, 2))
     local[:, 0, 0] = local[:, 3, 0] = -half_w
     local[:, 1, 0] = local[:, 2, 0] = half_w
@@ -145,10 +147,7 @@ def oriented_rects_corners(cx, cy, half_w, half_h, cos_yaw, sin_yaw) -> np.ndarr
     rot[:, 0, 0] = rot[:, 1, 1] = cos_yaw
     rot[:, 0, 1] = -sin_yaw
     rot[:, 1, 0] = sin_yaw
-    centers = np.empty((n, 1, 2))
-    centers[:, 0, 0] = cx
-    centers[:, 0, 1] = cy
-    return local @ rot.transpose(0, 2, 1) + centers
+    return local @ rot.transpose(0, 2, 1)
 
 
 def _unit(vx, vy):

@@ -221,7 +221,7 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
     if kernel is None:
         return _raycast_numpy(world, ox, oy, ch, sh, units, max_range)
     out = np.empty(n_rays)
-    if kernel(ox, oy, ch, sh, units_ptr, n_rays, max_range, *world.obstacle_tables().kernel_args,
+    if kernel(ox, oy, ch, sh, units_ptr, n_rays, max_range, *world.tables.kernel_args,
               *world.map.kernel_args(), out.ctypes.data):
         raise MemoryError("raycast kernel could not allocate its scratch buffers")
     return out

@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _ckernel
-from .geometry import normalize_angle, oriented_rects_corners, point_oriented_rect_distance
+from .geometry import normalize_angle, oriented_rects_offsets, point_oriented_rect_distance
 from .walkmap import WalkableMap
 
 SPEED_MIN = -0.10   # meters per step, backward
@@ -127,41 +127,22 @@ class WorldState:
     map: WalkableMap
     rng: np.random.Generator
     step_count: int = 0
-    _obstacle_cache: dict = field(default_factory=dict, repr=False)
     # the pedestrians among the obstacles, in obstacle order: pedestrian status
     # is fixed once the obstacles are populated
     pedestrians: list[Obstacle] = field(init=False, repr=False, compare=False)
+    tables: ObstacleTables = field(init=False, repr=False, compare=False)
+    # names the tables under the key the benchmark tracer reads
+    _obstacle_cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pedestrians = [ob for ob in self.obstacles if ob.is_pedestrian]
-        self._pedestrian_rows = _pedestrian_rows_of(self.obstacles) if self.pedestrians else None
-
-    def obstacle_tables(self) -> ObstacleTables:
-        """Cached obstacle arrays for vectorized sensing and broad-phase tests.
-
-        Built in one pass over the obstacles. After pedestrians move, the next
-        tables copy the static rows and recompute only the pedestrian rows.
-        """
-        cached = self._obstacle_cache.get("arrays")
-        if cached is None:
-            moved = self._obstacle_cache.pop("moved", None)
-            if moved is None:
-                cached = _build_obstacle_tables(self.obstacles)
-            else:
-                cached = _move_pedestrian_rows(moved, self.pedestrians, self._pedestrian_rows)
-            self._obstacle_cache["arrays"] = cached
-        return cached
-
-    def _pedestrians_moved(self):
-        # the static rows of the last tables stay valid for the next ones
-        tables = self._obstacle_cache.pop("arrays", None)
-        if tables is not None:
-            self._obstacle_cache["moved"] = tables
+        self.tables = ObstacleTables(self.obstacles)
+        self._obstacle_cache = {"arrays": self.tables}
 
     def obstacle_arrays(self):
-        """(circle centers+radii (C,3), rect segment rows (S,4)), cached."""
-        tables = self.obstacle_tables()
-        return tables.circles, tables.rect_segments
+        """(circle centers+radii (C,3), rect segment rows (S,4)) of the
+        world's tables, which pedestrians rewrite in place as they move."""
+        return self.tables.circles, self.tables.rect_segments
 
     def obstacles_near(self, x: float, y: float, margin: float, closed: bool):
         """Ascending indices of the obstacles whose bounding disc, grown by
@@ -172,7 +153,7 @@ class WorldState:
         Answered by the compiled disc test (_walkmap.c) when one can be built,
         else by the numpy broad phase, which yields the same indices.
         """
-        tables = self.obstacle_tables()
+        tables = self.tables
         kernel = _DISCS.load()
         if kernel is None:
             bounds = tables.bounds
@@ -189,87 +170,55 @@ class WorldState:
             i = kernel(x, y, margin, closed, tables.bounds_address, i + 1, n)
 
 
-class ObstacleTables(NamedTuple):
-    """C-contiguous float64 tables; the arrays live as long as the tables do,
-    so their data addresses in `kernel_args` and `bounds_address` stay valid
-    with them."""
+class ObstacleTables:
+    """A world's obstacles as C-contiguous float64 tables, built once.
 
-    circles: np.ndarray        # (C, 3) x, y, radius of each cylinder
-    rect_segments: np.ndarray  # (4R, 4) sides (x1, y1, x2, y2) of each cuboid, CCW
-    bounds: np.ndarray         # (N, 3) x, y, reach of each obstacle
-    rect_bounds: np.ndarray    # (R, 3) the rows of bounds that belong to cuboids
-    kernel_args: tuple         # raycast kernel arguments: addresses of circles,
-                               # rect_segments and rect_bounds, with row counts
-    bounds_address: int        # data address of bounds, for the disc test
+    `bounds` holds every obstacle's row and the other tables copy theirs from
+    it. Pedestrian steps rewrite the pedestrians' rows in place, so the
+    arrays, and their data addresses in `kernel_args` and `bounds_address`,
+    stay valid for the world's life.
+    """
 
+    def __init__(self, obstacles):
+        is_rect = np.array([ob.kind != "cylinder" for ob in obstacles], dtype=bool)
+        self._moving = np.array([ob.is_pedestrian for ob in obstacles], dtype=bool)
+        self._circle_rows, self._rect_rows = np.flatnonzero(~is_rect), np.flatnonzero(is_rect)
+        # cos, sin and hypot (in reach) come from math, as in the scalar code,
+        # because numpy's may round differently
+        self.bounds = np.array([(ob.x, ob.y, ob.reach) for ob in obstacles],
+                               dtype=float).reshape(-1, 3)  # x, y, reach of each obstacle
+        shapes = np.array([(ob.half_w, ob.half_h, math.cos(ob.yaw), math.sin(ob.yaw))
+                           for ob in obstacles if ob.kind != "cylinder"], dtype=float)
+        corners = oriented_rects_offsets(*shapes.reshape(-1, 4).T)
+        # each cuboid's sides, CCW from corner k to k + 1, relative to its centre
+        self._side_offsets = np.concatenate([corners, corners[:, [1, 2, 3, 0]]], axis=2)
+        self.circles = np.empty((len(self._circle_rows), 3))  # x, y, radius of each cylinder
+        self.rect_segments = np.empty((4 * len(self._rect_rows), 4))  # (x1, y1, x2, y2) per side
+        self.rect_bounds = np.empty((len(self._rect_rows), 3))  # the cuboids' rows of bounds
+        # raycast kernel arguments: addresses of circles, rect_segments and
+        # rect_bounds, with row counts; and bounds' address, for the disc test
+        self.kernel_args = (self.circles.ctypes.data, len(self.circles),
+                            self.rect_segments.ctypes.data,
+                            self.rect_bounds.ctypes.data, len(self.rect_bounds))
+        self.bounds_address = self.bounds.ctypes.data
+        self._write(np.ones(len(obstacles), dtype=bool))
 
-def _obstacle_rows(obstacles) -> np.ndarray:
-    # one row per obstacle; cos, sin and hypot come from math, as in the scalar
-    # code, because numpy's may round differently
-    return np.array([(ob.x, ob.y, ob.reach, ob.radius, ob.half_w, ob.half_h,
-                      math.cos(ob.yaw), math.sin(ob.yaw), ob.kind != "cylinder")
-                     for ob in obstacles], dtype=float).reshape(-1, 9)
+    def move_pedestrians(self, pedestrians):
+        """Rewrite the rows of `pedestrians`, the moving obstacles in obstacle
+        order, at their positions."""
+        self.bounds[self._moving, :2] = [(ob.x, ob.y) for ob in pedestrians]
+        self._write(self._moving)
 
-
-def _rect_sides(rects: np.ndarray) -> np.ndarray:
-    """(R, 4, 4) sides of the cuboids of the rows, CCW."""
-    corners = oriented_rects_corners(rects[:, 0], rects[:, 1], rects[:, 4], rects[:, 5],
-                                     rects[:, 6], rects[:, 7])
-    return np.concatenate([corners, corners[:, [1, 2, 3, 0]]], axis=2)
-
-
-def _tables(circles, rect_segments, bounds, rect_bounds) -> ObstacleTables:
-    return ObstacleTables(circles=circles, rect_segments=rect_segments,
-                          bounds=bounds, rect_bounds=rect_bounds,
-                          kernel_args=(circles.ctypes.data, len(circles),
-                                       rect_segments.ctypes.data,
-                                       rect_bounds.ctypes.data, len(rect_bounds)),
-                          bounds_address=bounds.ctypes.data)
-
-
-def _build_obstacle_tables(obstacles) -> ObstacleTables:
-    rows = _obstacle_rows(obstacles)
-    is_rect = rows[:, 8] != 0.0
-    rects = rows[is_rect]
-    return _tables(np.ascontiguousarray(rows[~is_rect][:, [0, 1, 3]]),
-                   _rect_sides(rects).reshape(-1, 4), rows[:, :3].copy(), rects[:, :3].copy())
-
-
-class _PedestrianRows(NamedTuple):
-    """The pedestrians' rows of the obstacle tables, and where they sit."""
-
-    rows: np.ndarray     # (P, 9) _obstacle_rows of the pedestrians; only x, y change
-    bounds: np.ndarray   # (N,) mask of their rows in bounds
-    circles: np.ndarray  # (C,) in circles
-    rects: np.ndarray    # (R,) in rect_bounds, and of their cuboids in rect_segments
-
-
-def _pedestrian_rows_of(obstacles) -> _PedestrianRows:
-    is_rect = np.array([ob.kind != "cylinder" for ob in obstacles], dtype=bool)
-    moving = np.array([ob.is_pedestrian for ob in obstacles], dtype=bool)
-    return _PedestrianRows(rows=_obstacle_rows([ob for ob in obstacles if ob.is_pedestrian]),
-                           bounds=moving, circles=moving[~is_rect], rects=moving[is_rect])
-
-
-def _move_pedestrian_rows(tables: ObstacleTables, pedestrians,
-                          where: _PedestrianRows) -> ObstacleTables:
-    """New tables: the static rows copied from `tables`, the pedestrian rows
-    at the pedestrians' positions, computed as _build_obstacle_tables
-    computes them."""
-    rows = where.rows.copy()
-    rows[:, 0] = [ob.x for ob in pedestrians]
-    rows[:, 1] = [ob.y for ob in pedestrians]
-    is_rect = rows[:, 8] != 0.0
-    rects = rows[is_rect]
-    circles = tables.circles.copy()
-    circles[where.circles] = rows[~is_rect][:, [0, 1, 3]]
-    rect_segments = tables.rect_segments.copy()
-    rect_segments.reshape(-1, 4, 4)[where.rects] = _rect_sides(rects)
-    bounds = tables.bounds.copy()
-    bounds[where.bounds] = rows[:, :3]
-    rect_bounds = tables.rect_bounds.copy()
-    rect_bounds[where.rects] = rects[:, :3]
-    return _tables(circles, rect_segments, bounds, rect_bounds)
+    def _write(self, mask):
+        # copy the rows of bounds under `mask` into the other tables; a
+        # cylinder's reach is its radius
+        in_circles = mask[self._circle_rows]
+        self.circles[in_circles] = self.bounds[self._circle_rows[in_circles]]
+        in_rects = mask[self._rect_rows]
+        rects = self.bounds[self._rect_rows[in_rects]]
+        self.rect_bounds[in_rects] = rects
+        self.rect_segments.reshape(-1, 4, 4)[in_rects] = (self._side_offsets[in_rects]
+                                                          + rects[:, None, [0, 1, 0, 1]])
 
 
 # argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
@@ -328,7 +277,7 @@ def step_dynamics(state: WorldState, action: Action) -> WorldState:
         if state.map.is_walkable(nx, ny):
             ob.x, ob.y = nx, ny
     if state.pedestrians:
-        state._pedestrians_moved()
+        state.tables.move_pedestrians(state.pedestrians)
     state.step_count += 1
     return state
 

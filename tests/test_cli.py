@@ -186,6 +186,20 @@ def test_collect_with_a_negative_episode_count_exits_config_error(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("density", ["inf", "nan"])
+def test_eval_with_a_non_finite_density_exits_config_error_before_any_episode(
+        tmp_path, capsys, density):
+    map_path = tmp_path / "map.json"
+    run(["gen-map", "--kind", "corridor", "--length", 30, "--width", 3.5,
+         "--out", map_path])
+    capsys.readouterr()
+    assert run(["eval", "--policy", "oracle", "--map", map_path, "--episodes", 2,
+                "--density", density]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "obstacle_density" in err
+    assert out == ""
+
+
 def test_eval_model_of_another_normalization_exits_config_error(tmp_path, capsys):
     map_path = tmp_path / "map.json"
     run(["gen-map", "--kind", "corridor", "--length", 32, "--width", 3.5,
@@ -241,6 +255,13 @@ MALFORMED_INPUTS = {
     "log_waypoint_short": ("log_header",
                            lambda d: d["config"].update(start=[1.0, 1.75, 0.0], waypoints=[[5]])),
     "log_map_origin_int": ("log_header", lambda d: d["config"]["map"].update(origin=5)),
+    # JSON reads a literal such as 1e999 as inf, and json writes inf as Infinity
+    "log_max_steps_inf": ("log_header", lambda d: d["config"].update(max_steps=float("inf"))),
+    "log_seed_inf": ("log_header", lambda d: d["config"].update(seed=float("inf"))),
+    "log_density_inf": ("log_header",
+                        lambda d: d["config"].update(obstacle_density=float("inf"))),
+    "log_density_nan": ("log_header",
+                        lambda d: d["config"].update(obstacle_density=float("nan"))),
     "log_action_short": ("log_row", lambda d: d.update(action=[1])),
     "log_action_int": ("log_row", lambda d: d.update(action=5)),
 }

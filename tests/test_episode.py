@@ -424,8 +424,8 @@ def test_a_pedestrian_free_episode_builds_its_obstacle_tables_in_reset_only(
         monkeypatch, corridor_long, mode):
     # so no timed step pays for the build, in `none` mode as in the sensing ones
     builds = []
-    build = world._build_obstacle_tables
-    monkeypatch.setattr(world, "_build_obstacle_tables",
+    build = world.ObstacleTables
+    monkeypatch.setattr(world, "ObstacleTables",
                         lambda obstacles: builds.append(1) or build(obstacles))
     ep = Episode(make_config(corridor_long, seed=4, obstacle_density=4.0, obs_mode=mode,
                              render_bev=True))

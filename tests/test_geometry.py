@@ -111,11 +111,12 @@ def test_batched_rect_corners_equal_scalar():
     yaw[:6] = [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, -0.0]
     cos_yaw = np.array([math.cos(a) for a in yaw])
     sin_yaw = np.array([math.sin(a) for a in yaw])
-    batch = geometry.oriented_rects_corners(cx, cy, half_w, half_h, cos_yaw, sin_yaw)
+    offsets = geometry.oriented_rects_offsets(half_w, half_h, cos_yaw, sin_yaw)
+    batch = offsets + np.stack([cx, cy], axis=1)[:, None, :]
     scalar = [geometry.oriented_rect_corners(cx[i], cy[i], half_w[i], half_h[i], yaw[i])
               for i in range(n)]
     assert np.array_equal(batch, np.stack(scalar))
-    empty = geometry.oriented_rects_corners(*np.zeros((6, 0)))
+    empty = geometry.oriented_rects_offsets(*np.zeros((4, 0)))
     assert empty.shape == (0, 4, 2)
 
 

@@ -238,8 +238,8 @@ def test_raycast_compiled_matches_numpy_grazing_rect_corners(big_plane, monkeypa
 
 @needs_c_compiler
 def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
-    # pedestrians move every step, so the obstacle tables, and the data
-    # addresses the kernel reads from them, are rebuilt before every cast
+    # pedestrians move every step, and the kernel reads their new rows through
+    # the data addresses the world's tables took when they were built
     kernel = sensors._KERNEL.load()
     assert kernel is not None, "the raycast kernel failed to build or load"
     rng = np.random.default_rng(41)
@@ -251,9 +251,10 @@ def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
     w = make_world(wmap, x, y, obstacles=obstacles, seed=41)
     cases = ((sensors.PRIVILEGED_LIDAR_RAYS, sensors.PRIVILEGED_LIDAR_MAX_RANGE),
              (sensors.REALISTIC_LIDAR_RAYS, sensors.REALISTIC_LIDAR_MAX_RANGE))
+    tables = w.tables
+    kernel_args, bounds_address = tables.kernel_args, tables.bounds_address
     clear = 0
     for step in range(200):
-        tables = w.obstacle_tables()
         monkeypatch.setattr(sensors._KERNEL, "fn", kernel)
         fast = [raycast(w, n_rays, max_range) for n_rays, max_range in cases]
         monkeypatch.setattr(sensors._KERNEL, "fn", None)
@@ -261,7 +262,8 @@ def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
             assert np.array_equal(ranges, raycast(w, n_rays, max_range)), (step, n_rays)
         clear += bool(fast[0].any())
         step_dynamics(w, Action(0.0, 0.3))
-        assert w.obstacle_tables() is not tables
+        assert w.tables is tables
+        assert tables.kernel_args == kernel_args and tables.bounds_address == bounds_address
     assert clear > 150  # casts from inside a pedestrian read 0 on both paths
 
 

@@ -223,12 +223,12 @@ def assert_tables_match_oracle(world):
     got_circles, got_sides = world.obstacle_arrays()
     assert got_circles.shape == circles.shape and np.array_equal(got_circles, circles)
     assert got_sides.shape == sides.shape and np.array_equal(got_sides, sides)
-    assert np.array_equal(world.obstacle_tables().bounds, bounds)
-    assert np.array_equal(world.obstacle_tables().rect_bounds, rect_bounds)
+    assert np.array_equal(world.tables.bounds, bounds)
+    assert np.array_equal(world.tables.rect_bounds, rect_bounds)
     for ob, row in zip(world.obstacles, bounds):
         assert ob.reach == row[2]
     # the raycast kernel reads the tables through their data addresses
-    tables = world.obstacle_tables()
+    tables = world.tables
     for table in (tables.circles, tables.rect_segments, tables.bounds, tables.rect_bounds):
         assert table.dtype == np.float64 and table.flags.c_contiguous
     assert tables.kernel_args == (
@@ -237,10 +237,11 @@ def assert_tables_match_oracle(world):
 
 
 def test_obstacle_tables_match_per_obstacle_loop_while_pedestrians_move(monkeypatch):
-    # after the first build, each step recomputes only the pedestrian rows
+    # the world builds its tables once, and each step rewrites only the
+    # pedestrian rows in place
     builds = []
-    build = world._build_obstacle_tables
-    monkeypatch.setattr(world, "_build_obstacle_tables",
+    build = world.ObstacleTables
+    monkeypatch.setattr(world, "ObstacleTables",
                         lambda obstacles: builds.append(1) or build(obstacles))
     rng = np.random.default_rng(31)
     configs = suites.training_suite() + suites.validation_suite() + [suites.bench_config()]
@@ -252,13 +253,14 @@ def test_obstacle_tables_match_per_obstacle_loop_while_pedestrians_move(monkeypa
         x, y = cfg.map.sample_walkable_point(rng)
         w = make_world(cfg.map, x, y, obstacles=obstacles, seed=int(rng.integers(1 << 30)))
         assert w.pedestrians == [ob for ob in obstacles if ob.is_pedestrian]
+        assert len(builds) == 1
         builds.clear()
         for step in range(60):
             if step == 30:
                 step_dynamics(w, Action(0.0, 0.0))  # a step whose tables nobody reads
             assert_tables_match_oracle(w)
             step_dynamics(w, Action(0.0, 0.0))
-        assert len(builds) == 1
+        assert builds == []
     assert pedestrians > 100
 
 
@@ -285,7 +287,7 @@ def test_compiled_disc_test_matches_the_numpy_broad_phase(monkeypatch, margin, c
             Obstacle(kind="cuboid", x=0.0, y=0.0, half_w=0.3, half_h=0.4, yaw=0.4)]
     obstacles = populate_obstacles(cfg.map, cfg.obstacle_density, rng) + edge
     w = make_world(cfg.map, obstacles=obstacles)
-    bounds = w.obstacle_tables().bounds
+    bounds = w.tables.bounds
     points = [(ob.x + dx, ob.y + dy) for ob in obstacles
               for dx, dy in rng.uniform(-1.2, 1.2, (6, 2)).tolist()]
     points += [(0.5 + margin, 0.0), (0.0, -0.5 - margin), (0.0, 0.0), (1e9, -1e9)]
@@ -312,7 +314,7 @@ def test_obstacle_tables_of_single_kind_worlds(big_plane, kinds):
     circles, sides = w.obstacle_arrays()
     assert circles.shape == (kinds.count("cylinder"), 3)
     assert sides.shape == (4 * kinds.count("cuboid"), 4)
-    assert w.obstacle_tables().bounds.shape == (len(kinds), 3)
+    assert w.tables.bounds.shape == (len(kinds), 3)
 
 
 def test_obstacle_to_dict_bytes():
