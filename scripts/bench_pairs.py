@@ -32,10 +32,11 @@ both build their C kernels the same way. The script writes one JSON file:
   rate over its floor and the ratio over its gate (above 1 passes).
 - `digests`: for each workload and kernel mode of `DIGEST_RUNS`, the digest
   of one perfbench pass at the perfbench seed, in each checkout with one BLAS
-  thread, and whether the two sides agree. With the kernels `off`, every
-  `_ckernel.Kernel` found in the `sidewalksim` modules has its `fn` set to
-  None, so each pass runs the pure-Python paths; with them `loaded`, a kernel
-  that fails to load is an error.
+  thread, and whether the two sides agree. With the kernels `off`,
+  `_ckernel.build` raises OSError before the first load, as it does without
+  a C compiler, so each pass runs the pure-Python paths; each side also
+  reports how many kernel-unavailable warnings its pass gave. With them
+  `loaded`, a kernel that fails to load is an error.
 - `environment`: interpreter, numpy and its BLAS build, core count, and
   whether numba and scipy are importable.
 
@@ -47,11 +48,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import importlib.util
 import json
 import os
-import pkgutil
 import platform
 import statistics
 import subprocess
@@ -198,30 +197,37 @@ def criterion_6_summary(runs: list[dict]) -> dict:
 
 def pass_digest_once(workload: str, seed: int, kernels: str) -> dict:
     """One pass of a perfbench workload in this interpreter (the checkout's
-    `src/` and `perfbench/` on the path) with every C kernel of the package
-    loaded or off, and the digest of its outputs."""
-    import sidewalksim
+    `src/` and `perfbench/` on the path) with the package's C kernels loaded
+    or off, the digest of its outputs and the count of kernel-unavailable
+    warnings it gave.
+
+    Off, `_ckernel.build` raises OSError before the first load, as it does
+    without a C compiler, so every kernel takes its pure-Python path. Loaded,
+    a kernel-unavailable warning is an error.
+    """
+    import re
+    import warnings
+
     from sidewalksim import _ckernel
 
     import workloads
 
-    for info in pkgutil.iter_modules(sidewalksim.__path__):
-        if info.name != "__main__":  # runs the CLI on import
-            importlib.import_module(f"sidewalksim.{info.name}")
-    found = {id(value): value for name, module in list(sys.modules.items())
-             if name.startswith("sidewalksim.")
-             for value in vars(module).values() if isinstance(value, _ckernel.Kernel)}
-    for kernel in found.values():
+    unavailable = "compiled .* unavailable"  # the start of the loader's warning
+    with warnings.catch_warnings(record=True) as caught:
         if kernels == "off":
-            kernel.fn = None
-        elif kernel.load() is None:
-            raise RuntimeError(f"kernel {kernel.symbol} did not load")
-    run = workloads.WORKLOADS[workload](seed)
-    run.build()
-    result = run.run()
-    return {"workload": workload, "kernels": kernels,
-            "symbols": sorted(k.symbol for k in found.values()), "digest": result.digest}
+            def no_compiler(source):
+                raise OSError("no C compiler for this pass")
 
+            _ckernel.build = no_compiler
+            warnings.filterwarnings("always", message=unavailable, category=RuntimeWarning)
+        else:
+            warnings.filterwarnings("error", message=unavailable, category=RuntimeWarning)
+        run = workloads.WORKLOADS[workload](seed)
+        run.build()
+        result = run.run()
+    return {"workload": workload, "kernels": kernels, "digest": result.digest,
+            "unavailable_warnings": sum(re.match(unavailable, str(w.message)) is not None
+                                        for w in caught)}
 
 
 def src_digest(checkout: Path) -> str:

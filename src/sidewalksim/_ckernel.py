@@ -5,10 +5,11 @@ which classifies its probes with that test, and the obstacles' bounding-disc
 test; _gridnav.c the grid Dijkstra and the teacher's lookahead walk with its
 line-of-sight checks.
 
-A kernel is compiled on first use with the C compiler found on PATH into
-__pycache__ beside its source, then loaded through ctypes. Without a compiler,
-or when the build or the load fails, the caller warns once and uses its
-pure-Python path, which returns the same values bit for bit, only slower.
+Both sources are compiled on the first call to any kernel, with the C compiler
+found on PATH, into __pycache__ beside them, then loaded through ctypes. The
+kernels are available together or not at all: without a compiler, or when a
+build or a load fails, load() warns once and every caller uses its pure-Python
+path.
 """
 
 from __future__ import annotations
@@ -17,12 +18,23 @@ import ctypes
 import os
 import shutil
 import tempfile
+import types
 import warnings
 
 COMPILERS = ("cc", "gcc", "clang")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_UNLOADED = object()
 _ARG_KINDS = {"d": ctypes.c_double, "i": ctypes.c_int64, "p": ctypes.c_void_p}
+# symbol -> (its source beside this module, its argument kinds in order:
+# d = double, i = int64, p = pointer, i.e. a data address); each returns an int
+SYMBOLS = {
+    "point_walkable": ("_walkmap.c", "ddpppi"),
+    "raycast_loop": ("_walkmap.c", "ddddpidpippipppip"),
+    "first_disc_holding": ("_walkmap.c", "dddipii"),
+    "grid_dijkstra": ("_gridnav.c", "piiiiddp"),
+    "grid_lookahead": ("_gridnav.c", "dddppiidddddp"),
+}
+_UNLOADED = object()
+_loaded = _UNLOADED  # load()'s answer once it has run; None switches every kernel off
 
 
 def build(source: str) -> str:
@@ -65,32 +77,38 @@ def build(source: str) -> str:
     return target
 
 
-class Kernel:
-    """One int-returning C function of one source file beside this module.
+def load():
+    """The five kernels as attributes named by their symbols, built and typed
+    once per process; None, after one RuntimeWarning, when any source or
+    symbol is unavailable. Then each call site takes its pure-Python path,
+    which returns the same values bit for bit, only slower:
 
-    `signature` names the argument kinds in order: d = double, i = int64,
-    p = pointer (a data address). `fallback` names the pure-Python path in
-    the warning given when the kernel is unavailable.
+    - WalkableMap.is_walkable: the bbox loop, _is_walkable_python;
+    - WalkableMap.sample_walkable_point: geometry.point_in_polygon on the
+      polygon it drew;
+    - WorldState.obstacles_near: the numpy broad phase;
+    - sensors.raycast: the numpy path, _raycast_numpy, which classifies its
+      probes with contains_points as raycast_loop classifies them with
+      point_walkable;
+    - gridnav's Dijkstra fields: _dijkstra_heapq;
+    - DistanceField.lookahead_point: the Python walk, _lookahead_walk.
     """
-
-    def __init__(self, source: str, symbol: str, signature: str, fallback: str):
-        self.source = os.path.join(os.path.dirname(os.path.abspath(__file__)), source)
-        self.symbol = symbol
-        self.argtypes = tuple(_ARG_KINDS[k] for k in signature)
-        self.fallback = fallback
-        self.fn = _UNLOADED  # the ctypes function, or None once found unavailable
-
-    def load(self):
-        """The function, built and loaded once per process; None if unavailable."""
-        if self.fn is _UNLOADED:
-            try:
-                fn = getattr(ctypes.CDLL(build(self.source)), self.symbol)
-            except (OSError, AttributeError) as exc:
-                warnings.warn(f"compiled {self.symbol} unavailable, using the "
-                              f"{self.fallback}: {exc}", RuntimeWarning, stacklevel=3)
-                fn = None
-            else:
-                fn.argtypes = self.argtypes
+    global _loaded
+    if _loaded is _UNLOADED:
+        here = os.path.dirname(os.path.abspath(__file__))
+        libraries = {}
+        functions = {}
+        try:
+            for symbol, (source, kinds) in SYMBOLS.items():
+                if source not in libraries:
+                    libraries[source] = ctypes.CDLL(build(os.path.join(here, source)))
+                fn = functions[symbol] = getattr(libraries[source], symbol)
+                fn.argtypes = tuple(_ARG_KINDS[k] for k in kinds)
                 fn.restype = ctypes.c_int
-            self.fn = fn
-        return self.fn
+        except (OSError, AttributeError) as exc:
+            warnings.warn(f"compiled kernels unavailable, using their pure-Python paths: {exc}",
+                          RuntimeWarning, stacklevel=3)
+            _loaded = None
+        else:
+            _loaded = types.SimpleNamespace(**functions)
+    return _loaded

@@ -1,7 +1,7 @@
 /* Union membership of a point, the lidar raycast that classifies its probes
  * with it, and the obstacles' bounding-disc test; loaded through ctypes by
- * walkmap.py (point_walkable), sensors.py (raycast_loop) and world.py
- * (first_disc_holding).
+ * _ckernel.py and called from walkmap.py (point_walkable), sensors.py
+ * (raycast_loop) and world.py (first_disc_holding).
  *
  * point_walkable gives each polygon whose closed bbox holds the point the
  * even-odd crossing test of geometry.point_in_polygon, written with the same

@@ -37,6 +37,9 @@ MAX_GEODESIC = 23.0  # meters of path to the goal at most, so tasks stay winnabl
 PLAN_INFLATE = AGENT_RADIUS + 0.18  # the plan's obstacle inflation: agent radius + steering margin
 
 START_GOAL_MAX_TRIES = 200
+# obstacles per 100 m^2 at most: far above every density in use (5 and 8 in the
+# suites), and low enough that populate_obstacles stays bounded
+MAX_OBSTACLE_DENSITY = 100.0
 
 OBS_MODES = ("privileged", "realistic", "both", "none")
 
@@ -97,9 +100,12 @@ class EpisodeConfig:
     start: Optional[tuple[float, float, float]] = None  # (x, y, heading) override
 
     def __post_init__(self):
-        if not 0.0 <= self.obstacle_density < math.inf:  # NaN fails too
-            raise ValueError(f"obstacle_density must be finite and >= 0, "
+        if not 0.0 <= self.obstacle_density <= MAX_OBSTACLE_DENSITY:  # NaN fails too
+            raise ValueError(f"obstacle_density must be in [0, {MAX_OBSTACLE_DENSITY:g}], "
                              f"not {self.obstacle_density!r}")
+        if not 0.0 <= self.pedestrian_fraction <= 1.0:
+            raise ValueError(f"pedestrian_fraction must be in [0, 1], "
+                             f"not {self.pedestrian_fraction!r}")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
         if self.obs_mode not in OBS_MODES:

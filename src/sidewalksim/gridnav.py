@@ -201,18 +201,19 @@ class DistanceField:
         toward the best nearby cell instead. Raises NoPathError when no
         finite cell is near the agent.
 
-        The walk runs in the compiled kernel (_gridnav.c) when one can be
-        built, else in _lookahead_walk, which returns the same points.
+        The walk runs in grid_lookahead (_gridnav.c) when the kernels load,
+        else in _lookahead_walk, which returns the same points.
         """
-        kernel = _LOOKAHEAD.load()
-        if kernel is None:
+        kernels = _ckernel.load()
+        if kernels is None:
             target = self._lookahead_walk(x, y, lookahead)
         else:
             cached = self._kernel_args
             if cached is None:
                 cached = self._kernel_args = self._build_kernel_args()
             out = cached[1]
-            target = (out[0], out[1]) if kernel(x, y, lookahead, *cached[0]) == 0 else None
+            found = kernels.grid_lookahead(x, y, lookahead, *cached[0]) == 0
+            target = (out[0], out[1]) if found else None
         if target is not None:
             return target
         # blocked or off-grid start: nudge onto the best nearby cell first
@@ -272,19 +273,6 @@ class DistanceField:
         return target if target is not None else (px, py)
 
 
-# -- compiled kernels ------------------------------------------------------------
-#
-# _gridnav.c is built and loaded through _ckernel on the first field and on the
-# first lookahead. When no kernel can be built, fields come from
-# _dijkstra_heapq and lookahead points from DistanceField._lookahead_walk,
-# which return the same values bit for bit, only slower.
-
-# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
-_KERNEL = _ckernel.Kernel("_gridnav.c", "grid_dijkstra", "piiiiddp", "heapq Dijkstra")
-_LOOKAHEAD = _ckernel.Kernel("_gridnav.c", "grid_lookahead", "dddppiidddddp",
-                             "Python lookahead walk")
-
-
 def _distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
     """The Dijkstra field behind dijkstra_distances, bfs_connected and
     map_components.
@@ -292,8 +280,8 @@ def _distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
     They call this rather than each other, so a wrapper placed on either
     public function sees only the calls made to it.
     """
-    kernel = _KERNEL.load()
-    if kernel is None:
+    kernels = _ckernel.load()
+    if kernels is None:
         return _dijkstra_heapq(grid, source_cell)
     free = grid.free
     if not grid.in_bounds(*source_cell) or not free[source_cell]:
@@ -301,8 +289,9 @@ def _distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
     cells = np.ascontiguousarray(free, dtype=bool)
     ny, nx = cells.shape
     dist = np.empty((ny, nx))
-    if kernel(cells.ctypes.data, ny, nx, int(source_cell[0]), int(source_cell[1]),
-              NAV_RESOLUTION, math.sqrt(2.0) * NAV_RESOLUTION, dist.ctypes.data):
+    if kernels.grid_dijkstra(cells.ctypes.data, ny, nx, int(source_cell[0]),
+                             int(source_cell[1]), NAV_RESOLUTION,
+                             math.sqrt(2.0) * NAV_RESOLUTION, dist.ctypes.data):
         raise MemoryError("grid Dijkstra kernel could not allocate its heap")
     return dist
 

@@ -54,7 +54,7 @@ class ConstantPolicy(Policy):
         return self.action
 
 
-def build_distance_field(plan: DistanceField, start=None) -> DistanceField:
+def build_distance_field(plan: DistanceField, start) -> DistanceField:
     """The teacher's field over an episode's plan (episode.plan_route): on the
     plan's grid with one extra cell of wall margin, or the plan itself when
     that margin would leave the start disconnected (narrow passages). A plan
@@ -67,8 +67,8 @@ def build_distance_field(plan: DistanceField, start=None) -> DistanceField:
         if plain is None:
             raise NoPathError(f"no free cell near goal {goal}")
     safe = _field_on_grid(gridnav_eroded(grid), goal)
-    if safe is None or start is None:
-        return safe or plain
+    if safe is None:
+        return plain
     d_safe = _distance_near(safe, start)
     d_plain = _distance_near(plain, start)
     # take the wall-margin field only when it does not force a real detour
@@ -156,8 +156,8 @@ def corridor_hit(lidar: np.ndarray, bearing: float, half_angle: float) -> tuple[
     return depth, lateral
 
 
-def _teacher_step(field: DistanceField, obs: Observation, pose,
-                  engaged: bool = False, wmap: WalkableMap | None = None) -> tuple[Action, bool]:
+def _teacher_step(field: DistanceField, obs: Observation, pose, engaged: bool,
+                  wmap: WalkableMap) -> tuple[Action, bool]:
     """Steering core; returns the action and whether the back-up reflex is on.
 
     Steers toward a line-of-sight lookahead point on the descent path. Speed
@@ -165,15 +165,15 @@ def _teacher_step(field: DistanceField, obs: Observation, pose,
     this step's turn, floored at zero. Frontal clearance below the threshold
     switches to reversing while turning away from the blocking side, unless
     the goal itself is closer than the obstruction; hysteresis keeps the
-    reflex on until the corridor clears with margin. With a map handle, steps
-    whose landing point would leave the walkable area are vetoed to a pivot.
+    reflex on until the corridor clears with margin. Steps whose landing
+    point would leave the walkable area are vetoed to a pivot.
     """
     x, y, heading = pose
     gx, gy = field.goal
     goal_dist = math.hypot(gx - x, gy - y)
 
     homing = False
-    if goal_dist <= LOOKAHEAD and obs.privileged is not None:
+    if goal_dist <= LOOKAHEAD:
         bearing = normalize_angle(math.atan2(gy - y, gx - x) - heading)
         if corridor_hit(obs.privileged.lidar, bearing, math.pi / 2)[0] > goal_dist:
             homing = True  # the corridor to the goal is empty: go straight in
@@ -195,22 +195,21 @@ def _teacher_step(field: DistanceField, obs: Observation, pose,
         speed = min(speed, max(0.08, 0.6 * goal_dist))  # tighter final turns
 
     reflex = False
-    if obs.privileged is not None:
-        lidar = obs.privileged.lidar
-        clearance, hit_lat = corridor_hit(lidar, 0.0, FRONTAL_HALF_ANGLE)
-        threshold = CLEARANCE_THRESHOLD * (CLEARANCE_RELEASE if engaged else 1.0)
-        if clearance < threshold and clearance < goal_dist:
-            reflex = True
-            speed = SPEED_MIN
-            if corridor_hit(lidar, math.pi, FRONTAL_HALF_ANGLE)[0] < REAR_MIN_CLEARANCE:
-                speed = 0.0  # no room behind: pivot in place instead
-            if abs(misalign) <= TURN_AWAY:
-                # path agrees with heading, so the blocker is off-plan
-                # (pedestrian, corner graze): bias the turn away from it
-                away = TURN_AWAY if hit_lat <= 0.0 else -TURN_AWAY
-                yaw = min(max(misalign + away, -YAW_LIMIT), YAW_LIMIT)
+    lidar = obs.privileged.lidar
+    clearance, hit_lat = corridor_hit(lidar, 0.0, FRONTAL_HALF_ANGLE)
+    threshold = CLEARANCE_THRESHOLD * (CLEARANCE_RELEASE if engaged else 1.0)
+    if clearance < threshold and clearance < goal_dist:
+        reflex = True
+        speed = SPEED_MIN
+        if corridor_hit(lidar, math.pi, FRONTAL_HALF_ANGLE)[0] < REAR_MIN_CLEARANCE:
+            speed = 0.0  # no room behind: pivot in place instead
+        if abs(misalign) <= TURN_AWAY:
+            # path agrees with heading, so the blocker is off-plan
+            # (pedestrian, corner graze): bias the turn away from it
+            away = TURN_AWAY if hit_lat <= 0.0 else -TURN_AWAY
+            yaw = min(max(misalign + away, -YAW_LIMIT), YAW_LIMIT)
 
-    if wmap is not None and speed != 0.0:
+    if speed != 0.0:
         nh = normalize_angle(heading + yaw)
         if not wmap.is_walkable(x + speed * math.cos(nh), y + speed * math.sin(nh)):
             speed = 0.0  # landing point would leave the sidewalk: pivot instead

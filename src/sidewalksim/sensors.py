@@ -134,18 +134,6 @@ def _ray_units(n_rays: int):
     return cached
 
 
-# -- compiled raycast kernel ---------------------------------------------------
-#
-# raycast_loop in _walkmap.c is built and loaded through _ckernel on the first
-# raycast. It classifies its probes with the map's point_walkable, as the numpy
-# path classifies them with contains_points. When no kernel can be built,
-# raycast uses the numpy path, which returns the same ranges bit for bit, only
-# slower.
-
-# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
-_KERNEL = _ckernel.Kernel("_walkmap.c", "raycast_loop", "ddddpidpippipppip", "numpy path")
-
-
 def _raycast_numpy(world, ox, oy, ch, sh, units, max_range):
     """Vectorized reference implementation of the union-boundary raycast."""
     n_rays = units.shape[1]
@@ -203,7 +191,7 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
 
     The compiled kernel (raycast_loop in _walkmap.c) and the numpy path
     implement the same algorithm with the same arithmetic and return identical
-    ranges; the numpy path runs when no kernel could be built.
+    ranges; the numpy path runs when the kernels do not load.
     """
     if n_rays < 1 or max_range <= 0.0:
         raise ValueError("n_rays >= 1 and max_range > 0 required")
@@ -217,12 +205,13 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
         if any(ob.contains(ox, oy) for ob in world.obstacles):
             return np.zeros(n_rays)
 
-    kernel = _KERNEL.load()
-    if kernel is None:
+    kernels = _ckernel.load()
+    if kernels is None:
         return _raycast_numpy(world, ox, oy, ch, sh, units, max_range)
     out = np.empty(n_rays)
-    if kernel(ox, oy, ch, sh, units_ptr, n_rays, max_range, *world.tables.kernel_args,
-              *world.map.kernel_args(), out.ctypes.data):
+    if kernels.raycast_loop(ox, oy, ch, sh, units_ptr, n_rays, max_range,
+                            *world.tables.kernel_args, *world.map.kernel_args(),
+                            out.ctypes.data):
         raise MemoryError("raycast kernel could not allocate its scratch buffers")
     return out
 

@@ -111,13 +111,13 @@ class WalkableMap:
     def is_walkable(self, x: float, y: float) -> bool:
         """True iff the point lies inside at least one polygon.
 
-        Answered by the compiled kernel (_walkmap.c) when one can be built,
-        else by the bbox loop, which classifies every point alike.
+        Answered by point_walkable (_walkmap.c) when the kernels load, else
+        by the bbox loop, which classifies every point alike.
         """
-        kernel = _KERNEL.load()
-        if kernel is None:
+        kernels = _ckernel.load()
+        if kernels is None:
             return self._is_walkable_python(x, y)
-        return kernel(x, y, *self.kernel_args()) != 0
+        return kernels.point_walkable(x, y, *self.kernel_args()) != 0
 
     def _is_walkable_python(self, x: float, y: float) -> bool:
         """Pure-Python fallback for the compiled kernel, and its reference: the
@@ -176,8 +176,8 @@ class WalkableMap:
         cdf = self._area_cdf
         if cdf is None:
             raise GeometryError("map has no area to sample from")
-        kernel = _KERNEL.load()
-        if kernel is not None:
+        kernels = _ckernel.load()
+        if kernels is not None:
             edges, edge_start, bboxes, _ = self.kernel_args()
         for _ in range(SAMPLE_MAX_TRIES):
             # the polygon rng.choice(n, p=areas / total) picks, from the same draw
@@ -185,11 +185,12 @@ class WalkableMap:
             bx0, by0, bx1, by1 = self._bboxes[pid]
             x = float(rng.uniform(bx0, bx1))
             y = float(rng.uniform(by0, by1))
-            if kernel is None:
+            if kernels is None:
                 inside = geometry.point_in_polygon(x, y, self.polygons[pid])
             else:
                 # polygon pid alone: its int64 edge offsets and its bbox row of 4 doubles
-                inside = kernel(x, y, edges, edge_start + 8 * pid, bboxes + 32 * pid, 1) != 0
+                inside = kernels.point_walkable(x, y, edges, edge_start + 8 * pid,
+                                                bboxes + 32 * pid, 1) != 0
             if inside:
                 return (x, y)
         raise GeometryError("failed to sample a walkable point")
@@ -256,16 +257,6 @@ class WalkableMap:
             and len(self.polygons) == len(other.polygons)
             and all(np.array_equal(a, b) for a, b in zip(self.polygons, other.polygons))
         )
-
-
-# -- compiled membership kernel ----------------------------------------------------
-#
-# _walkmap.c is built and loaded through _ckernel on the first is_walkable call.
-# When no kernel can be built, is_walkable runs the bbox loop, which returns
-# the same answers, only slower. contains_points stays numpy.
-
-# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
-_KERNEL = _ckernel.Kernel("_walkmap.c", "point_walkable", "ddpppi", "bbox loop")
 
 
 def build_walkable_map(net: SidewalkNetwork, origin=(0.0, 0.0)) -> WalkableMap:

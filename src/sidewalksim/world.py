@@ -150,12 +150,12 @@ class WorldState:
         `closed`. The broad phase of collision_check and of the raycast's
         origin test.
 
-        Answered by the compiled disc test (_walkmap.c) when one can be built,
+        Answered by first_disc_holding (_walkmap.c) when the kernels load,
         else by the numpy broad phase, which yields the same indices.
         """
         tables = self.tables
-        kernel = _DISCS.load()
-        if kernel is None:
+        kernels = _ckernel.load()
+        if kernels is None:
             bounds = tables.bounds
             dx = bounds[:, 0] - x
             dy = bounds[:, 1] - y
@@ -164,10 +164,10 @@ class WorldState:
             yield from np.nonzero(d2 <= reach2 if closed else d2 < reach2)[0].tolist()
             return
         n = len(tables.bounds)
-        i = kernel(x, y, margin, closed, tables.bounds_address, 0, n)
+        i = kernels.first_disc_holding(x, y, margin, closed, tables.bounds_address, 0, n)
         while i < n:
             yield i
-            i = kernel(x, y, margin, closed, tables.bounds_address, i + 1, n)
+            i = kernels.first_disc_holding(x, y, margin, closed, tables.bounds_address, i + 1, n)
 
 
 class ObstacleTables:
@@ -219,10 +219,6 @@ class ObstacleTables:
         self.rect_bounds[in_rects] = rects
         self.rect_segments.reshape(-1, 4, 4)[in_rects] = (self._side_offsets[in_rects]
                                                           + rects[:, None, [0, 1, 0, 1]])
-
-
-# argument kinds: d = double, i = int64, p = pointer (see _ckernel.Kernel)
-_DISCS = _ckernel.Kernel("_walkmap.c", "first_disc_holding", "dddipii", "numpy broad phase")
 
 
 def populate_obstacles(wmap: WalkableMap, density: float, rng: np.random.Generator,

@@ -186,7 +186,7 @@ def test_collect_with_a_negative_episode_count_exits_config_error(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("density", ["inf", "nan"])
+@pytest.mark.parametrize("density", ["inf", "nan", "1e300"])
 def test_eval_with_a_non_finite_density_exits_config_error_before_any_episode(
         tmp_path, capsys, density):
     map_path = tmp_path / "map.json"
@@ -262,6 +262,9 @@ MALFORMED_INPUTS = {
                         lambda d: d["config"].update(obstacle_density=float("inf"))),
     "log_density_nan": ("log_header",
                         lambda d: d["config"].update(obstacle_density=float("nan"))),
+    "log_density_huge": ("log_header", lambda d: d["config"].update(obstacle_density=1e300)),
+    "log_pedestrian_fraction_nan": ("log_header",
+                                    lambda d: d["config"].update(pedestrian_fraction=float("nan"))),
     "log_action_short": ("log_row", lambda d: d.update(action=[1])),
     "log_action_int": ("log_row", lambda d: d.update(action=5)),
 }

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidewalksim import gridnav, sensors, suites, walkmap, world
+from sidewalksim import _ckernel, sensors, suites
 from sidewalksim.distill import (
     AggregatedDataset,
     DaggerReport,
@@ -145,9 +145,7 @@ PREFILL_300_SHA256 = "3a41a4d1d697eed5407f1f444279151b245390277875b716c7b8a99900
 @pytest.mark.parametrize("kernels", ["loaded", "off"])
 def test_saved_prefill_bytes_are_pinned(tmp_path, monkeypatch, kernels):
     if kernels == "off":
-        for kernel in (sensors._KERNEL, gridnav._KERNEL, gridnav._LOOKAHEAD, walkmap._KERNEL):
-            kernel.load()
-            monkeypatch.setattr(kernel, "fn", None)
+        monkeypatch.setattr(_ckernel, "_loaded", None)
     ds = prefill(AggregatedDataset(), OracleTeacher(),
                  suites.training_suite(obs_mode="both", render_bev=False)[:2], 300, seed=5)
     save_transitions(tmp_path / "transitions.npy", ds)
@@ -343,9 +341,7 @@ def test_dagger_run_is_the_same_with_every_kernel_off(tmp_path, monkeypatch):
     # criterion 7's micro run: prefill, training and evaluation run both
     # 272-ray raycast paths, both membership paths, Dijkstra, the lookahead
     # and both disc-test paths
-    kernels = (sensors._KERNEL, gridnav._KERNEL, gridnav._LOOKAHEAD, walkmap._KERNEL,
-               world._DISCS)
-    assert all(kernel.load() is not None for kernel in kernels)
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
     cfg = TrainConfig(prefill_count=120, rounds=1, bc_epochs=1, epochs_per_round=1,
                       batch_size=64, collect_episodes_per_round=1, round_eval_episodes=2,
                       final_eval_episodes=2, seed=5)
@@ -360,8 +356,7 @@ def test_dagger_run_is_the_same_with_every_kernel_off(tmp_path, monkeypatch):
                 (tmp_path / f"{tag}.npy").read_bytes())
 
     as_loaded = run("as_loaded")
-    for kernel in kernels:
-        monkeypatch.setattr(kernel, "fn", None)
+    monkeypatch.setattr(_ckernel, "_loaded", None)
     assert run("off") == as_loaded
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sidewalksim import sensors, world
 from sidewalksim.episode import (
+    MAX_OBSTACLE_DENSITY,
     OBS_MODES,
     Episode,
     EpisodeConfig,
@@ -370,6 +371,22 @@ def test_config_from_dict_coerces_types_and_defaults_a_missing_optional(corridor
 def test_config_rejects_a_half_given_route(corridor, route):
     with pytest.raises(ValueError, match="start and waypoints"):
         EpisodeConfig(map=corridor, **route)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("obstacle_density", -1.0), ("obstacle_density", MAX_OBSTACLE_DENSITY + 0.5),
+    ("obstacle_density", 1e300), ("obstacle_density", math.nan),
+    ("pedestrian_fraction", -0.1), ("pedestrian_fraction", 1.5),
+    ("pedestrian_fraction", math.nan), ("pedestrian_fraction", math.inf),
+])
+def test_config_rejects_a_density_or_fraction_out_of_range(corridor, field, value):
+    with pytest.raises(ValueError, match=field):
+        EpisodeConfig(map=corridor, **{field: value})
+
+
+def test_config_accepts_the_range_bounds(corridor):
+    for density, fraction in ((0.0, 0.0), (MAX_OBSTACLE_DENSITY, 1.0)):
+        EpisodeConfig(map=corridor, obstacle_density=density, pedestrian_fraction=fraction)
 
 
 def test_observation_modes(corridor_long):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sidewalksim import gridnav, sensors, suites, walkmap, world
+from sidewalksim import _ckernel, suites
 from sidewalksim.errors import ReplayIntegrityError
 from sidewalksim.evaluate import (
     BenchReport,
@@ -69,9 +69,7 @@ TEACHER_REPORT_JSON = (
 def test_teacher_report_bytes_pinned(monkeypatch, kernels):
     if kernels == "off":
         # every C kernel unavailable: the pure-Python paths give the same bytes
-        for kernel in (sensors._KERNEL, gridnav._KERNEL, gridnav._LOOKAHEAD, walkmap._KERNEL,
-                       world._DISCS):
-            monkeypatch.setattr(kernel, "fn", None)
+        monkeypatch.setattr(_ckernel, "_loaded", None)
     # one corridor, one L-shape and one grid map; key order and every value
     cfgs = suites.validation_suite(5.0, obs_mode="privileged", render_bev=False)[::3]
     report = evaluate(OracleTeacher(), cfgs, 3, seed=5)

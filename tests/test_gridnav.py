@@ -72,7 +72,7 @@ def suite_grids():
 
 @needs_c_compiler
 def test_kernel_fields_equal_heapq_on_suite_grids():
-    assert gridnav._KERNEL.load() is not None, "the Dijkstra kernel failed to build or load"
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
     rng = np.random.default_rng(7)
     checked = 0
     for grid in suite_grids():
@@ -101,7 +101,7 @@ def test_kernel_fields_equal_heapq_on_suite_grids():
       [True, True, False, True, True]], (1, 0)),
 ])
 def test_kernel_fields_equal_heapq_on_edge_cases(free, source):
-    assert gridnav._KERNEL.load() is not None
+    assert _ckernel.load() is not None
     grid = make_grid(free)
     fast = dijkstra_distances(grid, source)
     reference = gridnav._dijkstra_heapq(grid, source)
@@ -118,20 +118,6 @@ def test_two_components_leave_the_other_unreachable():
     assert np.isfinite(dist[:, :3]).all()
     assert np.isinf(dist[:, 3:]).all()
     assert dist[0, 1] == 0.25 and dist[1, 1] == np.sqrt(2.0) * 0.25
-
-
-def test_failed_kernel_build_warns_and_returns_heapq_field(monkeypatch):
-    def failing_build(source):
-        raise OSError("cc failed: error: unknown type name")
-
-    monkeypatch.setattr(_ckernel, "build", failing_build)
-    monkeypatch.setattr(gridnav._KERNEL, "fn", _ckernel._UNLOADED)
-    grid = random_grid(np.random.default_rng(3), 30, 40, 0.7)
-    source = tuple(int(v) for v in np.argwhere(grid.free)[0])
-    with pytest.warns(RuntimeWarning, match="heapq Dijkstra"):
-        dist = dijkstra_distances(grid, source)
-    assert gridnav._KERNEL.fn is None
-    assert np.array_equal(dist, gridnav._dijkstra_heapq(grid, source))
 
 
 # -- connectivity ----------------------------------------------------------------
@@ -200,7 +186,7 @@ def test_map_components_agree_with_bfs_connected_on_every_suite_map():
 
 def test_map_components_are_the_same_with_the_dijkstra_kernel_off(monkeypatch):
     loaded = gridnav.map_components(component_test_maps()[-1])
-    monkeypatch.setattr(gridnav._KERNEL, "fn", None)
+    monkeypatch.setattr(_ckernel, "_loaded", None)
     off = gridnav.map_components(component_test_maps()[-1])
     assert off is not loaded and np.array_equal(off.labels, loaded.labels)
 

@@ -1,8 +1,6 @@
-import itertools
 import math
 import pickle
 import sys
-import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -50,17 +48,18 @@ from tests.conftest import ScriptedPolicy, make_config, needs_c_compiler
 from tests.test_world import make_world
 
 
-def teacher_act(field, obs, pose):
-    """Single stateless steering step (no reflex hysteresis)."""
-    return _teacher_step(field, obs, pose, engaged=False)[0]
+def teacher_act(field, obs, pose, wmap):
+    """Single stateless steering step (no reflex hysteresis) on the map."""
+    return _teacher_step(field, obs, pose, engaged=False, wmap=wmap)[0]
 
 
 def distance_at(field, x, y):
     return field.value_at_cell(*field.grid.cell_of(x, y))
 
 
-def field_for(wmap, obstacles, goal, start=None):
-    """The teacher's field for a layout, built on the episode's plan of it."""
+def field_for(wmap, obstacles, goal, start):
+    """The teacher's field for a layout and a start, built on the episode's
+    plan of it."""
     return build_distance_field(plan_route(wmap, obstacles, goal), start=start)
 
 
@@ -112,7 +111,7 @@ def test_bfs_connected_basic(corridor):
 
 
 def test_field_goal_cell_is_zero(corridor):
-    field = field_for(corridor, (), (15.0, 1.5))
+    field = field_for(corridor, (), (15.0, 1.5), start=(2.0, 1.5))
     assert distance_at(field, 15.0, 1.5) == pytest.approx(0.0, abs=0.3)
     cell = field.grid.cell_of(15.0, 1.5)
     assert field.values[cell] == 0.0
@@ -120,7 +119,7 @@ def test_field_goal_cell_is_zero(corridor):
 
 def test_field_monotone_along_corridor(corridor):
     goal = (18.0, 1.5)
-    field = field_for(corridor, (), goal)
+    field = field_for(corridor, (), goal, start=(1.0, 1.5))
     xs = np.linspace(1.0, 17.0, 30)
     vals = [distance_at(field, x, 1.5) for x in xs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -145,7 +144,7 @@ def test_field_neighbor_differences_bounded(corridor):
 
 def test_field_unreachable_is_inf(corridor):
     wall = Obstacle(kind="cuboid", x=10.0, y=1.5, half_w=0.3, half_h=1.6)
-    field = field_for(corridor, [wall], (18.0, 1.5))
+    field = field_for(corridor, [wall], (18.0, 1.5), start=(1.0, 1.5))
     assert math.isinf(distance_at(field, 1.0, 1.5))
 
 
@@ -219,7 +218,7 @@ def lookahead_outcome(field, x, y, lookahead):
 
 @needs_c_compiler
 def test_kernel_lookahead_equals_python_walk_on_suite_fields(monkeypatch):
-    assert gridnav._LOOKAHEAD.load() is not None, "the lookahead kernel failed to build or load"
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
     rng = np.random.default_rng(3)
     sight_failures = []
 
@@ -243,7 +242,7 @@ def test_kernel_lookahead_equals_python_walk_on_suite_fields(monkeypatch):
                 fast = lookahead_outcome(field, x, y, lookahead)
                 sight_failures.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(gridnav._LOOKAHEAD, "fn", None)
+                    m.setattr(_ckernel, "_loaded", None)
                     m.setattr(gridnav, "line_of_sight", recording_line_of_sight)
                     reference = lookahead_outcome(field, x, y, lookahead)
                 assert fast == reference, (kind, x, y, lookahead)
@@ -254,27 +253,6 @@ def test_kernel_lookahead_equals_python_walk_on_suite_fields(monkeypatch):
     assert sum(counts[k] for k in ("goal cell", "first step", "next to blocked", "tie",
                                    "anywhere")) >= 2000
     assert min(counts.values()) >= 50, counts
-
-
-def test_failed_kernel_build_warns_once_and_walks_in_python(monkeypatch):
-    fields = list(itertools.islice(suite_fields(), 6))
-    rng = np.random.default_rng(8)
-    queries = [(field, x, y, 1.2) for field in fields
-               for points in lookahead_points(rng, field).values() for x, y in points]
-    expected = [lookahead_outcome(*q) for q in queries]
-
-    def failing_build(source):
-        raise OSError("cc failed: error: unknown type name")
-
-    monkeypatch.setattr(_ckernel, "build", failing_build)
-    monkeypatch.setattr(gridnav._LOOKAHEAD, "fn", _ckernel._UNLOADED)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        answers = [lookahead_outcome(*q) for q in queries]
-    messages = [str(w.message) for w in caught]
-    assert len(messages) == 1 and "Python lookahead walk" in messages[0]
-    assert gridnav._LOOKAHEAD.fn is None
-    assert answers == expected
 
 
 def test_field_pickled_after_lookahead_answers_identically():
@@ -406,7 +384,7 @@ def test_teacher_aligned_full_speed(corridor):
     goal = (18.0, 1.5)
     field = field_for(corridor, (), goal, start=(4.0, 1.5))
     w = make_world(corridor, 4.0, 1.5, 0.0)
-    action = teacher_act(field, privileged_obs(w, goal), (4.0, 1.5, 0.0))
+    action = teacher_act(field, privileged_obs(w, goal), (4.0, 1.5, 0.0), corridor)
     assert action.speed == pytest.approx(SPEED_MAX, abs=0.01)
     # grid cell centers put the steering target up to ~5 degrees off-axis
     assert action.yaw_delta == pytest.approx(0.0, abs=0.12)
@@ -416,7 +394,7 @@ def test_teacher_goal_behind(corridor):
     goal = (2.0, 1.5)
     field = field_for(corridor, (), goal, start=(15.0, 1.5))
     w = make_world(corridor, 15.0, 1.5, 0.0)  # facing away from the goal
-    action = teacher_act(field, privileged_obs(w, goal), (15.0, 1.5, 0.0))
+    action = teacher_act(field, privileged_obs(w, goal), (15.0, 1.5, 0.0), corridor)
     assert abs(action.yaw_delta) == YAW_LIMIT
     assert action.speed <= 0.0
 
@@ -429,7 +407,7 @@ def test_teacher_reverses_on_blocked_front(big_plane):
     obs = privileged_obs(w, goal)
     assert corridor_hit(obs.privileged.lidar, 0.0, FRONTAL_HALF_ANGLE)[0] == pytest.approx(
         0.5, abs=1e-9)
-    action = teacher_act(field, obs, (0.0, 0.0, 0.0))
+    action = teacher_act(field, obs, (0.0, 0.0, 0.0), big_plane)
     assert action.speed == SPEED_MIN
 
 
@@ -484,10 +462,10 @@ def test_no_path_error_when_agent_sealed():
     # walkable plane but the goal region is walled off by obstacles
     m = generate_synthetic_map("corridor", 20.0, 3.0)
     wall = Obstacle(kind="cuboid", x=10.0, y=1.5, half_w=0.4, half_h=1.6)
-    field = field_for(m, [wall], (18.0, 1.5))
+    field = field_for(m, [wall], (18.0, 1.5), start=(2.0, 1.5))
     w = make_world(m, 2.0, 1.5, 0.0, obstacles=[wall])
     with pytest.raises(NoPathError):
-        teacher_act(field, privileged_obs(w, (18.0, 1.5)), (2.0, 1.5, 0.0))
+        teacher_act(field, privileged_obs(w, (18.0, 1.5)), (2.0, 1.5, 0.0), m)
 
 
 # -- one plan per layout -------------------------------------------------------------

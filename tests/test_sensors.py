@@ -1,5 +1,6 @@
 import math
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,11 +211,11 @@ def test_raycast_matches_marching_oracle(seed):
 @needs_c_compiler
 @pytest.mark.parametrize("seed", [20, 21, 22])
 def test_raycast_compiled_matches_numpy(seed, monkeypatch):
-    assert sensors._KERNEL.load() is not None, "the raycast kernel failed to build or load"
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
     w = random_world(seed)
     cases = ((64, 6.0), (272, 6.0), (64, 9.0))
     fast = [raycast(w, n_rays, max_range) for n_rays, max_range in cases]
-    monkeypatch.setattr(sensors._KERNEL, "fn", None)
+    monkeypatch.setattr(_ckernel, "_loaded", None)
     for (n_rays, max_range), ranges in zip(cases, fast):
         assert np.array_equal(ranges, raycast(w, n_rays, max_range))
 
@@ -230,7 +231,7 @@ def test_raycast_compiled_matches_numpy_grazing_rect_corners(big_plane, monkeypa
                    obstacles=[Obstacle(kind="cuboid", x=3.0, y=0.0, half_w=half_w,
                                        half_h=half_h, yaw=yaw)])
     fast = raycast(w, 20000, 9.0)
-    monkeypatch.setattr(sensors._KERNEL, "fn", None)
+    monkeypatch.setattr(_ckernel, "_loaded", None)
     reference = raycast(w, 20000, 9.0)
     assert (reference < 9.0).any()
     assert np.array_equal(fast, reference)
@@ -240,8 +241,8 @@ def test_raycast_compiled_matches_numpy_grazing_rect_corners(big_plane, monkeypa
 def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
     # pedestrians move every step, and the kernel reads their new rows through
     # the data addresses the world's tables took when they were built
-    kernel = sensors._KERNEL.load()
-    assert kernel is not None, "the raycast kernel failed to build or load"
+    kernels = _ckernel.load()
+    assert kernels is not None, "the C kernels failed to build or load"
     rng = np.random.default_rng(41)
     wmap = suites.bench_config().map
     x, y = wmap.sample_walkable_point(rng)
@@ -255,9 +256,9 @@ def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
     kernel_args, bounds_address = tables.kernel_args, tables.bounds_address
     clear = 0
     for step in range(200):
-        monkeypatch.setattr(sensors._KERNEL, "fn", kernel)
+        monkeypatch.setattr(_ckernel, "_loaded", kernels)
         fast = [raycast(w, n_rays, max_range) for n_rays, max_range in cases]
-        monkeypatch.setattr(sensors._KERNEL, "fn", None)
+        monkeypatch.setattr(_ckernel, "_loaded", None)
         for (n_rays, max_range), ranges in zip(cases, fast):
             assert np.array_equal(ranges, raycast(w, n_rays, max_range)), (step, n_rays)
         clear += bool(fast[0].any())
@@ -267,21 +268,10 @@ def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
     assert clear > 150  # casts from inside a pedestrian read 0 on both paths
 
 
-def test_raycast_falls_back_to_numpy_when_kernel_build_fails(monkeypatch):
-    def failing_build(source):
-        raise OSError("cc failed: error: unknown type name")
-
-    monkeypatch.setattr(_ckernel, "build", failing_build)
-    monkeypatch.setattr(sensors._KERNEL, "fn", _ckernel._UNLOADED)
-    w = random_world(20)
-    with pytest.warns(RuntimeWarning, match="numpy path"):
-        ranges = raycast(w, 64, 6.0)
-    assert sensors._KERNEL.fn is None
-    assert np.array_equal(ranges, raycast(w, 64, 6.0))
-
-
 # The build helper is shared by every C kernel of the package; these tests
 # cover it once, through the source of the raycast and membership kernels.
+
+WALKMAP_SOURCE = str(Path(_ckernel.__file__).with_name("_walkmap.c"))
 
 
 @needs_c_compiler
@@ -295,13 +285,13 @@ def test_kernel_compile_error_raises_oserror_and_leaves_no_object(tmp_path):
 
 @needs_c_compiler
 def test_current_kernel_is_reused_without_compiling(monkeypatch):
-    path = _ckernel.build(sensors._KERNEL.source)
+    path = _ckernel.build(WALKMAP_SOURCE)
 
     def no_compile(*args, **kwargs):
         raise AssertionError("compiled although the built kernel is current")
 
     monkeypatch.setattr(subprocess, "run", no_compile)
-    assert _ckernel.build(sensors._KERNEL.source) == path
+    assert _ckernel.build(WALKMAP_SOURCE) == path
 
 
 def test_raycast_rotational_consistency():

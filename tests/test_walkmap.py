@@ -1,12 +1,11 @@
 import json
 import math
 import pickle
-import warnings
 
 import numpy as np
 import pytest
 
-from sidewalksim import _ckernel, suites, walkmap
+from sidewalksim import _ckernel, suites
 from sidewalksim.errors import GeometryError, MapFormatError
 from sidewalksim.geometry import point_in_polygon, polygon_area
 from sidewalksim.walkmap import (
@@ -116,7 +115,7 @@ def adversarial_points(wmap):
 
 @needs_c_compiler
 def test_kernel_fallback_and_bulk_match_bruteforce(rng):
-    assert walkmap._KERNEL.load() is not None, "the membership kernel failed to build or load"
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
     configs = suites.training_suite() + suites.validation_suite() + [suites.bench_config()]
     maps = [generate_synthetic_map("grid", 28.0, 4.0, seed=5)] + [cfg.map for cfg in configs]
     checked = inside = 0
@@ -137,28 +136,9 @@ def test_kernel_fallback_and_bulk_match_bruteforce(rng):
     assert checked > 40_000 and 0.2 < inside / checked < 0.8
 
 
-def test_failed_kernel_build_warns_once_and_uses_bbox_loop(monkeypatch, rng):
-    def failing_build(source):
-        raise OSError("cc failed: error: unknown type name")
-
-    monkeypatch.setattr(_ckernel, "build", failing_build)
-    monkeypatch.setattr(walkmap._KERNEL, "fn", _ckernel._UNLOADED)
-    wmap = generate_synthetic_map("L-shape", 15.0, 3.5, seed=2)
-    points = list(zip(rng.uniform(-1.0, 16.0, 500).tolist(),
-                      rng.uniform(-3.0, 16.0, 500).tolist())) + adversarial_points(wmap)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        answers = [wmap.is_walkable(x, y) for x, y in points]
-    messages = [str(w.message) for w in caught]
-    assert len(messages) == 1 and "bbox loop" in messages[0]
-    assert walkmap._KERNEL.fn is None
-    assert answers == [walkable_bruteforce(wmap, x, y) for x, y in points]
-    assert any(answers) and not all(answers)
-
-
 @needs_c_compiler
 def test_non_finite_points_are_not_walkable_on_both_paths():
-    assert walkmap._KERNEL.load() is not None
+    assert _ckernel.load() is not None
     wmap = suites.validation_suite()[6].map
     x, y = wmap.sample_walkable_point(np.random.default_rng(4))
     assert wmap.is_walkable(x, y) and wmap._is_walkable_python(x, y)
@@ -321,8 +301,7 @@ def test_sampler_accepts_only_inside_the_drawn_polygon():
 def test_sampler_draws_and_generator_state_are_the_same_with_the_kernel_off(monkeypatch):
     # the kernel tests a candidate against the drawn polygon only, as
     # point_in_polygon does; the oblique map rejects candidates in the union
-    kernel = walkmap._KERNEL.load()
-    assert kernel is not None, "the membership kernel failed to build or load"
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
     maps = [build_walkable_map(SidewalkNetwork([([(0.0, 0.0), (12.0, 0.0), (20.0, 8.0)], 3.0)])),
             suites.bench_config().map, suites.validation_suite()[1].map]
 
@@ -332,5 +311,5 @@ def test_sampler_draws_and_generator_state_are_the_same_with_the_kernel_off(monk
         return points, rng.bit_generator.state
 
     loaded = draws()
-    monkeypatch.setattr(walkmap._KERNEL, "fn", None)
+    monkeypatch.setattr(_ckernel, "_loaded", None)
     assert draws() == loaded

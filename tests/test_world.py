@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidewalksim import suites, world
+from sidewalksim import _ckernel, suites, world
 from sidewalksim.geometry import oriented_rect_corners
 from sidewalksim.world import (
     AGENT_RADIUS,
@@ -277,8 +277,8 @@ def broad_phase_oracle(bounds, x, y, margin, closed):
 @pytest.mark.parametrize("margin, closed", [(AGENT_RADIUS, False), (0.0, True),
                                             (0.25, False), (0.25, True)])
 def test_compiled_disc_test_matches_the_numpy_broad_phase(monkeypatch, margin, closed):
-    kernel = world._DISCS.load()
-    assert kernel is not None, "the disc test failed to build or load"
+    kernels = _ckernel.load()
+    assert kernels is not None, "the C kernels failed to build or load"
     rng = np.random.default_rng(23)
     cfg = suites.bench_config()
     # two bounding discs of radius 0.5 at the origin: (0.5 + margin, 0) lies on
@@ -293,9 +293,9 @@ def test_compiled_disc_test_matches_the_numpy_broad_phase(monkeypatch, margin, c
     points += [(0.5 + margin, 0.0), (0.0, -0.5 - margin), (0.0, 0.0), (1e9, -1e9)]
     near = 0
     for x, y in points:
-        monkeypatch.setattr(world._DISCS, "fn", kernel)
+        monkeypatch.setattr(_ckernel, "_loaded", kernels)
         fast = list(w.obstacles_near(x, y, margin, closed))
-        monkeypatch.setattr(world._DISCS, "fn", None)
+        monkeypatch.setattr(_ckernel, "_loaded", None)
         assert fast == list(w.obstacles_near(x, y, margin, closed))
         assert fast == broad_phase_oracle(bounds, x, y, margin, closed), (x, y)
         near += bool(fast)
