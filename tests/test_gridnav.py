@@ -120,6 +120,20 @@ def test_two_components_leave_the_other_unreachable():
     assert dist[0, 1] == 0.25 and dist[1, 1] == np.sqrt(2.0) * 0.25
 
 
+def test_failed_kernel_build_warns_and_returns_heapq_field(monkeypatch):
+    def failing_build(source):
+        raise OSError("cc failed: error: unknown type name")
+
+    monkeypatch.setattr(_ckernel, "build", failing_build)
+    monkeypatch.setattr(_ckernel, "_loaded", _ckernel._UNLOADED)
+    grid = random_grid(np.random.default_rng(3), 30, 40, 0.7)
+    source = tuple(int(v) for v in np.argwhere(grid.free)[0])
+    with pytest.warns(RuntimeWarning, match="pure-Python paths"):
+        dist = dijkstra_distances(grid, source)
+    assert _ckernel.load() is None
+    assert np.array_equal(dist, gridnav._dijkstra_heapq(grid, source))
+
+
 # -- connectivity ----------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
+import itertools
 import math
 import pickle
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -253,6 +255,27 @@ def test_kernel_lookahead_equals_python_walk_on_suite_fields(monkeypatch):
     assert sum(counts[k] for k in ("goal cell", "first step", "next to blocked", "tie",
                                    "anywhere")) >= 2000
     assert min(counts.values()) >= 50, counts
+
+
+def test_failed_kernel_build_warns_once_and_walks_in_python(monkeypatch):
+    fields = list(itertools.islice(suite_fields(), 6))
+    rng = np.random.default_rng(8)
+    queries = [(field, x, y, 1.2) for field in fields
+               for points in lookahead_points(rng, field).values() for x, y in points]
+    expected = [lookahead_outcome(*q) for q in queries]
+
+    def failing_build(source):
+        raise OSError("cc failed: error: unknown type name")
+
+    monkeypatch.setattr(_ckernel, "build", failing_build)
+    monkeypatch.setattr(_ckernel, "_loaded", _ckernel._UNLOADED)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        answers = [lookahead_outcome(*q) for q in queries]
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "pure-Python paths" in messages[0]
+    assert _ckernel.load() is None
+    assert answers == expected
 
 
 def test_field_pickled_after_lookahead_answers_identically():

@@ -268,6 +268,20 @@ def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
     assert clear > 150  # casts from inside a pedestrian read 0 on both paths
 
 
+def test_raycast_falls_back_to_numpy_when_kernel_build_fails(monkeypatch):
+    w = random_world(20)
+
+    def failing_build(source):
+        raise OSError("cc failed: error: unknown type name")
+
+    monkeypatch.setattr(_ckernel, "build", failing_build)
+    monkeypatch.setattr(_ckernel, "_loaded", _ckernel._UNLOADED)
+    with pytest.warns(RuntimeWarning, match="pure-Python paths"):
+        ranges = raycast(w, 64, 6.0)
+    assert _ckernel.load() is None
+    assert np.array_equal(ranges, raycast(w, 64, 6.0))
+
+
 # The build helper is shared by every C kernel of the package; these tests
 # cover it once, through the source of the raycast and membership kernels.
 

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,25 @@ def test_kernel_fallback_and_bulk_match_bruteforce(rng):
             inside += expected
         checked += len(points)
     assert checked > 40_000 and 0.2 < inside / checked < 0.8
+
+
+def test_failed_kernel_build_warns_once_and_uses_bbox_loop(monkeypatch, rng):
+    def failing_build(source):
+        raise OSError("cc failed: error: unknown type name")
+
+    monkeypatch.setattr(_ckernel, "build", failing_build)
+    monkeypatch.setattr(_ckernel, "_loaded", _ckernel._UNLOADED)
+    wmap = generate_synthetic_map("L-shape", 15.0, 3.5, seed=2)
+    points = list(zip(rng.uniform(-1.0, 16.0, 500).tolist(),
+                      rng.uniform(-3.0, 16.0, 500).tolist())) + adversarial_points(wmap)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        answers = [wmap.is_walkable(x, y) for x, y in points]
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "pure-Python paths" in messages[0]
+    assert _ckernel.load() is None
+    assert answers == [walkable_bruteforce(wmap, x, y) for x, y in points]
+    assert any(answers) and not all(answers)
 
 
 @needs_c_compiler
