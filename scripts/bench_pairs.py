@@ -215,7 +215,7 @@ def pass_digest_once(workload: str, seed: int, kernels: str) -> dict:
     unavailable = "compiled .* unavailable"  # the start of the loader's warning
     with warnings.catch_warnings(record=True) as caught:
         if kernels == "off":
-            def no_compiler(source):
+            def no_compiler(*args, **kwargs):  # stubs any checkout's build signature
                 raise OSError("no C compiler for this pass")
 
             _ckernel.build = no_compiler

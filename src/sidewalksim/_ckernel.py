@@ -3,68 +3,78 @@
 _walkmap.c holds the single-point membership test, the lidar raycast loop,
 which classifies its probes with that test, and the obstacles' bounding-disc
 test; _gridnav.c the grid Dijkstra and the teacher's lookahead walk with its
-line-of-sight checks.
+line-of-sight checks. _kernels.c includes both unchanged and wraps each kernel
+as a function of one CPython extension module, which takes numpy arrays
+through the buffer protocol.
 
-Both sources are compiled on the first call to any kernel, with the C compiler
-found on PATH, into __pycache__ beside them, then loaded through ctypes. The
-kernels are available together or not at all: without a compiler, or when a
-build or a load fails, load() warns once and every caller uses its pure-Python
-path.
+The module is compiled on the first call to any kernel, with the C compiler
+found on PATH and this interpreter's headers, into __pycache__ beside the
+sources, then imported from there. The kernels are available together or not
+at all: without a compiler or without Python.h, or when a build or a load
+fails, load() warns once and every caller uses its pure-Python path.
+
+Since _kernels.c includes the kernel sources whole, the built object exports
+the five kernel functions under their C names besides PyInit__kernels.
 """
 
 from __future__ import annotations
 
-import ctypes
+import importlib.machinery
+import importlib.util
 import os
 import shutil
+import sysconfig
 import tempfile
-import types
 import warnings
 
 COMPILERS = ("cc", "gcc", "clang")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_ARG_KINDS = {"d": ctypes.c_double, "i": ctypes.c_int64, "p": ctypes.c_void_p}
-# symbol -> (its source beside this module, its argument kinds in order:
-# d = double, i = int64, p = pointer, i.e. a data address); each returns an int
-SYMBOLS = {
-    "point_walkable": ("_walkmap.c", "ddpppi"),
-    "raycast_loop": ("_walkmap.c", "ddddpidpippipppip"),
-    "first_disc_holding": ("_walkmap.c", "dddipii"),
-    "grid_dijkstra": ("_gridnav.c", "piiiiddp"),
-    "grid_lookahead": ("_gridnav.c", "dddppiidddddp"),
-}
+SOURCE = "_kernels.c"
+INCLUDED = ("_walkmap.c", "_gridnav.c")  # the kernel sources SOURCE includes
+# the module's functions, each wrapping the C function of the same name
+KERNELS = ("point_walkable", "raycast_loop", "first_disc_holding", "grid_dijkstra",
+           "grid_lookahead")
 _UNLOADED = object()
 _loaded = _UNLOADED  # load()'s answer once it has run; None switches every kernel off
 
 
 def build(source: str) -> str:
-    """Path of the shared object built from the source file and the flags.
+    """Path of the extension module built from `source`, a _kernels.c with
+    the kernel sources it includes beside it.
 
-    The file name carries a hash of both, so a stale object is never loaded.
-    A build writes a private temporary file and renames it into place, so
-    processes building at the same time never see a partial object. Raises
-    OSError when no object can be built.
+    The file name carries a hash of the three sources, the compiler flags
+    (with the include directory of this interpreter's headers) and the
+    interpreter's extension suffix, so a stale object, or one built for
+    another interpreter, is never loaded. A build writes a private temporary
+    file and renames it into place, so processes building at the same time
+    never see a partial object. Raises OSError when no object can be built.
     """
     # imported here, not at module level: hashlib loads OpenSSL, which would
     # slow down every import of the package for a build that rarely runs
     import hashlib
     import subprocess
 
-    with open(source, "rb") as f:
-        key = hashlib.sha256(f.read() + " ".join(FLAGS).encode()).hexdigest()[:16]
+    directory = os.path.dirname(source)
+    flags = (*FLAGS, "-I", sysconfig.get_paths()["include"])
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    digest = hashlib.sha256()
+    for path in (source, *(os.path.join(directory, name) for name in INCLUDED)):
+        with open(path, "rb") as f:
+            digest.update(f.read() + b"\0")
+    digest.update(" ".join((*flags, suffix)).encode())
     stem = os.path.splitext(os.path.basename(source))[0]
-    cache_dir = os.path.join(os.path.dirname(source), "__pycache__")
-    target = os.path.join(cache_dir, f"{stem}-{key}.so")
+    cache_dir = os.path.join(directory, "__pycache__")
+    target = os.path.join(cache_dir, f"{stem}-{digest.hexdigest()[:16]}{suffix}")
     if os.path.exists(target):
         return target
     compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
     if compiler is None:
         raise OSError(f"no C compiler on PATH (tried {', '.join(COMPILERS)})")
     os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f"{stem}-", suffix=".so.tmp", dir=cache_dir)
+    fd, tmp = tempfile.mkstemp(prefix=f"{stem}-", suffix=".tmp", dir=cache_dir)
     os.close(fd)
     try:
-        subprocess.run([compiler, *FLAGS, "-o", tmp, source, "-lm"],
+        subprocess.run([compiler, *flags, "-o", tmp, source, "-lm"],
                        check=True, capture_output=True, timeout=120)
         os.replace(tmp, target)
     except subprocess.CalledProcessError as exc:
@@ -78,9 +88,9 @@ def build(source: str) -> str:
 
 
 def load():
-    """The five kernels as attributes named by their symbols, built and typed
-    once per process; None, after one RuntimeWarning, when any source or
-    symbol is unavailable. Then each call site takes its pure-Python path,
+    """The extension module, whose functions are the five KERNELS, built and
+    imported once per process; None, after one RuntimeWarning, when it cannot
+    be built or imported. Then each call site takes its pure-Python path,
     which returns the same values bit for bit, only slower:
 
     - WalkableMap.is_walkable: the bbox loop, _is_walkable_python;
@@ -95,20 +105,16 @@ def load():
     """
     global _loaded
     if _loaded is _UNLOADED:
-        here = os.path.dirname(os.path.abspath(__file__))
-        libraries = {}
-        functions = {}
         try:
-            for symbol, (source, kinds) in SYMBOLS.items():
-                if source not in libraries:
-                    libraries[source] = ctypes.CDLL(build(os.path.join(here, source)))
-                fn = functions[symbol] = getattr(libraries[source], symbol)
-                fn.argtypes = tuple(_ARG_KINDS[k] for k in kinds)
-                fn.restype = ctypes.c_int
-        except (OSError, AttributeError) as exc:
+            path = build(os.path.join(os.path.dirname(os.path.abspath(__file__)), SOURCE))
+            loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._kernels", path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(loader.name, path, loader=loader))
+            loader.exec_module(module)
+        except (OSError, ImportError) as exc:
             warnings.warn(f"compiled kernels unavailable, using their pure-Python paths: {exc}",
                           RuntimeWarning, stacklevel=3)
             _loaded = None
         else:
-            _loaded = types.SimpleNamespace(**functions)
+            _loaded = module
     return _loaded

@@ -1,6 +1,6 @@
 /* 8-connected grid Dijkstra and the teacher's lookahead walk over its
- * fields, both loaded through ctypes by _ckernel.py and called from
- * gridnav.py.
+ * fields, both wrapped by _kernels.c, the module _ckernel.py builds, and
+ * called from gridnav.py.
  *
  * Each relaxation is nd = d + w, with the straight and diagonal step costs
  * passed in from Python, and the file is built with -ffp-contract=off, so

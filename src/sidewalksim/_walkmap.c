@@ -1,7 +1,7 @@
 /* Union membership of a point, the lidar raycast that classifies its probes
- * with it, and the obstacles' bounding-disc test; loaded through ctypes by
- * _ckernel.py and called from walkmap.py (point_walkable), sensors.py
- * (raycast_loop) and world.py (first_disc_holding).
+ * with it, and the obstacles' bounding-disc test; wrapped by _kernels.c, the
+ * module _ckernel.py builds, and called from walkmap.py (point_walkable),
+ * sensors.py (raycast_loop) and world.py (first_disc_holding).
  *
  * point_walkable gives each polygon whose closed bbox holds the point the
  * even-odd crossing test of geometry.point_in_polygon, written with the same
@@ -26,7 +26,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-/* The map, as WalkableMap.kernel_args passes it. edges: (n_edges, 4) rows
+/* The map, as WalkableMap holds it. edges: (n_edges, 4) rows
  * (ax, ay, bx, by), grouped by polygon in polygon order, so polygon p owns
  * rows edge_start[p] to edge_start[p + 1] - 1; bboxes: (n_polys, 4) rows
  * (minx, miny, maxx, maxy). Returns 1 when the point lies in some polygon;

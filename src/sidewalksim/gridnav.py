@@ -3,7 +3,6 @@ Dijkstra fields and the descent walk over them."""
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 import math
 from dataclasses import dataclass
@@ -161,13 +160,6 @@ class DistanceField:
     grid: OccupancyGrid
     values: np.ndarray           # (ny, nx) meters
     goal: tuple[float, float]
-    _kernel_args = None  # not a dataclass field: built on the first lookahead
-
-    def __getstate__(self):
-        # data addresses are valid only in the process that took them
-        state = self.__dict__.copy()
-        state.pop("_kernel_args", None)
-        return state
 
     def value_at_cell(self, row: int, col: int) -> float:
         if not self.grid.in_bounds(row, col):
@@ -208,33 +200,15 @@ class DistanceField:
         if kernels is None:
             target = self._lookahead_walk(x, y, lookahead)
         else:
-            cached = self._kernel_args
-            if cached is None:
-                cached = self._kernel_args = self._build_kernel_args()
-            out = cached[1]
-            found = kernels.grid_lookahead(x, y, lookahead, *cached[0]) == 0
-            target = (out[0], out[1]) if found else None
+            grid = self.grid
+            target = kernels.grid_lookahead(x, y, lookahead, self.values, grid.free, grid.minx,
+                                            grid.miny, NAV_RESOLUTION, self.goal[0], self.goal[1])
         if target is not None:
             return target
         # blocked or off-grid start: nudge onto the best nearby cell first
         direction = self._best_neighbor_direction(x, y)
         return (x + NAV_RESOLUTION * math.cos(direction),
                 y + NAV_RESOLUTION * math.sin(direction))
-
-    def _build_kernel_args(self) -> tuple:
-        """(the kernel's arguments after x, y and lookahead, its output
-        buffer, the arrays the addresses point into); whoever keeps the
-        addresses keeps the arrays alive."""
-        grid = self.grid
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        free = np.ascontiguousarray(grid.free, dtype=bool)
-        if values.ndim != 2 or free.shape != values.shape:
-            raise ValueError(f"field {values.shape} does not match its grid {free.shape}")
-        out = (ctypes.c_double * 2)()
-        ny, nx = values.shape
-        args = (values.ctypes.data, free.ctypes.data, ny, nx, grid.minx, grid.miny,
-                NAV_RESOLUTION, self.goal[0], self.goal[1], ctypes.addressof(out))
-        return args, out, (values, free)
 
     def _lookahead_walk(self, x: float, y: float,
                         lookahead: float) -> tuple[float, float] | None:
@@ -286,13 +260,10 @@ def _distances(grid: OccupancyGrid, source_cell) -> np.ndarray:
     free = grid.free
     if not grid.in_bounds(*source_cell) or not free[source_cell]:
         return np.full(free.shape, np.inf)
-    cells = np.ascontiguousarray(free, dtype=bool)
-    ny, nx = cells.shape
-    dist = np.empty((ny, nx))
-    if kernels.grid_dijkstra(cells.ctypes.data, ny, nx, int(source_cell[0]),
-                             int(source_cell[1]), NAV_RESOLUTION,
-                             math.sqrt(2.0) * NAV_RESOLUTION, dist.ctypes.data):
-        raise MemoryError("grid Dijkstra kernel could not allocate its heap")
+    dist = np.empty(free.shape)
+    kernels.grid_dijkstra(np.ascontiguousarray(free, dtype=bool), int(source_cell[0]),
+                          int(source_cell[1]), NAV_RESOLUTION, math.sqrt(2.0) * NAV_RESOLUTION,
+                          dist)
     return dist
 
 

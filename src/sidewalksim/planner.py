@@ -156,7 +156,7 @@ def corridor_hit(lidar: np.ndarray, bearing: float, half_angle: float) -> tuple[
     return depth, lateral
 
 
-def _teacher_step(field: DistanceField, obs: Observation, pose, engaged: bool,
+def _teacher_step(field: DistanceField, obs: Observation, engaged: bool,
                   wmap: WalkableMap) -> tuple[Action, bool]:
     """Steering core; returns the action and whether the back-up reflex is on.
 
@@ -168,7 +168,7 @@ def _teacher_step(field: DistanceField, obs: Observation, pose, engaged: bool,
     reflex on until the corridor clears with margin. Steps whose landing
     point would leave the walkable area are vetoed to a pivot.
     """
-    x, y, heading = pose
+    x, y, heading = obs.privileged.pose
     gx, gy = field.goal
     goal_dist = math.hypot(gx - x, gy - y)
 
@@ -240,6 +240,6 @@ class OracleTeacher(Policy):
             raise RuntimeError("reset() must run before act()")
         if obs.privileged is None:
             raise ValueError("oracle teacher needs the privileged observation")
-        action, self._engaged = _teacher_step(self.field, obs, obs.privileged.pose,
-                                              engaged=self._engaged, wmap=self._map)
+        action, self._engaged = _teacher_step(self.field, obs, engaged=self._engaged,
+                                              wmap=self._map)
         return action

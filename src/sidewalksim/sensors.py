@@ -122,16 +122,14 @@ _RAY_UNIT_CACHE: dict = {}
 
 
 def _ray_units(n_rays: int):
-    """(2, n_rays) array of cos/sin of the ray offsets, and its data address."""
-    cached = _RAY_UNIT_CACHE.get(n_rays)
-    if cached is None:
+    """(2, n_rays) array of cos/sin of the ray offsets."""
+    units = _RAY_UNIT_CACHE.get(n_rays)
+    if units is None:
         base = 2.0 * math.pi * np.arange(n_rays) / n_rays
-        units = np.empty((2, n_rays))
+        units = _RAY_UNIT_CACHE[n_rays] = np.empty((2, n_rays))
         units[0] = np.cos(base)
         units[1] = np.sin(base)
-        cached = (units, units.ctypes.data)
-        _RAY_UNIT_CACHE[n_rays] = cached
-    return cached
+    return units
 
 
 def _raycast_numpy(world, ox, oy, ch, sh, units, max_range):
@@ -197,7 +195,7 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
         raise ValueError("n_rays >= 1 and max_range > 0 required")
     agent = world.agent
     ox, oy = agent.x, agent.y
-    units, units_ptr = _ray_units(n_rays)
+    units = _ray_units(n_rays)
     ch, sh = math.cos(agent.heading), math.sin(agent.heading)
 
     # an origin inside an obstacle lies in its closed bounding disc
@@ -209,10 +207,9 @@ def raycast(world: WorldState, n_rays: int, max_range: float) -> np.ndarray:
     if kernels is None:
         return _raycast_numpy(world, ox, oy, ch, sh, units, max_range)
     out = np.empty(n_rays)
-    if kernels.raycast_loop(ox, oy, ch, sh, units_ptr, n_rays, max_range,
-                            *world.tables.kernel_args, *world.map.kernel_args(),
-                            out.ctypes.data):
-        raise MemoryError("raycast kernel could not allocate its scratch buffers")
+    tables, wmap = world.tables, world.map
+    kernels.raycast_loop(ox, oy, ch, sh, max_range, units, tables.circles, tables.rect_segments,
+                         tables.rect_bounds, wmap.edges, wmap.edge_start, wmap.bboxes, out)
     return out
 
 

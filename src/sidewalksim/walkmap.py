@@ -69,16 +69,17 @@ class WalkableMap:
             float(allv[:, 0].max()),
             float(allv[:, 1].max()),
         )
-        self._bboxes = np.array(
+        # the tables the C kernels read: bboxes, rows (minx, miny, maxx, maxy);
+        # edges, rows (ax, ay, bx, by), of which polygon p owns rows
+        # edge_start[p] to edge_start[p + 1] - 1
+        self.bboxes = np.array(
             [
                 [p[:, 0].min(), p[:, 1].min(), p[:, 0].max(), p[:, 1].max()]
                 for p in self.polygons
             ]
         )
-        # edge table: rows (ax, ay, bx, by); polygon p owns rows
-        # edge_start[p] to edge_start[p + 1] - 1
-        self._edges = np.vstack([np.hstack([p, np.roll(p, -1, axis=0)]) for p in self.polygons])
-        self._edge_start = np.cumsum([0] + [len(p) for p in self.polygons], dtype=np.int64)
+        self.edges = np.vstack([np.hstack([p, np.roll(p, -1, axis=0)]) for p in self.polygons])
+        self.edge_start = np.cumsum([0] + [len(p) for p in self.polygons], dtype=np.int64)
         areas = np.array([geometry.polygon_area(p) for p in self.polygons])
         total = areas.sum()
         # the table Generator.choice(p=areas / total) builds on every call
@@ -88,25 +89,6 @@ class WalkableMap:
             self._area_cdf /= self._area_cdf[-1]
         self._raster = None  # cell_centers_inside, built on first use
         self._components = None  # gridnav.map_components, built on first use
-        self._kernel_args = None  # data addresses for _walkmap.c, built on first use
-
-    def __getstate__(self):
-        # data addresses are valid only in the process that took them
-        state = self.__dict__.copy()
-        state["_kernel_args"] = None
-        return state
-
-    def kernel_args(self) -> tuple:
-        """The map arguments of both C kernels: the data addresses of the edge
-        table, the edge offsets and the bboxes, then the polygon count.
-
-        The arrays are the map's own, so they live as long as the map does.
-        """
-        args = self._kernel_args
-        if args is None:
-            args = self._kernel_args = (self._edges.ctypes.data, self._edge_start.ctypes.data,
-                                        self._bboxes.ctypes.data, len(self._bboxes))
-        return args
 
     def is_walkable(self, x: float, y: float) -> bool:
         """True iff the point lies inside at least one polygon.
@@ -117,7 +99,7 @@ class WalkableMap:
         kernels = _ckernel.load()
         if kernels is None:
             return self._is_walkable_python(x, y)
-        return kernels.point_walkable(x, y, *self.kernel_args()) != 0
+        return kernels.point_walkable(x, y, self.edges, self.edge_start, self.bboxes)
 
     def _is_walkable_python(self, x: float, y: float) -> bool:
         """Pure-Python fallback for the compiled kernel, and its reference: the
@@ -131,7 +113,7 @@ class WalkableMap:
 
     def polygons_in_region(self, minx, miny, maxx, maxy) -> list[int]:
         """Ids of polygons whose bbox intersects the query box."""
-        b = self._bboxes
+        b = self.bboxes
         hit = (b[:, 0] <= maxx) & (b[:, 2] >= minx) & (b[:, 1] <= maxy) & (b[:, 3] >= miny)
         return list(np.nonzero(hit)[0])
 
@@ -145,7 +127,7 @@ class WalkableMap:
                                               float(px.max()), float(py.max()))
         inside = np.zeros(px.shape, dtype=bool)
         for pid in polygon_ids:
-            bx0, by0, bx1, by1 = self._bboxes[pid]
+            bx0, by0, bx1, by1 = self.bboxes[pid]
             box = (px >= bx0) & (px <= bx1) & (py >= by0) & (py <= by1) & ~inside
             if not box.any():
                 continue
@@ -157,14 +139,14 @@ class WalkableMap:
         """Every edge (E, 4) of each polygon whose bbox meets the box of
         half-side `radius` around (x, y), in edge-table order, as the compiled
         raycast walks them."""
-        b = self._bboxes
+        b = self.bboxes
         near = (
             (b[:, 0] <= x + radius)
             & (b[:, 2] >= x - radius)
             & (b[:, 1] <= y + radius)
             & (b[:, 3] >= y - radius)
         )
-        return self._edges[np.repeat(near, np.diff(self._edge_start))]
+        return self.edges[np.repeat(near, np.diff(self.edge_start))]
 
     def sample_walkable_point(self, rng) -> tuple[float, float]:
         """Uniform-ish walkable point: area-weighted polygon, then bbox rejection.
@@ -177,20 +159,17 @@ class WalkableMap:
         if cdf is None:
             raise GeometryError("map has no area to sample from")
         kernels = _ckernel.load()
-        if kernels is not None:
-            edges, edge_start, bboxes, _ = self.kernel_args()
         for _ in range(SAMPLE_MAX_TRIES):
             # the polygon rng.choice(n, p=areas / total) picks, from the same draw
             pid = int(cdf.searchsorted(rng.random(), side="right"))
-            bx0, by0, bx1, by1 = self._bboxes[pid]
+            bx0, by0, bx1, by1 = self.bboxes[pid]
             x = float(rng.uniform(bx0, bx1))
             y = float(rng.uniform(by0, by1))
             if kernels is None:
                 inside = geometry.point_in_polygon(x, y, self.polygons[pid])
             else:
-                # polygon pid alone: its int64 edge offsets and its bbox row of 4 doubles
-                inside = kernels.point_walkable(x, y, edges, edge_start + 8 * pid,
-                                                bboxes + 32 * pid, 1) != 0
+                inside = kernels.point_walkable(x, y, self.edges, self.edge_start, self.bboxes,
+                                                pid)
             if inside:
                 return (x, y)
         raise GeometryError("failed to sample a walkable point")

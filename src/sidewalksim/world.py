@@ -153,21 +153,20 @@ class WorldState:
         Answered by first_disc_holding (_walkmap.c) when the kernels load,
         else by the numpy broad phase, which yields the same indices.
         """
-        tables = self.tables
+        bounds = self.tables.bounds
         kernels = _ckernel.load()
         if kernels is None:
-            bounds = tables.bounds
             dx = bounds[:, 0] - x
             dy = bounds[:, 1] - y
             d2 = dx * dx + dy * dy
             reach2 = (bounds[:, 2] + margin) ** 2
             yield from np.nonzero(d2 <= reach2 if closed else d2 < reach2)[0].tolist()
             return
-        n = len(tables.bounds)
-        i = kernels.first_disc_holding(x, y, margin, closed, tables.bounds_address, 0, n)
+        n = len(bounds)
+        i = kernels.first_disc_holding(x, y, margin, closed, bounds, 0)
         while i < n:
             yield i
-            i = kernels.first_disc_holding(x, y, margin, closed, tables.bounds_address, i + 1, n)
+            i = kernels.first_disc_holding(x, y, margin, closed, bounds, i + 1)
 
 
 class ObstacleTables:
@@ -175,8 +174,7 @@ class ObstacleTables:
 
     `bounds` holds every obstacle's row and the other tables copy theirs from
     it. Pedestrian steps rewrite the pedestrians' rows in place, so the
-    arrays, and their data addresses in `kernel_args` and `bounds_address`,
-    stay valid for the world's life.
+    arrays stay the same for the world's life.
     """
 
     def __init__(self, obstacles):
@@ -195,12 +193,6 @@ class ObstacleTables:
         self.circles = np.empty((len(self._circle_rows), 3))  # x, y, radius of each cylinder
         self.rect_segments = np.empty((4 * len(self._rect_rows), 4))  # (x1, y1, x2, y2) per side
         self.rect_bounds = np.empty((len(self._rect_rows), 3))  # the cuboids' rows of bounds
-        # raycast kernel arguments: addresses of circles, rect_segments and
-        # rect_bounds, with row counts; and bounds' address, for the disc test
-        self.kernel_args = (self.circles.ctypes.data, len(self.circles),
-                            self.rect_segments.ctypes.data,
-                            self.rect_bounds.ctypes.data, len(self.rect_bounds))
-        self.bounds_address = self.bounds.ctypes.data
         self._write(np.ones(len(obstacles), dtype=bool))
 
     def move_pedestrians(self, pedestrians):

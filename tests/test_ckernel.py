@@ -1,6 +1,7 @@
 import math
 import shutil
 import subprocess
+import sysconfig
 import tomllib
 import warnings
 from pathlib import Path
@@ -21,12 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(sidewalksim.__file__).resolve().parent
 
 
-def symbols_by_source() -> dict:
-    """The symbols of _ckernel.SYMBOLS, by source path."""
-    symbols = {}
-    for symbol, (source, _) in _ckernel.SYMBOLS.items():
-        symbols.setdefault(PACKAGE / source, set()).add(symbol)
-    return symbols
+SOURCES = (_ckernel.SOURCE, *_ckernel.INCLUDED)
 
 
 def test_every_c_source_is_package_data():
@@ -39,40 +35,107 @@ def test_every_c_source_is_package_data():
 
 @needs_c_compiler
 def test_every_c_source_builds_and_exports_its_kernel():
-    assert sorted(symbols_by_source()) == sorted(PACKAGE.glob("*.c"))
+    # every C file is the module's source or one it includes
+    assert sorted(PACKAGE / name for name in SOURCES) == sorted(PACKAGE.glob("*.c"))
     kernels = _ckernel.load()
     assert kernels is not None, "the C kernels failed to build or load"
-    assert sorted(vars(kernels)) == sorted(_ckernel.SYMBOLS)
+    assert sorted(name for name in vars(kernels) if not name.startswith("__")) == sorted(
+        _ckernel.KERNELS)
+    assert all(callable(getattr(kernels, name)) for name in _ckernel.KERNELS)
 
 
 def test_only_the_loader_opens_shared_objects():
-    opening = [p.name for p in sorted(PACKAGE.glob("*.py")) if "CDLL" in p.read_text()]
-    assert opening == ["_ckernel.py"]
+    texts = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, text in texts.items() if "ctypes" in text] == []
+    assert [name for name, text in texts.items() if "ExtensionFileLoader" in text] == [
+        "_ckernel.py"]
 
 
 @needs_c_compiler
 def test_every_c_source_compiles_without_warnings():
     compiler = next(filter(None, map(shutil.which, _ckernel.COMPILERS)))
+    include = sysconfig.get_paths()["include"]
     for source in sorted(PACKAGE.glob("*.c")):
         result = subprocess.run(
-            [compiler, *_ckernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-             str(source)], capture_output=True, text=True, timeout=120)
+            [compiler, *_ckernel.FLAGS, "-I", include, "-Wall", "-Wextra", "-Werror",
+             "-fsyntax-only", str(source)], capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, f"{source.name}:\n{result.stderr}"
 
 
 @needs_c_compiler
 @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm on PATH to list exports")
 def test_every_built_object_exports_only_the_functions_its_kernels_load():
-    symbols = symbols_by_source()
-    for source in sorted(PACKAGE.glob("*.c")):
-        listing = subprocess.run(["nm", "-D", "--defined-only", _ckernel.build(str(source))],
-                                 capture_output=True, text=True, check=True, timeout=60)
-        exported = {fields[2] for fields in map(str.split, listing.stdout.splitlines())
-                    if len(fields) == 3 and fields[1] == "T"}
-        assert exported == symbols.get(source, set()), source.name
+    # the module's init function, and the kernels _kernels.c includes whole
+    listing = subprocess.run(
+        ["nm", "-D", "--defined-only", _ckernel.build(str(PACKAGE / _ckernel.SOURCE))],
+        capture_output=True, text=True, check=True, timeout=60)
+    exported = {fields[2] for fields in map(str.split, listing.stdout.splitlines())
+                if len(fields) == 3 and fields[1] == "T"}
+    assert exported == {"PyInit__kernels", *_ckernel.KERNELS}
 
 
-def test_failed_build_warns_once_and_every_query_takes_its_python_path(monkeypatch):
+@needs_c_compiler
+def test_the_kernels_reject_arrays_of_another_layout_or_size():
+    kernels = _ckernel.load()
+    assert kernels is not None, "the C kernels failed to build or load"
+    wmap = suites.bench_config().map
+    edges, starts, boxes = wmap.edges, wmap.edge_start, wmap.bboxes
+    assert kernels.point_walkable(0.0, 0.0, edges, starts, boxes) in (True, False)
+    grid = free_space_grid(wmap)
+    source = tuple(int(v) for v in np.argwhere(grid.free)[0])
+    values = np.empty(grid.free.shape)
+    kernels.grid_dijkstra(grid.free, *source, 1.0, 1.5, values)
+    goal = grid.center_of(*source)
+    units, out = sensors._ray_units(8), np.empty(8)
+    tables = [np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3))]
+    bad_calls = [
+        lambda: kernels.point_walkable(0.0, 0.0, np.asfortranarray(edges), starts, boxes),
+        lambda: kernels.point_walkable(0.0, 0.0, edges, starts, boxes.astype(np.float32)),
+        lambda: kernels.point_walkable(0.0, 0.0, edges, starts[:-1], boxes[:-1]),
+        lambda: kernels.point_walkable(0.0, 0.0, edges, starts, boxes, len(boxes)),
+        lambda: kernels.first_disc_holding(0.0, 0.0, 0.0, True, np.zeros(4), 0),
+        lambda: kernels.raycast_loop(0.0, 0.0, 1.0, 0.0, 6.0, units, *tables, edges, starts,
+                                     boxes, out.astype(np.float32)),
+        lambda: kernels.raycast_loop(0.0, 0.0, 1.0, 0.0, 6.0, units, *tables, edges, starts,
+                                     boxes, np.empty(9)),
+        lambda: kernels.grid_dijkstra(grid.free.astype(np.int64), *source, 1.0, 1.5, values),
+        lambda: kernels.grid_dijkstra(grid.free, *source, 1.0, 1.5, values.T),
+        lambda: kernels.grid_dijkstra(grid.free, -1, 0, 1.0, 1.5, values),
+        lambda: kernels.grid_lookahead(*goal, 1.2, values.T, grid.free, grid.minx, grid.miny,
+                                       gridnav.NAV_RESOLUTION, *goal),
+        lambda: kernels.grid_lookahead(*goal, 1.2, values, grid.free[:, 1:], grid.minx,
+                                       grid.miny, gridnav.NAV_RESOLUTION, *goal),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@needs_c_compiler
+def test_the_object_path_changes_with_each_source_and_the_extension_suffix(tmp_path,
+                                                                            monkeypatch):
+    for name in SOURCES:
+        shutil.copy(PACKAGE / name, tmp_path / name)
+    source = str(tmp_path / _ckernel.SOURCE)
+    path = _ckernel.build(source)
+    paths = {path}
+    for name in SOURCES:
+        text = (tmp_path / name).read_text()
+        (tmp_path / name).write_text(text + "/* edited */\n")
+        paths.add(_ckernel.build(source))
+        (tmp_path / name).write_text(text)
+    assert len(paths) == 1 + len(SOURCES)
+    assert _ckernel.build(source) == path  # the restored sources reuse their object
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: ".cpython-0-test.so"
+                        if name == "EXT_SUFFIX" else config_var(name))
+    other = _ckernel.build(source)
+    assert other not in paths and other.endswith(".cpython-0-test.so")
+
+
+def five_queries():
+    """The five kernel queries on bench_config, as a function of no arguments,
+    and the answers of their pure-Python references."""
     rng = np.random.default_rng(3)
     cfg = suites.bench_config()
     wmap = cfg.map
@@ -98,13 +161,13 @@ def test_failed_build_warns_once_and_every_query_takes_its_python_path(monkeypat
         if any(ob.contains(a.x, a.y) for ob in w.obstacles):
             return np.zeros(64)
         return sensors._raycast_numpy(w, a.x, a.y, math.cos(a.heading), math.sin(a.heading),
-                                      sensors._ray_units(64)[0], 6.0)
+                                      sensors._ray_units(64), 6.0)
 
     def first_hit(w):
         return next((i for i, ob in enumerate(w.obstacles)
                      if ob.distance_to(w.agent.x, w.agent.y) < AGENT_RADIUS), None)
 
-    expected = {
+    references = {
         "is_walkable": [wmap._is_walkable_python(x, y) for x, y in points],
         "collision_check": [first_hit(w) for w in worlds],
         "raycast": [raycast_reference(w).tolist() for w in worlds],
@@ -112,27 +175,56 @@ def test_failed_build_warns_once_and_every_query_takes_its_python_path(monkeypat
         "lookahead_point": [field._lookahead_walk(x, y, 1.2) for x, y in starts],
     }
 
-    def failing_build(source):
-        raise OSError("cc failed: error: unknown type name")
+    walkable, hits = references["is_walkable"], references["collision_check"]
+    assert any(walkable) and not all(walkable)
+    assert any(h is not None for h in hits) and any(h is None for h in hits)
+    assert len(starts) >= 50
 
-    monkeypatch.setattr(_ckernel, "build", failing_build)
-    monkeypatch.setattr(_ckernel, "_loaded", _ckernel._UNLOADED)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        answers = {
+    def ask():
+        return {
             "is_walkable": [wmap.is_walkable(x, y) for x, y in points],
             "collision_check": [collision_check(w).obstacle_id for w in worlds],
             "raycast": [sensors.raycast(w, 64, 6.0).tolist() for w in worlds],
             "dijkstra_distances": [dijkstra_distances(grid, s).tolist() for s in sources],
             "lookahead_point": [field.lookahead_point(x, y, 1.2) for x, y in starts],
         }
+
+    return ask, references
+
+
+def assert_one_warning_and_python_answers(ask, references):
+    """Ask the five queries with the kernels unloaded: one warning, load()
+    None, and every answer its reference's."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        answers = ask()
     messages = [str(w.message) for w in caught]
     assert len(messages) == 1 and "pure-Python paths" in messages[0]
     assert [w.category for w in caught] == [RuntimeWarning]
     assert _ckernel.load() is None
-    for query, values in expected.items():
+    for query, values in references.items():
         assert answers[query] == values, query
-    walkable, hits = expected["is_walkable"], expected["collision_check"]
-    assert any(walkable) and not all(walkable)
-    assert any(h is not None for h in hits) and any(h is None for h in hits)
-    assert len(starts) >= 50
+
+
+def test_failed_build_warns_once_and_every_query_takes_its_python_path(monkeypatch):
+    ask, references = five_queries()
+
+    def failing_build(source):
+        raise OSError("cc failed: error: unknown type name")
+
+    monkeypatch.setattr(_ckernel, "build", failing_build)
+    monkeypatch.setattr(_ckernel, "_loaded", _ckernel._UNLOADED)
+    assert_one_warning_and_python_answers(ask, references)
+
+
+@needs_c_compiler
+def test_missing_python_headers_warn_once_and_every_query_takes_its_python_path(
+        tmp_path, monkeypatch):
+    ask, references = five_queries()
+    paths = sysconfig.get_paths
+    monkeypatch.setattr(sysconfig, "get_paths",
+                        lambda *args, **kwargs: {**paths(*args, **kwargs), "include": str(tmp_path)})
+    with pytest.raises(OSError, match="failed"):
+        _ckernel.build(str(PACKAGE / _ckernel.SOURCE))
+    monkeypatch.setattr(_ckernel, "_loaded", _ckernel._UNLOADED)
+    assert_one_warning_and_python_answers(ask, references)

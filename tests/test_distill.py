@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +362,36 @@ def test_dagger_run_is_the_same_with_every_kernel_off(tmp_path, monkeypatch):
     as_loaded = run("as_loaded")
     monkeypatch.setattr(_ckernel, "_loaded", None)
     assert run("off") == as_loaded
+
+
+# perfbench distill's micro run, printing the SHA-256 of the report JSON, the
+# weights and the transition rows
+MICRO_DAGGER_RUN = """
+import hashlib, json
+from sidewalksim import suites
+from sidewalksim.distill import TrainConfig, dagger_run
+result = dagger_run(suites.training_suite(obs_mode="both", render_bev=False),
+                    suites.validation_suite(obs_mode="realistic"),
+                    TrainConfig(prefill_count=2400, rounds=2, collect_episodes_per_round=8,
+                                round_eval_episodes=6, final_eval_episodes=6, seed=913))
+outputs = (json.dumps(result.report.to_dict()).encode(), result.net.get_flat().tobytes(),
+           result.dataset.rows.tobytes())
+print(json.dumps([hashlib.sha256(data).hexdigest() for data in outputs]))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+def test_micro_dagger_run_is_byte_identical_on_one_and_two_blas_threads():
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def digests(threads):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", MICRO_DAGGER_RUN], env=env,
+                              capture_output=True, text=True, timeout=600, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    assert digests("1") == digests("2")
 
 
 def test_dagger_run_is_deterministic():

@@ -1,4 +1,5 @@
 import math
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from sidewalksim.world import (
 )
 
 from tests.conftest import needs_c_compiler
-from tests.test_world import make_world
+from tests.test_world import make_world, table_buffers
 
 
 # -- oracles -------------------------------------------------------------------
@@ -239,8 +240,8 @@ def test_raycast_compiled_matches_numpy_grazing_rect_corners(big_plane, monkeypa
 
 @needs_c_compiler
 def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
-    # pedestrians move every step, and the kernel reads their new rows through
-    # the data addresses the world's tables took when they were built
+    # pedestrians move every step, and the kernel reads their new rows from the
+    # same table arrays, rewritten in place
     kernels = _ckernel.load()
     assert kernels is not None, "the C kernels failed to build or load"
     rng = np.random.default_rng(41)
@@ -252,8 +253,7 @@ def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
     w = make_world(wmap, x, y, obstacles=obstacles, seed=41)
     cases = ((sensors.PRIVILEGED_LIDAR_RAYS, sensors.PRIVILEGED_LIDAR_MAX_RANGE),
              (sensors.REALISTIC_LIDAR_RAYS, sensors.REALISTIC_LIDAR_MAX_RANGE))
-    tables = w.tables
-    kernel_args, bounds_address = tables.kernel_args, tables.bounds_address
+    tables, buffers = w.tables, table_buffers(w)
     clear = 0
     for step in range(200):
         monkeypatch.setattr(_ckernel, "_loaded", kernels)
@@ -264,7 +264,7 @@ def test_raycast_compiled_matches_numpy_while_pedestrians_move(monkeypatch):
         clear += bool(fast[0].any())
         step_dynamics(w, Action(0.0, 0.3))
         assert w.tables is tables
-        assert tables.kernel_args == kernel_args and tables.bounds_address == bounds_address
+        assert table_buffers(w) == buffers
     assert clear > 150  # casts from inside a pedestrian read 0 on both paths
 
 
@@ -282,30 +282,31 @@ def test_raycast_falls_back_to_numpy_when_kernel_build_fails(monkeypatch):
     assert np.array_equal(ranges, raycast(w, 64, 6.0))
 
 
-# The build helper is shared by every C kernel of the package; these tests
-# cover it once, through the source of the raycast and membership kernels.
+# The build helper builds the one module of every C kernel of the package;
+# these tests cover it through a broken raycast and membership source.
 
-WALKMAP_SOURCE = str(Path(_ckernel.__file__).with_name("_walkmap.c"))
+KERNELS_SOURCE = Path(_ckernel.__file__).with_name(_ckernel.SOURCE)
 
 
 @needs_c_compiler
 def test_kernel_compile_error_raises_oserror_and_leaves_no_object(tmp_path):
-    broken = tmp_path / "_walkmap.c"
-    broken.write_text("int raycast_loop(void) { return }\n")
+    for name in (_ckernel.SOURCE, *_ckernel.INCLUDED):
+        shutil.copy(KERNELS_SOURCE.with_name(name), tmp_path / name)
+    (tmp_path / "_walkmap.c").write_text("int raycast_loop(void) { return }\n")
     with pytest.raises(OSError, match="failed"):
-        _ckernel.build(str(broken))
+        _ckernel.build(str(tmp_path / _ckernel.SOURCE))
     assert list((tmp_path / "__pycache__").iterdir()) == []
 
 
 @needs_c_compiler
 def test_current_kernel_is_reused_without_compiling(monkeypatch):
-    path = _ckernel.build(WALKMAP_SOURCE)
+    path = _ckernel.build(str(KERNELS_SOURCE))
 
     def no_compile(*args, **kwargs):
         raise AssertionError("compiled although the built kernel is current")
 
     monkeypatch.setattr(subprocess, "run", no_compile)
-    assert _ckernel.build(WALKMAP_SOURCE) == path
+    assert _ckernel.build(str(KERNELS_SOURCE)) == path
 
 
 def test_raycast_rotational_consistency():
