@@ -70,7 +70,7 @@ DIGESTS = ("report_sha256", "weights_sha256", "transitions_sha256")  # of criter
 WORKLOADS = ("distill", "teacher_eval", "sensor_stream")
 DIGEST_RUNS = (("teacher_eval", "loaded"), ("teacher_eval", "off"),
                ("sensor_stream", "loaded"), ("sensor_stream", "off"),
-               ("distill", "loaded"))
+               ("distill", "loaded"), ("distill", "off"))
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 ONE_BLAS_THREAD = {var: "1" for var in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}

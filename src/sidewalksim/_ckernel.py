@@ -3,9 +3,10 @@
 _walkmap.c holds the single-point membership test, the lidar raycast loop,
 which classifies its probes with that test, and the obstacles' bounding-disc
 test; _gridnav.c the grid Dijkstra and the teacher's lookahead walk with its
-line-of-sight checks. _kernels.c includes both unchanged and wraps each kernel
-as a function of one CPython extension module, which takes numpy arrays
-through the buffer protocol.
+line-of-sight checks; _nets.c the student's float32 Adam step. _kernels.c
+includes the three unchanged and wraps each of the six kernels as a function
+of one CPython extension module, which takes numpy arrays through the buffer
+protocol.
 
 The module is compiled on the first call to any kernel, with the C compiler
 found on PATH and this interpreter's headers, into __pycache__ beside the
@@ -14,7 +15,7 @@ at all: without a compiler or without Python.h, or when a build or a load
 fails, load() warns once and every caller uses its pure-Python path.
 
 Since _kernels.c includes the kernel sources whole, the built object exports
-the five kernel functions under their C names besides PyInit__kernels.
+the six kernel functions under their C names besides PyInit__kernels.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import warnings
 COMPILERS = ("cc", "gcc", "clang")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SOURCE = "_kernels.c"
-INCLUDED = ("_walkmap.c", "_gridnav.c")  # the kernel sources SOURCE includes
+INCLUDED = ("_walkmap.c", "_gridnav.c", "_nets.c")  # the kernel sources SOURCE includes
 # the module's functions, each wrapping the C function of the same name
 KERNELS = ("point_walkable", "raycast_loop", "first_disc_holding", "grid_dijkstra",
-           "grid_lookahead")
+           "grid_lookahead", "adam_step")
 _UNLOADED = object()
 _loaded = _UNLOADED  # load()'s answer once it has run; None switches every kernel off
 
@@ -42,7 +43,7 @@ def build(source: str) -> str:
     """Path of the extension module built from `source`, a _kernels.c with
     the kernel sources it includes beside it.
 
-    The file name carries a hash of the three sources, the compiler flags
+    The file name carries a hash of the four sources, the compiler flags
     (with the include directory of this interpreter's headers) and the
     interpreter's extension suffix, so a stale object, or one built for
     another interpreter, is never loaded. A build writes a private temporary
@@ -88,7 +89,7 @@ def build(source: str) -> str:
 
 
 def load():
-    """The extension module, whose functions are the five KERNELS, built and
+    """The extension module, whose functions are the six KERNELS, built and
     imported once per process; None, after one RuntimeWarning, when it cannot
     be built or imported. Then each call site takes its pure-Python path,
     which returns the same values bit for bit, only slower:
@@ -101,7 +102,8 @@ def load():
       probes with contains_points as raycast_loop classifies them with
       point_walkable;
     - gridnav's Dijkstra fields: _dijkstra_heapq;
-    - DistanceField.lookahead_point: the Python walk, _lookahead_walk.
+    - DistanceField.lookahead_point: the Python walk, _lookahead_walk;
+    - Adam.step on float32 parameters: the numpy loop, nets._adam_numpy.
     """
     global _loaded
     if _loaded is _UNLOADED:

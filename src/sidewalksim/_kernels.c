@@ -1,29 +1,32 @@
 /* The package's C kernels as one CPython extension module, built and
  * imported by _ckernel.py.
  *
- * _walkmap.c and _gridnav.c are included whole, so the kernels compile as
- * they are, and each function below wraps one of them for a METH_FASTCALL
- * call from Python. Arrays arrive as objects exporting the buffer protocol,
- * such as numpy arrays: each must be C-contiguous with the item size its
- * kernel reads (8 for double and int64, 1 for bool), else the call raises
- * ValueError. Row counts come from the buffers' lengths.
+ * _walkmap.c, _gridnav.c and _nets.c are included whole, so the kernels
+ * compile as they are, and each function below wraps one of them for a
+ * METH_FASTCALL call from Python. Arrays arrive as objects exporting the
+ * buffer protocol, such as numpy arrays: each must be C-contiguous with the
+ * item size its kernel reads (8 for double and int64, 4 for float, 1 for
+ * bool), else the call raises ValueError. Row counts come from the buffers'
+ * lengths.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include "_walkmap.c"
 #include "_gridnav.c"
+#include "_nets.c"
 
 /* C-contiguous buffers of args[0..], one per character of `kinds`:
- * 'd' double, 'q' int64, 'b' byte, 'w' writable double. On failure, every
- * buffer taken is released and -1 returned with the exception set. */
+ * 'd' double, 'q' int64, 'b' byte, 'f' float, 'w' writable double, 'F'
+ * writable float. On failure, every buffer taken is released and -1 returned
+ * with the exception set. */
 static int get_buffers(const char *name, PyObject *const *args, const char *kinds,
                        Py_buffer *views)
 {
     for (int i = 0; kinds[i]; i++) {
         char kind = kinds[i];
-        Py_ssize_t itemsize = kind == 'b' ? 1 : 8;
-        int flags = PyBUF_STRIDES | (kind == 'w' ? PyBUF_WRITABLE : 0);
+        Py_ssize_t itemsize = kind == 'b' ? 1 : kind == 'f' || kind == 'F' ? 4 : 8;
+        int flags = PyBUF_STRIDES | (kind == 'w' || kind == 'F' ? PyBUF_WRITABLE : 0);
         int ok = PyObject_GetBuffer(args[i], &views[i], flags) == 0;
         if (ok && (views[i].itemsize != itemsize || !PyBuffer_IsContiguous(&views[i], 'C'))) {
             PyBuffer_Release(&views[i]);
@@ -285,6 +288,34 @@ done:
     return result;
 }
 
+/* adam_step(p, g, m, v, beta1, 1 - beta1, beta2, 1 - beta2, lr, b1c, b2c,
+ * eps): one Adam step of the float32 parameter array p, in place with its
+ * moments m and v; False, with nothing written, when the gradient g holds a
+ * NaN or an inf. Each scalar is a Python float rounded once to float32. */
+static PyObject *py_adam_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    static const char name[] = "adam_step";
+    double d[N_SCALARS];
+    float s[N_SCALARS];
+    Py_buffer b[4];
+    if (check_nargs(name, nargs, 4 + N_SCALARS, 4 + N_SCALARS) < 0
+        || get_doubles(args + 4, N_SCALARS, d) < 0 || get_buffers(name, args, "FfFF", b) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    if (b[1].len != b[0].len || b[2].len != b[0].len || b[3].len != b[0].len) {
+        PyErr_Format(PyExc_ValueError, "%s: the parameters, gradient and moments must have one "
+                     "length", name);
+        goto done;
+    }
+    for (int i = 0; i < N_SCALARS; i++)
+        s[i] = (float)d[i];
+    result = PyBool_FromLong(adam_step(b[0].buf, b[1].buf, b[2].buf, b[3].buf, b[0].len / 4, s));
+done:
+    release_buffers(b, 4);
+    return result;
+}
+
 #define FASTCALL(name, fn) {name, (PyCFunction)(void (*)(void))fn, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
@@ -293,6 +324,7 @@ static PyMethodDef methods[] = {
     FASTCALL("first_disc_holding", py_first_disc_holding),
     FASTCALL("grid_dijkstra", py_grid_dijkstra),
     FASTCALL("grid_lookahead", py_grid_lookahead),
+    FASTCALL("adam_step", py_adam_step),
     {NULL, NULL, 0, NULL},
 };
 

@@ -6,7 +6,10 @@ an autodiff framework. Sub-gradients at the rectifier and L1 kinks are zero.
 
 The parameters are float32, and every pass runs in the parameters' dtype:
 inputs are cast to it on entry, and the optimizer's moments follow it. A
-float64 copy of the parameters therefore runs the same code in float64.
+float64 copy of the parameters therefore runs the same code in float64. An
+Adam step on float32 parameters runs in C (adam_step in _nets.c) when the
+kernels load, else in numpy, with the same result bit for bit; on float64
+parameters it always runs in numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 
 import numpy as np
 
+from . import _ckernel
 from .errors import TrainingDivergedError
 
 ARCH = (275, 256, 128, 2)
@@ -51,11 +55,15 @@ class StudentNet:
 
     def _forward_cache(self, x: np.ndarray):
         w1, b1, w2, b2, w3, b3 = self.params
-        z1 = x @ w1 + b1
+        z1 = x @ w1
+        z1 += b1
         a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ w2 + b2
+        z2 = a1 @ w2
+        z2 += b2
         a2 = np.maximum(z2, 0.0)
-        y = np.tanh(a2 @ w3 + b3)
+        y = a2 @ w3
+        y += b3
+        np.tanh(y, out=y)
         return z1, a1, z2, a2, y
 
     def loss(self, x: np.ndarray, target: np.ndarray) -> float:
@@ -76,12 +84,12 @@ class StudentNet:
         d_z3 = d_y * (1.0 - y * y)
         g_w3 = a2.T @ d_z3
         g_b3 = d_z3.sum(axis=0)
-        d_a2 = d_z3 @ w3.T
-        d_z2 = d_a2 * (z2 > 0.0)
+        d_z2 = d_z3 @ w3.T
+        d_z2 *= z2 > 0.0
         g_w2 = a1.T @ d_z2
         g_b2 = d_z2.sum(axis=0)
-        d_a1 = d_z2 @ w2.T
-        d_z1 = d_a1 * (z1 > 0.0)
+        d_z1 = d_z2 @ w2.T
+        d_z1 *= z1 > 0.0
         g_w1 = x.T @ d_z1
         g_b1 = d_z1.sum(axis=0)
         return loss, [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3]
@@ -114,23 +122,40 @@ class Adam:
         self.v = [np.zeros_like(p) for p in net.params]
 
     def step(self, net: StudentNet, grads) -> None:
+        """Update every parameter array in turn; raises TrainingDivergedError
+        at the first gradient holding a NaN or an inf, with that array and
+        the ones after it untouched."""
         self.t += 1
-        b1c = 1.0 - ADAM_BETA1 ** self.t
-        b2c = 1.0 - ADAM_BETA2 ** self.t
+        # Python floats, which numpy and the kernel each round to the
+        # parameters' dtype once
+        scalars = (ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2, self.lr,
+                   1.0 - ADAM_BETA1 ** self.t, 1.0 - ADAM_BETA2 ** self.t, ADAM_EPS)
+        kernels = _ckernel.load() if net.params[0].dtype == np.float32 else None
+        update = _adam_numpy if kernels is None else kernels.adam_step
         for p, g, m, v in zip(net.params, grads, self.m, self.v):
-            if not np.isfinite(g).all():
+            if not update(p, g, m, v, *scalars):
                 raise TrainingDivergedError("non-finite gradient")
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            # the moment of a unit that gets no more gradient decays into
-            # subnormals, which are slow on x86; zero moves its weight by at
-            # most lr * tiny / eps less than a subnormal would. A multiply by
-            # the mask, as a store through it is ten times slower on the
-            # interleaved zeros of rectifier gradients
-            m *= np.abs(m) >= np.finfo(m.dtype).tiny
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+
+
+def _adam_numpy(p, g, m, v, beta1, one_minus_beta1, beta2, one_minus_beta2, lr, b1c, b2c,
+                eps) -> bool:
+    """One Adam step of the parameter array p, in place with its moments m
+    and v; False, with nothing written, when g holds a NaN or an inf. The
+    pure-Python path of the adam_step kernel."""
+    if not np.isfinite(g).all():
+        return False
+    m *= beta1
+    m += one_minus_beta1 * g
+    # the moment of a unit that gets no more gradient decays into
+    # subnormals, which are slow on x86; zero moves its weight by at
+    # most lr * tiny / eps less than a subnormal would. A multiply by
+    # the mask, as a store through it is ten times slower on the
+    # interleaved zeros of rectifier gradients
+    m *= np.abs(m) >= np.finfo(m.dtype).tiny
+    v *= beta2
+    v += one_minus_beta2 * g * g
+    p -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+    return True
 
 
 def save_model(net: StudentNet, norm: dict, path) -> None:
@@ -160,7 +185,9 @@ def load_model(path) -> tuple[StudentNet, dict]:
     if missing:
         raise ValueError(f"model file lacks {' and '.join(missing)}")
     weights = doc["weights"]
-    if not (isinstance(weights, list) and all(isinstance(w, (int, float)) for w in weights)):
+    # JSON true and false load as bools, which are ints to isinstance
+    if not (isinstance(weights, list) and all(
+            isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights)):
         raise ValueError("model file weights are not a list of numbers")
     # each weight rounds once to the float32 parameter the net stores; one
     # beyond float32's range becomes infinite, and an integer beyond any

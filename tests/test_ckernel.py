@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import sidewalksim
-from sidewalksim import _ckernel, gridnav, sensors, suites
+from sidewalksim import _ckernel, gridnav, nets, sensors, suites
 from sidewalksim.episode import PLAN_INFLATE
 from sidewalksim.gridnav import DistanceField, dijkstra_distances, free_space_grid
+from sidewalksim.nets import Adam, StudentNet
 from sidewalksim.world import AGENT_RADIUS, collision_check, populate_obstacles
 
 from tests.conftest import needs_c_compiler
@@ -106,6 +107,20 @@ def test_the_kernels_reject_arrays_of_another_layout_or_size():
         lambda: kernels.grid_lookahead(*goal, 1.2, values, grid.free[:, 1:], grid.minx,
                                        grid.miny, gridnav.NAV_RESOLUTION, *goal),
     ]
+    net = StudentNet(seed=0)
+    w1, (g, m, v) = net.params[0], (np.zeros_like(net.params[0]) for _ in range(3))
+    scalars = (0.9, 0.1, 0.999, 0.001, 1e-3, 0.1, 0.001, 1e-8)
+    assert kernels.adam_step(w1, g, m, v, *scalars) is True
+    read_only = m.copy()
+    read_only.flags.writeable = False
+    bad_calls += [
+        lambda: kernels.adam_step(*(a.astype(np.float64) for a in (w1, g, m, v)), *scalars),
+        lambda: kernels.adam_step(np.asfortranarray(w1), g, m, v, *scalars),
+        lambda: kernels.adam_step(w1, g[:, ::2], m, v, *scalars),
+        lambda: kernels.adam_step(w1, g, read_only, v, *scalars),
+        lambda: kernels.adam_step(w1, g, m, v[:-1], *scalars),
+        lambda: kernels.adam_step(w1[:, :-1].copy(), g, m, v, *scalars),
+    ]
     for call in bad_calls:
         with pytest.raises(ValueError):
             call()
@@ -133,9 +148,10 @@ def test_the_object_path_changes_with_each_source_and_the_extension_suffix(tmp_p
     assert other not in paths and other.endswith(".cpython-0-test.so")
 
 
-def five_queries():
-    """The five kernel queries on bench_config, as a function of no arguments,
-    and the answers of their pure-Python references."""
+def six_queries():
+    """The six kernel queries, five on bench_config and one Adam step of the
+    student, as a function of no arguments, and the answers of their
+    pure-Python references."""
     rng = np.random.default_rng(3)
     cfg = suites.bench_config()
     wmap = cfg.map
@@ -167,12 +183,30 @@ def five_queries():
         return next((i for i, ob in enumerate(w.obstacles)
                      if ob.distance_to(w.agent.x, w.agent.y) < AGENT_RADIUS), None)
 
+    rows = rng.uniform(-1.0, 1.0, (16, nets.ARCH[0])).astype(np.float32)
+    targets = rng.uniform(-0.9, 0.9, (16, nets.ARCH[-1])).astype(np.float32)
+
+    def adam_step():
+        net = StudentNet(seed=5)
+        adam = Adam(net)
+        adam.step(net, net.loss_and_grads(rows, targets)[1])
+        return [a.tobytes() for a in (*net.params, *adam.m, *adam.v)]
+
+    loaded = _ckernel._loaded
+    _ckernel._loaded = None  # Adam.step's numpy loop
+    try:
+        adam_reference = adam_step()
+    finally:
+        _ckernel._loaded = loaded
+    assert adam_step() == adam_reference  # through the kernel when the kernels load
+
     references = {
         "is_walkable": [wmap._is_walkable_python(x, y) for x, y in points],
         "collision_check": [first_hit(w) for w in worlds],
         "raycast": [raycast_reference(w).tolist() for w in worlds],
         "dijkstra_distances": [gridnav._dijkstra_heapq(grid, s).tolist() for s in sources],
         "lookahead_point": [field._lookahead_walk(x, y, 1.2) for x, y in starts],
+        "adam_step": adam_reference,
     }
 
     walkable, hits = references["is_walkable"], references["collision_check"]
@@ -187,13 +221,14 @@ def five_queries():
             "raycast": [sensors.raycast(w, 64, 6.0).tolist() for w in worlds],
             "dijkstra_distances": [dijkstra_distances(grid, s).tolist() for s in sources],
             "lookahead_point": [field.lookahead_point(x, y, 1.2) for x, y in starts],
+            "adam_step": adam_step(),
         }
 
     return ask, references
 
 
 def assert_one_warning_and_python_answers(ask, references):
-    """Ask the five queries with the kernels unloaded: one warning, load()
+    """Ask the six queries with the kernels unloaded: one warning, load()
     None, and every answer its reference's."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -207,7 +242,7 @@ def assert_one_warning_and_python_answers(ask, references):
 
 
 def test_failed_build_warns_once_and_every_query_takes_its_python_path(monkeypatch):
-    ask, references = five_queries()
+    ask, references = six_queries()
 
     def failing_build(source):
         raise OSError("cc failed: error: unknown type name")
@@ -220,7 +255,7 @@ def test_failed_build_warns_once_and_every_query_takes_its_python_path(monkeypat
 @needs_c_compiler
 def test_missing_python_headers_warn_once_and_every_query_takes_its_python_path(
         tmp_path, monkeypatch):
-    ask, references = five_queries()
+    ask, references = six_queries()
     paths = sysconfig.get_paths
     monkeypatch.setattr(sysconfig, "get_paths",
                         lambda *args, **kwargs: {**paths(*args, **kwargs), "include": str(tmp_path)})

@@ -245,6 +245,7 @@ MALFORMED_INPUTS = {
     "model_weight_nan": ("model", lambda d: d.update(weights=[float("nan")] + d["weights"][1:])),
     "model_weight_overflow": ("model", lambda d: d.update(weights=[1e300] + d["weights"][1:])),
     "model_weight_huge_int": ("model", lambda d: d.update(weights=[10**400] + d["weights"][1:])),
+    "model_weights_bools": ("model", lambda d: d.update(weights=[True] * len(d["weights"]))),
     "osm_node_without_id": ("osm", ('<node id="1" ', "<node ")),
     "osm_nd_without_ref": ("osm", ('<nd ref="1"/>', "<nd/>")),
     "osm_tag_without_v": ("osm", ('<tag k="highway" v="footway"/>', '<tag k="highway"/>')),

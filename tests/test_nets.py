@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from sidewalksim import _ckernel
 from sidewalksim.errors import TrainingDivergedError
-from sidewalksim.nets import ARCH, Adam, StudentNet, load_model, save_model
+from sidewalksim.nets import ARCH, LEARNING_RATE, Adam, StudentNet, load_model, save_model
+
+from tests.conftest import needs_c_compiler
 
 
 def finite_difference_grad(net, x, y, coords, h=1e-5):
@@ -142,17 +145,27 @@ def test_overfit_single_sample():
     assert loss < 1e-3
 
 
-def test_zero_learning_rate_keeps_params():
-    rng = np.random.default_rng(9)
-    net = StudentNet(seed=2)
-    before = net.get_flat().copy()
-    adam = Adam(net)
-    adam.lr = 0.0
-    x, y = random_batch(rng)
-    for _ in range(5):
-        _, grads = net.loss_and_grads(x, y)
-        adam.step(net, grads)
-    assert np.array_equal(net.get_flat(), before)
+def kernel_modes(monkeypatch):
+    """Yield "loaded", then "off" with every kernel switched off until the
+    test ends: each test that loops over both runs Adam.step's kernel, when
+    the kernels load, and its numpy loop."""
+    yield "loaded"
+    monkeypatch.setattr(_ckernel, "_loaded", None)
+    yield "off"
+
+
+def test_zero_learning_rate_keeps_params(monkeypatch):
+    for kernels in kernel_modes(monkeypatch):
+        rng = np.random.default_rng(9)
+        net = StudentNet(seed=2)
+        before = net.get_flat().copy()
+        adam = Adam(net)
+        adam.lr = 0.0
+        x, y = random_batch(rng)
+        for _ in range(5):
+            _, grads = net.loss_and_grads(x, y)
+            adam.step(net, grads)
+        assert np.array_equal(net.get_flat(), before), kernels
 
 
 def test_init_is_deterministic():
@@ -169,20 +182,99 @@ def test_adam_rejects_nonfinite_gradient():
         adam.step(net, grads)
 
 
-def test_adam_first_moments_never_go_subnormal():
+def test_adam_first_moments_never_go_subnormal(monkeypatch):
     # after one real gradient every first moment decays by ADAM_BETA1 a step,
     # and passes float32's subnormal range within about 1 800 steps
-    net = StudentNet(seed=3)
-    adam = Adam(net)
-    _, grads = net.loss_and_grads(*random_batch(np.random.default_rng(3)))
+    for kernels in kernel_modes(monkeypatch):
+        net = StudentNet(seed=3)
+        adam = Adam(net)
+        _, grads = net.loss_and_grads(*random_batch(np.random.default_rng(3)))
+        adam.step(net, grads)
+        zeros = [np.zeros_like(p) for p in net.params]
+        tiny = np.finfo(np.float32).tiny
+        for step in range(2500):
+            adam.step(net, zeros)
+            for m in adam.m:
+                assert not ((m != 0) & (np.abs(m) < tiny)).any(), (
+                    f"subnormal after step {step}, kernels {kernels}")
+        assert all(not m.any() for m in adam.m), kernels
+
+
+def adam_state_bits(net, adam):
+    """The parameters and both moments, each array as its float32 bit patterns."""
+    return [a.view(np.uint32) for a in (*net.params, *adam.m, *adam.v)]
+
+
+def kernel_and_numpy_step(monkeypatch, pair, grads):
+    """One Adam.step of each (net, adam) of pair with the same gradients: the
+    first through the kernel, the second through the numpy loop."""
+    (net, adam), (ref_net, ref_adam) = pair
     adam.step(net, grads)
-    zeros = [np.zeros_like(p) for p in net.params]
-    tiny = np.finfo(np.float32).tiny
-    for step in range(2500):
-        adam.step(net, zeros)
-        for m in adam.m:
-            assert not ((m != 0) & (np.abs(m) < tiny)).any(), f"subnormal after step {step}"
-    assert all(not m.any() for m in adam.m)
+    with monkeypatch.context() as patch:
+        patch.setattr(_ckernel, "_loaded", None)
+        ref_adam.step(ref_net, grads)
+
+
+def twin_students(seed):
+    return [(net, Adam(net)) for net in (StudentNet(seed=seed), StudentNet(seed=seed))]
+
+
+@needs_c_compiler
+@pytest.mark.parametrize("lr", [LEARNING_RATE, 0.0])
+def test_adam_kernel_matches_the_numpy_loop_bit_for_bit(monkeypatch, lr):
+    # 200 steps on batches of 8 random rows move every moment, then 1 800 on
+    # one fixed row, on which about half the first layer's units never fire:
+    # their first moments decay below tiny and are flushed, the negative
+    # ones to -0.0. b3's 2 entries are fewer than one vector of the kernel
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
+    rng = np.random.default_rng(23)
+    pair = twin_students(seed=6)
+    for _, adam in pair:
+        adam.lr = lr
+    net = pair[0][0]
+    fixed = random_batch(rng, n=1)
+    flushed_negative = 0
+    for step in range(2000):
+        batch = random_batch(rng, n=8) if step < 200 else fixed
+        _, grads = net.loss_and_grads(*batch)
+        before = [m.copy() for m in pair[0][1].m]
+        kernel_and_numpy_step(monkeypatch, pair, grads)
+        for got, want in zip(adam_state_bits(*pair[0]), adam_state_bits(*pair[1])):
+            assert np.array_equal(got, want), f"step {step}"
+        flushed_negative += sum(int(((m_before < 0) & (m == 0) & np.signbit(m)).sum())
+                                for m_before, m in zip(before, pair[0][1].m))
+    assert flushed_negative > 0
+    if lr == 0.0:
+        assert np.array_equal(net.get_flat(), StudentNet(seed=6).get_flat())
+
+
+@needs_c_compiler
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_kernel_stops_at_a_non_finite_gradient_as_the_numpy_loop_does(monkeypatch, bad):
+    # the fourth array's gradient is bad: the first three are updated and
+    # the last three left as they were, on either path
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
+    rng = np.random.default_rng(4)
+    pair = twin_students(seed=8)
+    for _ in range(3):
+        _, grads = pair[0][0].loss_and_grads(*random_batch(rng))
+        kernel_and_numpy_step(monkeypatch, pair, grads)
+    (net, adam), (ref_net, ref_adam) = pair
+    before = [a.copy() for a in adam_state_bits(net, adam)]
+    _, grads = net.loss_and_grads(*random_batch(rng))
+    grads[3][5] = bad
+    with pytest.raises(TrainingDivergedError):
+        adam.step(net, grads)
+    with monkeypatch.context() as patch:
+        patch.setattr(_ckernel, "_loaded", None)
+        with pytest.raises(TrainingDivergedError):
+            ref_adam.step(ref_net, grads)
+    after = adam_state_bits(net, adam)
+    for got, want in zip(after, adam_state_bits(ref_net, ref_adam)):
+        assert np.array_equal(got, want)
+    # parameters, first moments and second moments, six arrays each
+    for k, (now, then) in enumerate(zip(after, before)):
+        assert np.array_equal(now, then) == (k % 6 >= 3), k
 
 
 def test_model_save_load_round_trip(tmp_path):
