@@ -37,8 +37,11 @@ both build their C kernels the same way. The script writes one JSON file:
   a C compiler, so each pass runs the pure-Python paths; each side also
   reports how many kernel-unavailable warnings its pass gave. With them
   `loaded`, a kernel that fails to load is an error.
-- `environment`: interpreter, numpy and its BLAS build, core count, and
-  whether numba and scipy are importable.
+- `environment`: interpreter, numpy and its BLAS build, core count, whether
+  numba and scipy are importable, and `two_process_speedup`: a fixed
+  pure-Python loop timed alone and as a forked pair of processes running it
+  at once, as 2 * alone / pair. It reads about 2 when a second core runs
+  alongside the first, and about 1 when the two processes share one.
 
 The benchmark itself is never edited: the script only runs each checkout's
 own `perfbench/run.py`.
@@ -74,6 +77,7 @@ DIGEST_RUNS = (("teacher_eval", "loaded"), ("teacher_eval", "off"),
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 ONE_BLAS_THREAD = {var: "1" for var in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+SPIN_LOOPS = 3_000_000  # iterations of two_process_speedup's loop, about 0.2 s
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -240,7 +244,34 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
+def spin() -> int:
+    total = 0
+    for i in range(SPIN_LOOPS):
+        total += i & 7
+    return total
+
+
+def two_process_speedup() -> dict:
+    """`spin` timed alone in this process, then in two forked children at once."""
+    t0 = time.perf_counter()
+    spin()
+    alone = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    children = []
+    for _ in range(2):
+        pid = os.fork()
+        if pid == 0:
+            spin()
+            os._exit(0)
+        children.append(pid)
+    for pid in children:
+        os.waitpid(pid, 0)
+    pair = time.perf_counter() - t0
+    return {"two_process_speedup": 2.0 * alone / pair, "spin_alone_s": alone, "spin_pair_s": pair}
+
+
 def environment() -> dict:
+    speedup = two_process_speedup()  # forks before numpy starts any BLAS thread
     import numpy as np
 
     config = np.show_config(mode="dicts")
@@ -256,7 +287,8 @@ def environment() -> dict:
             # one before numpy loads
             "blas_threads_in_runs": 1,
             "numba_present": importlib.util.find_spec("numba") is not None,
-            "scipy_present": importlib.util.find_spec("scipy") is not None}
+            "scipy_present": importlib.util.find_spec("scipy") is not None,
+            **speedup}
 
 
 def main(argv=None) -> int:

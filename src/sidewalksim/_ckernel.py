@@ -2,11 +2,13 @@
 
 _walkmap.c holds the single-point membership test, the lidar raycast loop,
 which classifies its probes with that test, and the obstacles' bounding-disc
-test; _gridnav.c the grid Dijkstra and the teacher's lookahead walk with its
-line-of-sight checks; _nets.c the student's float32 Adam step. _kernels.c
-includes the three unchanged and wraps each of the six kernels as a function
-of one CPython extension module, which takes numpy arrays through the buffer
-protocol.
+test; _gridnav.c the planning kernels: the grid Dijkstra, the teacher's
+lookahead walk with its line-of-sight checks, the teacher's lidar corridor
+query and the obstacle stamping of the free-space raster; _nets.c the
+student's float32 Adam step. _kernels.c includes the three unchanged and
+wraps each of the eight kernels as a function of one CPython extension
+module, which takes numpy arrays of the dtype each kernel reads through the
+buffer protocol.
 
 The module is compiled on the first call to any kernel, with the C compiler
 found on PATH and this interpreter's headers, into __pycache__ beside the
@@ -15,7 +17,7 @@ at all: without a compiler or without Python.h, or when a build or a load
 fails, load() warns once and every caller uses its pure-Python path.
 
 Since _kernels.c includes the kernel sources whole, the built object exports
-the six kernel functions under their C names besides PyInit__kernels.
+the eight kernel functions under their C names besides PyInit__kernels.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ SOURCE = "_kernels.c"
 INCLUDED = ("_walkmap.c", "_gridnav.c", "_nets.c")  # the kernel sources SOURCE includes
 # the module's functions, each wrapping the C function of the same name
 KERNELS = ("point_walkable", "raycast_loop", "first_disc_holding", "grid_dijkstra",
-           "grid_lookahead", "adam_step")
+           "grid_lookahead", "corridor_hit", "stamp_obstacles", "adam_step")
 _UNLOADED = object()
 _loaded = _UNLOADED  # load()'s answer once it has run; None switches every kernel off
 
@@ -89,7 +91,7 @@ def build(source: str) -> str:
 
 
 def load():
-    """The extension module, whose functions are the six KERNELS, built and
+    """The extension module, whose functions are the eight KERNELS, built and
     imported once per process; None, after one RuntimeWarning, when it cannot
     be built or imported. Then each call site takes its pure-Python path,
     which returns the same values bit for bit, only slower:
@@ -103,6 +105,9 @@ def load():
       point_walkable;
     - gridnav's Dijkstra fields: _dijkstra_heapq;
     - DistanceField.lookahead_point: the Python walk, _lookahead_walk;
+    - planner.corridor_hit: its Python loop over the rays;
+    - gridnav.free_space_grid: the numpy stamping loop, _stamp_obstacles_numpy,
+      with Obstacle.covers;
     - Adam.step on float32 parameters: the numpy loop, nets._adam_numpy.
     """
     global _loaded

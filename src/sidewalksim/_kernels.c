@@ -5,9 +5,9 @@
  * compile as they are, and each function below wraps one of them for a
  * METH_FASTCALL call from Python. Arrays arrive as objects exporting the
  * buffer protocol, such as numpy arrays: each must be C-contiguous with the
- * item size its kernel reads (8 for double and int64, 4 for float, 1 for
- * bool), else the call raises ValueError. Row counts come from the buffers'
- * lengths.
+ * item format and size of the numpy dtype its kernel reads (float64, int64,
+ * bool or float32), else the call raises ValueError. Row counts come from
+ * the buffers' lengths.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -16,23 +16,48 @@
 #include "_gridnav.c"
 #include "_nets.c"
 
-/* C-contiguous buffers of args[0..], one per character of `kinds`:
- * 'd' double, 'q' int64, 'b' byte, 'f' float, 'w' writable double, 'F'
- * writable float. On failure, every buffer taken is released and -1 returned
+/* The item kinds of get_buffers: the struct formats numpy exports for the
+ * dtype, after at most one native byte-order prefix, and the item size. */
+struct item_kind {
+    char kind;         /* lower case read-only, upper case writable */
+    const char *formats;
+    Py_ssize_t itemsize;
+    const char *dtype;
+};
+
+static const struct item_kind ITEM_KINDS[] = {
+    {'d', "d", 8, "float64"}, {'q', "lq", 8, "int64"}, {'b', "?", 1, "bool"},
+    {'f', "f", 4, "float32"},
+};
+
+static int has_format(const Py_buffer *view, const struct item_kind *item)
+{
+    const char *format = view->format ? view->format : "B";  /* NULL means unsigned bytes */
+    if (*format == '@' || *format == '=' || *format == (PY_LITTLE_ENDIAN ? '<' : '>'))
+        format++;
+    return view->itemsize == item->itemsize && format[0] && !format[1]
+        && strchr(item->formats, format[0]) != NULL;
+}
+
+/* C-contiguous buffers of args[0..], one per character of `kinds`: 'd'
+ * float64, 'q' int64, 'b' bool, 'f' float32, and 'D', 'B', 'F' for writable
+ * ones of those. On failure, every buffer taken is released and -1 returned
  * with the exception set. */
 static int get_buffers(const char *name, PyObject *const *args, const char *kinds,
                        Py_buffer *views)
 {
     for (int i = 0; kinds[i]; i++) {
         char kind = kinds[i];
-        Py_ssize_t itemsize = kind == 'b' ? 1 : kind == 'f' || kind == 'F' ? 4 : 8;
-        int flags = PyBUF_STRIDES | (kind == 'w' || kind == 'F' ? PyBUF_WRITABLE : 0);
+        const struct item_kind *item = ITEM_KINDS;
+        while (item->kind != Py_TOLOWER(kind))
+            item++;
+        int flags = PyBUF_STRIDES | PyBUF_FORMAT | (Py_ISUPPER(kind) ? PyBUF_WRITABLE : 0);
         int ok = PyObject_GetBuffer(args[i], &views[i], flags) == 0;
-        if (ok && (views[i].itemsize != itemsize || !PyBuffer_IsContiguous(&views[i], 'C'))) {
+        if (ok && (!has_format(&views[i], item) || !PyBuffer_IsContiguous(&views[i], 'C'))) {
             PyBuffer_Release(&views[i]);
             PyErr_Format(PyExc_ValueError,
-                         "%s: array argument %d must be C-contiguous with %zd-byte items",
-                         name, i + 1, itemsize);
+                         "%s: array argument %d must be a C-contiguous %s array",
+                         name, i + 1, item->dtype);
             ok = 0;
         }
         if (!ok) {
@@ -73,6 +98,17 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssi
         PyErr_Format(PyExc_TypeError, "%s takes %zd to %zd arguments (%zd given)", name, lo, hi,
                      nargs);
     return -1;
+}
+
+/* NULL with the exception int() raises on a float that int_error (in
+ * _gridnav.c) reports: ValueError for NaN, OverflowError for infinity. */
+static PyObject *int_error_raise(int error)
+{
+    if (error == -1)
+        PyErr_SetString(PyExc_ValueError, "cannot convert float NaN to integer");
+    else
+        PyErr_SetString(PyExc_OverflowError, "cannot convert float infinity to integer");
+    return NULL;
 }
 
 /* Scalars args[0..n-1] as doubles; -1 with the exception set on failure. */
@@ -179,7 +215,7 @@ static PyObject *py_raycast_loop(PyObject *self, PyObject *const *args, Py_ssize
     double s[5];  /* ox, oy, ch, sh, max_range */
     Py_buffer b[8];
     if (check_nargs(name, nargs, 13, 13) < 0 || get_doubles(args, 5, s) < 0
-        || get_buffers(name, args + 5, "dddddqdw", b) < 0)
+        || get_buffers(name, args + 5, "dddddqdD", b) < 0)
         return NULL;
     PyObject *result = NULL;
     Py_buffer *units = &b[0], *circles = &b[1], *rect_segs = &b[2], *rect_bounds = &b[3];
@@ -239,7 +275,7 @@ static PyObject *py_grid_dijkstra(PyObject *self, PyObject *const *args, Py_ssiz
     if (col == -1 && PyErr_Occurred())
         return NULL;
     PyObject *pair[2] = {args[0], args[5]};
-    if (get_buffers(name, pair, "bw", b) < 0)
+    if (get_buffers(name, pair, "bD", b) < 0)
         return NULL;
     PyObject *result = NULL;
     int64_t ny, nx;
@@ -288,6 +324,54 @@ done:
     return result;
 }
 
+/* corridor_hit(lidar, bearing, half_angle, half_width): (depth, lateral
+ * offset) of the nearest lidar hit in the corridor toward the bearing, as
+ * planner.corridor_hit returns it. */
+static PyObject *py_corridor_hit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    static const char name[] = "corridor_hit";
+    double s[3];  /* bearing, half_angle, half_width */
+    Py_buffer lidar;
+    if (check_nargs(name, nargs, 4, 4) < 0 || get_doubles(args + 1, 3, s) < 0
+        || get_buffers(name, args, "d", &lidar) < 0)
+        return NULL;
+    double hit[2];
+    int error = corridor_hit(lidar.buf, lidar.len / 8, s[0], s[1], s[2], hit);
+    release_buffers(&lidar, 1);
+    if (error)
+        return int_error_raise(error);
+    return Py_BuildValue("(dd)", hit[0], hit[1]);
+}
+
+/* stamp_obstacles(free, rows, minx, miny, res, inflate): clear the cells of
+ * the bool raster free that the obstacles of the (n, 9) table rows cover,
+ * grown by inflate. */
+static PyObject *py_stamp_obstacles(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    static const char name[] = "stamp_obstacles";
+    double s[4];  /* minx, miny, res, inflate */
+    Py_buffer b[2];
+    if (check_nargs(name, nargs, 6, 6) < 0 || get_doubles(args + 2, 4, s) < 0
+        || get_buffers(name, args, "Bd", b) < 0)
+        return NULL;
+    PyObject *result = NULL;
+    Py_ssize_t n = rows(name, &b[1], 9);
+    if (n < 0)
+        goto done;
+    if (b[0].ndim != 2) {
+        PyErr_Format(PyExc_ValueError, "%s: the raster must be 2-D", name);
+        goto done;
+    }
+    int error = stamp_obstacles(b[0].buf, b[0].shape[0], b[0].shape[1], b[1].buf, n, s[0], s[1],
+                                s[2], s[3]);
+    result = error ? int_error_raise(error) : Py_NewRef(Py_None);
+done:
+    release_buffers(b, 2);
+    return result;
+}
+
 /* adam_step(p, g, m, v, beta1, 1 - beta1, beta2, 1 - beta2, lr, b1c, b2c,
  * eps): one Adam step of the float32 parameter array p, in place with its
  * moments m and v; False, with nothing written, when the gradient g holds a
@@ -324,6 +408,8 @@ static PyMethodDef methods[] = {
     FASTCALL("first_disc_holding", py_first_disc_holding),
     FASTCALL("grid_dijkstra", py_grid_dijkstra),
     FASTCALL("grid_lookahead", py_grid_lookahead),
+    FASTCALL("corridor_hit", py_corridor_hit),
+    FASTCALL("stamp_obstacles", py_stamp_obstacles),
     FASTCALL("adam_step", py_adam_step),
     {NULL, NULL, 0, NULL},
 };

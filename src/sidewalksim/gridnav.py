@@ -48,14 +48,33 @@ def free_space_grid(wmap: WalkableMap, obstacles=(), inflate: float = 0.0) -> Oc
     footprints by `inflate`.
 
     The walkable raster is the map's cached one; obstacles are stamped onto a
-    copy, so callers may modify the returned grid.
+    copy, so callers may modify the returned grid. The stamping runs in
+    stamp_obstacles (_gridnav.c) when the kernels load, else in
+    _stamp_obstacles_numpy, which clears the same cells.
     """
     minx, miny = wmap.bounds[0], wmap.bounds[1]
     free = wmap.cell_centers_inside().copy()
+    if len(obstacles):
+        kernels = _ckernel.load()
+        if kernels is None:
+            _stamp_obstacles_numpy(free, minx, miny, obstacles, inflate)
+        else:
+            # reach keeps Python's hypot, and the cosine and sine are math's
+            rows = np.array([(ob.x, ob.y, ob.reach, ob.kind != "cylinder", ob.radius, ob.half_w,
+                              ob.half_h, math.cos(ob.yaw), math.sin(ob.yaw))
+                             for ob in obstacles], dtype=float)
+            kernels.stamp_obstacles(free, rows, minx, miny, NAV_RESOLUTION, inflate)
+    return OccupancyGrid(free=free, minx=minx, miny=miny)
+
+
+def _stamp_obstacles_numpy(free: np.ndarray, minx: float, miny: float, obstacles,
+                           inflate: float) -> None:
+    """Pure-Python fallback for the compiled stamping, and its reference: clear
+    the cells of `free` whose centres an obstacle covers, grown by `inflate`,
+    within the obstacle's cell window."""
     ny, nx = free.shape
     xs = minx + (np.arange(nx) + 0.5) * NAV_RESOLUTION
     ys = miny + (np.arange(ny) + 0.5) * NAV_RESOLUTION
-
     for ob in obstacles:
         reach = ob.reach + inflate
         c0 = max(0, int((ob.x - reach - minx) / NAV_RESOLUTION) - 1)
@@ -64,7 +83,6 @@ def free_space_grid(wmap: WalkableMap, obstacles=(), inflate: float = 0.0) -> Oc
         r1 = min(ny, int((ob.y + reach - miny) / NAV_RESOLUTION) + 2)
         if c0 < c1 and r0 < r1:
             free[r0:r1, c0:c1] &= ~ob.covers(xs[None, c0:c1], ys[r0:r1, None], inflate)
-    return OccupancyGrid(free=free, minx=minx, miny=miny)
 
 
 def line_of_sight(grid: OccupancyGrid, x0: float, y0: float, x1: float, y1: float) -> bool:
@@ -86,13 +104,14 @@ def line_of_sight(grid: OccupancyGrid, x0: float, y0: float, x1: float, y1: floa
 
 
 def eroded(grid: OccupancyGrid) -> OccupancyGrid:
-    """Grid with one cell of boundary margin shaved off the free space."""
-    padded = np.pad(grid.free, 1, constant_values=False)
-    out = grid.free.copy()
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            out &= padded[1 + dr:padded.shape[0] - 1 + dr,
-                          1 + dc:padded.shape[1] - 1 + dc]
+    """Grid with one cell of boundary margin shaved off the free space: a cell
+    stays free when its 3x3 neighbourhood lies in the grid and is all free.
+    One pass along the rows, then one along the columns."""
+    free = grid.free
+    across = np.zeros(free.shape, dtype=bool)
+    across[:, 1:-1] = free[:, :-2] & free[:, 1:-1] & free[:, 2:]
+    out = np.zeros(free.shape, dtype=bool)
+    out[1:-1] = across[:-2] & across[1:-1] & across[2:]
     return OccupancyGrid(free=out, minx=grid.minx, miny=grid.miny)
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from . import _ckernel
 from .errors import NoPathError
 from .geometry import TWO_PI, normalize_angle
 from .gridnav import (
@@ -125,7 +126,13 @@ def corridor_hit(lidar: np.ndarray, bearing: float, half_angle: float) -> tuple[
     less than CORRIDOR_HALF_WIDTH to the side of the bearing: wider ones pass
     by. Depth is measured along the bearing, the offset leftward of it. Ties
     go to the lowest ray index. Returns (inf, 0.0) when the corridor is clear.
+
+    The query runs in corridor_hit (_gridnav.c) when the kernels load, else in
+    the loop below, which returns the same pair.
     """
+    kernels = _ckernel.load()
+    if kernels is not None:
+        return kernels.corridor_hit(lidar, bearing, half_angle, CORRIDOR_HALF_WIDTH)
     n = len(lidar)
     # visit only the window of rays that can lie within half_angle, in
     # ascending index order; floor and ceil keep the window a superset of the

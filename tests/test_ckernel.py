@@ -14,6 +14,7 @@ from sidewalksim import _ckernel, gridnav, nets, sensors, suites
 from sidewalksim.episode import PLAN_INFLATE
 from sidewalksim.gridnav import DistanceField, dijkstra_distances, free_space_grid
 from sidewalksim.nets import Adam, StudentNet
+from sidewalksim.planner import FRONTAL_HALF_ANGLE, corridor_hit
 from sidewalksim.world import AGENT_RADIUS, collision_check, populate_obstacles
 
 from tests.conftest import needs_c_compiler
@@ -127,6 +128,75 @@ def test_the_kernels_reject_arrays_of_another_layout_or_size():
 
 
 @needs_c_compiler
+def test_the_kernels_reject_arrays_of_another_format():
+    kernels = _ckernel.load()
+    assert kernels is not None, "the C kernels failed to build or load"
+    wmap = suites.bench_config().map
+    edges, starts, boxes = wmap.edges, wmap.edge_start, wmap.bboxes
+    grid = free_space_grid(wmap)
+    source = tuple(int(v) for v in np.argwhere(grid.free)[0])
+    values = np.empty(grid.free.shape)
+    goal = grid.center_of(*source)
+    units, out, lidar = sensors._ray_units(8), np.empty(8), np.full(8, 9.0)
+    tables = [np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3))]
+    bounds, rows = np.zeros((1, 3)), np.zeros((1, 9))
+    net = StudentNet(seed=0)
+    w1, (g, m, v) = net.params[0], (np.zeros_like(net.params[0]) for _ in range(3))
+    scalars = (0.9, 0.1, 0.999, 0.001, 1e-3, 0.1, 0.001, 1e-8)
+
+    def as_int64(a):
+        return a.view(np.int64)
+
+    # numpy exports int64 as "l" here, and long long as "q": both are int64
+    assert kernels.point_walkable(0.0, 0.0, edges, starts.astype(np.longlong), boxes) in (
+        True, False)
+    bad_calls = {
+        "point_walkable": [
+            lambda: kernels.point_walkable(0.0, 0.0, as_int64(edges), starts, boxes),
+            lambda: kernels.point_walkable(0.0, 0.0, edges, starts.view(np.float64), boxes),
+            lambda: kernels.point_walkable(0.0, 0.0, edges, starts, boxes.astype(">f8")),
+        ],
+        "raycast_loop": [
+            lambda: kernels.raycast_loop(0.0, 0.0, 1.0, 0.0, 6.0, as_int64(units), *tables,
+                                         edges, starts, boxes, out),
+            lambda: kernels.raycast_loop(0.0, 0.0, 1.0, 0.0, 6.0, units, *tables, edges,
+                                         starts, boxes, as_int64(out)),
+        ],
+        "first_disc_holding": [
+            lambda: kernels.first_disc_holding(0.0, 0.0, 0.0, True, as_int64(bounds), 0),
+        ],
+        "grid_dijkstra": [
+            lambda: kernels.grid_dijkstra(grid.free.view(np.uint8), *source, 1.0, 1.5, values),
+            lambda: kernels.grid_dijkstra(grid.free, *source, 1.0, 1.5, as_int64(values)),
+        ],
+        "grid_lookahead": [
+            lambda: kernels.grid_lookahead(*goal, 1.2, as_int64(values), grid.free, grid.minx,
+                                           grid.miny, gridnav.NAV_RESOLUTION, *goal),
+            lambda: kernels.grid_lookahead(*goal, 1.2, values, grid.free.view(np.int8),
+                                           grid.minx, grid.miny, gridnav.NAV_RESOLUTION, *goal),
+        ],
+        "corridor_hit": [
+            lambda: kernels.corridor_hit(as_int64(lidar), 0.0, 0.4, 0.35),
+        ],
+        "stamp_obstacles": [
+            lambda: kernels.stamp_obstacles(grid.free.copy().view(np.uint8), rows, grid.minx,
+                                            grid.miny, gridnav.NAV_RESOLUTION, 0.0),
+            lambda: kernels.stamp_obstacles(grid.free.copy(), as_int64(rows), grid.minx,
+                                            grid.miny, gridnav.NAV_RESOLUTION, 0.0),
+        ],
+        "adam_step": [
+            lambda: kernels.adam_step(w1, g.astype(np.int32), m, v, *scalars),
+            lambda: kernels.adam_step(w1, g, m.view(np.int32), v, *scalars),
+        ],
+    }
+    assert sorted(bad_calls) == sorted(_ckernel.KERNELS)
+    for name, calls in bad_calls.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=f"{name}: array argument"):
+                call()
+
+
+@needs_c_compiler
 def test_the_object_path_changes_with_each_source_and_the_extension_suffix(tmp_path,
                                                                             monkeypatch):
     for name in SOURCES:
@@ -148,9 +218,9 @@ def test_the_object_path_changes_with_each_source_and_the_extension_suffix(tmp_p
     assert other not in paths and other.endswith(".cpython-0-test.so")
 
 
-def six_queries():
-    """The six kernel queries, five on bench_config and one Adam step of the
-    student, as a function of no arguments, and the answers of their
+def eight_queries():
+    """The eight kernel queries, seven on bench_config and one Adam step of
+    the student, as a function of no arguments, and the answers of their
     pure-Python references."""
     rng = np.random.default_rng(3)
     cfg = suites.bench_config()
@@ -192,13 +262,28 @@ def six_queries():
         adam.step(net, net.loss_and_grads(rows, targets)[1])
         return [a.tobytes() for a in (*net.params, *adam.m, *adam.v)]
 
+    corridors = [(raycast_reference(w), bearing, half_angle) for w in worlds
+                 for bearing, half_angle in ((0.0, FRONTAL_HALF_ANGLE),
+                                             (math.pi, FRONTAL_HALF_ANGLE),
+                                             (float(rng.uniform(-4.0, 4.0)), math.pi / 2))]
+
+    def corridor_hits():
+        return [corridor_hit(*query) for query in corridors]
+
+    def stamped(inflate):
+        free = wmap.cell_centers_inside().copy()
+        gridnav._stamp_obstacles_numpy(free, minx, miny, obstacles, inflate)
+        return free.tolist()
+
     loaded = _ckernel._loaded
-    _ckernel._loaded = None  # Adam.step's numpy loop
+    _ckernel._loaded = None  # Adam.step's numpy loop and corridor_hit's Python loop
     try:
-        adam_reference = adam_step()
+        adam_reference, corridor_reference = adam_step(), corridor_hits()
     finally:
         _ckernel._loaded = loaded
-    assert adam_step() == adam_reference  # through the kernel when the kernels load
+    # through the kernels when the kernels load
+    assert adam_step() == adam_reference
+    assert corridor_hits() == corridor_reference
 
     references = {
         "is_walkable": [wmap._is_walkable_python(x, y) for x, y in points],
@@ -206,6 +291,8 @@ def six_queries():
         "raycast": [raycast_reference(w).tolist() for w in worlds],
         "dijkstra_distances": [gridnav._dijkstra_heapq(grid, s).tolist() for s in sources],
         "lookahead_point": [field._lookahead_walk(x, y, 1.2) for x, y in starts],
+        "corridor_hit": corridor_reference,
+        "free_space_grid": [stamped(inflate) for inflate in (0.0, PLAN_INFLATE)],
         "adam_step": adam_reference,
     }
 
@@ -213,6 +300,8 @@ def six_queries():
     assert any(walkable) and not all(walkable)
     assert any(h is not None for h in hits) and any(h is None for h in hits)
     assert len(starts) >= 50
+    depths = [depth for depth, _ in corridor_reference]
+    assert min(depths) < 1.0 and max(depths) == 6.0  # near hits, and corridors clear to range
 
     def ask():
         return {
@@ -221,6 +310,9 @@ def six_queries():
             "raycast": [sensors.raycast(w, 64, 6.0).tolist() for w in worlds],
             "dijkstra_distances": [dijkstra_distances(grid, s).tolist() for s in sources],
             "lookahead_point": [field.lookahead_point(x, y, 1.2) for x, y in starts],
+            "corridor_hit": corridor_hits(),
+            "free_space_grid": [free_space_grid(wmap, obstacles, inflate=inflate).free.tolist()
+                                for inflate in (0.0, PLAN_INFLATE)],
             "adam_step": adam_step(),
         }
 
@@ -228,7 +320,7 @@ def six_queries():
 
 
 def assert_one_warning_and_python_answers(ask, references):
-    """Ask the six queries with the kernels unloaded: one warning, load()
+    """Ask the eight queries with the kernels unloaded: one warning, load()
     None, and every answer its reference's."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -242,7 +334,7 @@ def assert_one_warning_and_python_answers(ask, references):
 
 
 def test_failed_build_warns_once_and_every_query_takes_its_python_path(monkeypatch):
-    ask, references = six_queries()
+    ask, references = eight_queries()
 
     def failing_build(source):
         raise OSError("cc failed: error: unknown type name")
@@ -255,7 +347,7 @@ def test_failed_build_warns_once_and_every_query_takes_its_python_path(monkeypat
 @needs_c_compiler
 def test_missing_python_headers_warn_once_and_every_query_takes_its_python_path(
         tmp_path, monkeypatch):
-    ask, references = six_queries()
+    ask, references = eight_queries()
     paths = sysconfig.get_paths
     monkeypatch.setattr(sysconfig, "get_paths",
                         lambda *args, **kwargs: {**paths(*args, **kwargs), "include": str(tmp_path)})

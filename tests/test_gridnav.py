@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sidewalksim import _ckernel, gridnav, suites
+from sidewalksim.episode import PLAN_INFLATE
 from sidewalksim.gridnav import (
     _NEIGHBORS8,
     OccupancyGrid,
@@ -255,6 +256,94 @@ def test_free_space_grid_equals_per_kind_stamping_oracle():
                 assert np.array_equal(got, want), (ci, density, inflate)
                 blocked += int((cfg.map.cell_centers_inside() & ~got).sum())
     assert blocked > 10_000  # the obstacles really stamp cells
+
+
+def random_layout(rng, wmap):
+    """Obstacles scattered by populate_obstacles, cuboids at yaw 0, +-pi/2 and
+    pi, and discs and boxes on, across and past the map's bounds."""
+    obstacles = populate_obstacles(wmap, float(rng.uniform(2.0, 8.0)), rng,
+                                   pedestrian_fraction=0.3)
+    for yaw in (0.0, math.pi / 2, -math.pi / 2, math.pi):
+        for _ in range(3):
+            x, y = wmap.sample_walkable_point(rng)
+            obstacles.append(Obstacle(kind="cuboid", x=x, y=y, yaw=yaw,
+                                      half_w=float(rng.uniform(0.1, 0.9)),
+                                      half_h=float(rng.uniform(0.1, 0.9))))
+    minx, miny, maxx, maxy = wmap.bounds
+    for x, y in ((minx, miny), (maxx, maxy), (minx - 0.4, (miny + maxy) / 2),
+                 (maxx + 3.0, maxy + 3.0), (minx - 50.0, miny - 50.0)):
+        obstacles.append(Obstacle(kind="cylinder", x=x, y=y, radius=float(rng.uniform(0.1, 0.8))))
+        obstacles.append(Obstacle(kind="cuboid", x=x, y=y, half_w=0.6, half_h=0.3,
+                                  yaw=float(rng.uniform(-math.pi, math.pi))))
+    return obstacles
+
+
+@needs_c_compiler
+def test_free_space_grid_kernel_equals_the_numpy_stamping(monkeypatch):
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
+    rng = np.random.default_rng(24)
+    configs = suites.training_suite() + suites.validation_suite() + [suites.bench_config()]
+    layouts = [(cfg.map, random_layout(rng, cfg.map)) for cfg in configs for _ in range(3)]
+    inflates = (0.0, PLAN_INFLATE, 0.1234567)  # the last one off the grid's quarter metres
+
+    def grids():
+        return [free_space_grid(wmap, obstacles, inflate=inflate).free
+                for wmap, obstacles in layouts for inflate in inflates]
+
+    fast = grids()
+    monkeypatch.setattr(_ckernel, "_loaded", None)
+    slow = grids()
+    assert all(np.array_equal(a, b) for a, b in zip(fast, slow, strict=True))
+    stamped = [int((wmap.cell_centers_inside() & ~free).sum())
+               for (wmap, _), free in zip(layouts, fast[::len(inflates)])]
+    assert min(stamped) > 0
+
+
+@needs_c_compiler
+@pytest.mark.parametrize("field, value, error", [
+    ("x", math.nan, ValueError), ("y", math.nan, ValueError),
+    ("radius", math.inf, OverflowError), ("x", -math.inf, OverflowError),
+])
+def test_free_space_grid_kernel_raises_as_the_numpy_stamping(field, value, error,
+                                                             monkeypatch):
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
+    wmap = generate_synthetic_map("corridor", 20.0, 3.0)
+    obstacles = [Obstacle(kind="cylinder", x=10.0, y=1.5, radius=0.5)]
+    setattr(obstacles[0], field, value)
+    with pytest.raises(error):
+        free_space_grid(wmap, obstacles, inflate=0.3)
+    monkeypatch.setattr(_ckernel, "_loaded", None)
+    with pytest.raises(error):
+        free_space_grid(wmap, obstacles, inflate=0.3)
+
+
+# -- erosion ---------------------------------------------------------------------
+
+
+def eroded_oracle(grid) -> np.ndarray:
+    """Each cell and its 8 neighbours all free, with the cells past the border
+    blocked: nine shifted copies of the padded grid."""
+    padded = np.pad(grid.free, 1, constant_values=False)
+    out = grid.free.copy()
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            out &= padded[1 + dr:padded.shape[0] - 1 + dr,
+                          1 + dc:padded.shape[1] - 1 + dc]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (1, 1), (1, 9), (9, 1), (2, 2), (3, 3),
+                                   (2, 40), (37, 3), (61, 17)])
+def test_eroded_equals_the_nine_shift_oracle(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for p_free in (0.5, 0.9, 1.0):
+        grid = OccupancyGrid(free=rng.random(shape) < p_free, minx=1.5, miny=-2.0)
+        shaved = eroded(grid)
+        assert shaved.free.dtype == bool and shaved.free.shape == shape
+        assert np.array_equal(shaved.free, eroded_oracle(grid))
+        assert (shaved.minx, shaved.miny) == (grid.minx, grid.miny)
+    if min(shape) >= 3:
+        assert eroded(OccupancyGrid(free=np.ones(shape, dtype=bool), minx=0.0, miny=0.0)).free.any()
 
 
 # -- free-space raster cache -----------------------------------------------------

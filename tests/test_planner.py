@@ -352,7 +352,14 @@ def random_lidar(rng, n):
     return lidar
 
 
-def test_corridor_hit_equals_the_numpy_oracles():
+def test_corridor_hit_equals_the_numpy_oracles(monkeypatch):
+    # the kernel when the kernels load, then the Python loop
+    assert_corridor_hit_equals_the_numpy_oracles()
+    monkeypatch.setattr(_ckernel, "_loaded", None)
+    assert_corridor_hit_equals_the_numpy_oracles()
+
+
+def assert_corridor_hit_equals_the_numpy_oracles():
     rng = np.random.default_rng(20)
     counts = dict(frontal=0, rear=0, homing=0)
     for trial in range(12_000):
@@ -378,7 +385,51 @@ def test_corridor_hit_equals_the_numpy_oracles():
     assert min(counts.values()) > 1000, counts
 
 
-def test_corridor_hit_ties_and_edges():
+def python_corridor_hit(lidar, bearing, half_angle):
+    """corridor_hit on its Python path, or the name of the exception it raises."""
+    loaded = _ckernel._loaded
+    _ckernel._loaded = None
+    try:
+        return corridor_hit(lidar, bearing, half_angle)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+    finally:
+        _ckernel._loaded = loaded
+
+
+@needs_c_compiler
+def test_corridor_hit_kernel_equals_the_python_loop_bit_for_bit():
+    assert _ckernel.load() is not None, "the C kernels failed to build or load"
+    rng = np.random.default_rng(24)
+    for trial in range(20_000):
+        n = int(rng.choice([64, 272, 7, 33]))
+        lidar = random_lidar(rng, n)
+        bearing = float(rng.choice([0.0, math.pi, -math.pi / 2, rng.uniform(-math.pi, math.pi),
+                                    rng.uniform(-40.0, 40.0), 2.0 * math.pi * rng.integers(n) / n]))
+        half_angle = float(rng.choice([FRONTAL_HALF_ANGLE, math.pi / 2, rng.uniform(0.0, 4.0)]))
+        got = corridor_hit(lidar, bearing, half_angle)
+        want = python_corridor_hit(lidar, bearing, half_angle)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (trial, bearing, half_angle)
+    lidar = random_lidar(rng, 64)
+    for bearing, half_angle in ((math.nan, 0.4), (0.0, math.nan), (math.inf, 0.4),
+                                (0.0, -math.inf), (1e300, 1e300), (1e20, 0.4)):
+        want = python_corridor_hit(lidar, bearing, half_angle)
+        if isinstance(want, str):
+            with pytest.raises((ValueError, OverflowError)) as caught:
+                corridor_hit(lidar, bearing, half_angle)
+            assert caught.type.__name__ == want
+        else:
+            assert corridor_hit(lidar, bearing, half_angle) == want
+    assert corridor_hit(np.zeros(0), 0.3, 0.4) == python_corridor_hit(np.zeros(0), 0.3, 0.4)
+
+
+def test_corridor_hit_ties_and_edges(monkeypatch):
+    assert_corridor_hit_ties_and_edges()  # the kernel when the kernels load
+    monkeypatch.setattr(_ckernel, "_loaded", None)
+    assert_corridor_hit_ties_and_edges()
+
+
+def assert_corridor_hit_ties_and_edges():
     lidar = np.full(64, 9.0)
     lidar[[1, 63, 31, 33]] = 0.5  # mirror pairs across the heading and the tail
     front = corridor_hit(lidar, 0.0, FRONTAL_HALF_ANGLE)
