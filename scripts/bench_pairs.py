@@ -37,6 +37,9 @@ both build their C kernels the same way. The script writes one JSON file:
   a C compiler, so each pass runs the pure-Python paths; each side also
   reports how many kernel-unavailable warnings its pass gave. With them
   `loaded`, a kernel that fails to load is an error.
+- `sources`: per side, the SHA-256 of its Python and C sources under `src/`
+  and `src_lines`, the line count of `wc -l src/sidewalksim/*.py
+  src/sidewalksim/*.c`, which simplicity changes are judged by.
 - `environment`: interpreter, numpy and its BLAS build, core count, whether
   numba and scipy are importable, and `two_process_speedup`: a fixed
   pure-Python loop timed alone and as a forked pair of processes running it
@@ -244,6 +247,13 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
+def src_lines(checkout: Path) -> int:
+    """Newlines in src/sidewalksim/*.py and *.c, the total `wc -l` prints."""
+    package = checkout / "src" / "sidewalksim"
+    return sum(p.read_bytes().count(b"\n") for pattern in ("*.py", "*.c")
+               for p in package.glob(pattern))
+
+
 def spin() -> int:
     total = 0
     for i in range(SPIN_LOOPS):
@@ -326,7 +336,8 @@ def main(argv=None) -> int:
     benchmark = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     doc = {"environment": environment(),
-           "sources": {side: {"src_sha256": src_digest(checkouts[side])} for side in SIDES},
+           "sources": {side: {"src_sha256": src_digest(checkouts[side]),
+                              "src_lines": src_lines(checkouts[side])} for side in SIDES},
            "perfbench": {"seed": args.seed, "run_seconds": seconds,
                          "claimed_workload": args.workload}}
 

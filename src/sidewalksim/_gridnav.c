@@ -39,11 +39,28 @@ struct entry {
     int64_t cell;
 };
 
+/* grid_dijkstra's scratch, kept from call to call (each call holds the GIL):
+ * the framed distances, grown to the largest grid searched, and the heap,
+ * doubled when full. Blocks of ~100 kB freed on every call let glibc hand
+ * pages back to the system, and the next call faulted them in again. */
+static double *pdist;
+static struct entry *heap;
+static int64_t pdist_cells, heap_cap;
+
 /* A binary min-heap of n entries, with an entry of key +inf at heap[n], past
  * the last one, so heap_pop compares a lone child with it rather than test
- * whether the right child exists. */
-static void heap_push(struct entry *heap, int64_t *n, double d, int64_t cell)
+ * whether the right child exists. heap_push doubles heap_cap when the new
+ * entry and the +inf one would not fit; -1 when it cannot. */
+static int heap_push(int64_t *n, double d, int64_t cell)
 {
+    if (*n + 2 > heap_cap) {
+        int64_t cap = heap_cap ? 2 * heap_cap : 256;
+        struct entry *grown = realloc(heap, (size_t)cap * sizeof *heap);
+        if (!grown)
+            return -1;
+        heap = grown;
+        heap_cap = cap;
+    }
     int64_t i = (*n)++;
     while (i > 0) {
         int64_t parent = (i - 1) / 2;
@@ -55,9 +72,10 @@ static void heap_push(struct entry *heap, int64_t *n, double d, int64_t cell)
     heap[i].d = d;
     heap[i].cell = cell;
     heap[*n].d = INFINITY;
+    return 0;
 }
 
-static struct entry heap_pop(struct entry *heap, int64_t *n)
+static struct entry heap_pop(int64_t *n)
 {
     struct entry top = heap[0];
     int64_t m = --(*n);
@@ -85,9 +103,6 @@ static const int DC[8] = {-1, 0, 1, -1, 1, -1, 0, 1};
 
 /* Distances from the source cell over the free cells of a row-major (ny, nx)
  * grid into dist; inf where unreachable. The source must be a free cell.
- * A cell is expanded once, when its final entry leaves the heap, and pushes
- * at most 8 entries, so the heap never holds more than 8 * cells + 1, and
- * its +inf entry one more.
  * Returns 0 on success, -1 when the scratch arrays cannot be allocated. */
 int grid_dijkstra(const unsigned char *free_cells, int64_t ny, int64_t nx,
                   int64_t src_row, int64_t src_col,
@@ -96,13 +111,13 @@ int grid_dijkstra(const unsigned char *free_cells, int64_t ny, int64_t nx,
     /* the distances in a frame one cell wider on every side: padded cell
      * (r + 1, c + 1) is grid cell (r, c). A blocked cell, the frame's
      * included, holds -inf, which no relaxation lowers. */
-    int64_t pnx = nx + 2, cells = (ny + 2) * pnx;
-    double *pdist = malloc((size_t)cells * sizeof(double));
-    struct entry *heap = malloc((size_t)(8 * ny * nx + 2) * sizeof(struct entry));
-    if (!pdist || !heap) {
-        free(pdist);
-        free(heap);
-        return -1;
+    int64_t pnx = nx + 2, cells = (ny + 2) * pnx, n = 0;
+    if (cells > pdist_cells) {
+        double *grown = realloc(pdist, (size_t)cells * sizeof *pdist);
+        if (!grown)
+            return -1;
+        pdist = grown;
+        pdist_cells = cells;
     }
     for (int64_t i = 0; i < cells; i++)
         pdist[i] = -INFINITY;
@@ -116,12 +131,12 @@ int grid_dijkstra(const unsigned char *free_cells, int64_t ny, int64_t nx,
         cost[k] = DR[k] && DC[k] ? diagonal : straight;
     }
 
-    int64_t n = 0;
     int64_t src = (src_row + 1) * pnx + src_col + 1;
     pdist[src] = 0.0;
-    heap_push(heap, &n, 0.0, src);
+    if (heap_push(&n, 0.0, src) < 0)
+        return -1;
     while (n > 0) {
-        struct entry e = heap_pop(heap, &n);
+        struct entry e = heap_pop(&n);
         if (e.d > pdist[e.cell])
             continue;
         for (int k = 0; k < 8; k++) {
@@ -129,7 +144,8 @@ int grid_dijkstra(const unsigned char *free_cells, int64_t ny, int64_t nx,
             double nd = e.d + cost[k];
             if (nd < pdist[v]) {
                 pdist[v] = nd;
-                heap_push(heap, &n, nd, v);
+                if (heap_push(&n, nd, v) < 0)
+                    return -1;
             }
         }
     }
@@ -138,8 +154,6 @@ int grid_dijkstra(const unsigned char *free_cells, int64_t ny, int64_t nx,
             double d = pdist[(r + 1) * pnx + c + 1];
             dist[r * nx + c] = d < 0.0 ? INFINITY : d;
         }
-    free(pdist);
-    free(heap);
     return 0;
 }
 

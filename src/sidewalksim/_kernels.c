@@ -3,11 +3,19 @@
  *
  * _walkmap.c, _gridnav.c and _nets.c are included whole, so the kernels
  * compile as they are, and each function below wraps one of them for a
- * METH_FASTCALL call from Python. Arrays arrive as objects exporting the
- * buffer protocol, such as numpy arrays: each must be C-contiguous with the
- * item format and size of the numpy dtype its kernel reads (float64, int64,
- * bool or float32), else the call raises ValueError. Row counts come from
- * the buffers' lengths.
+ * METH_FASTCALL call from Python. Each wrapper declares its Python signature
+ * as a spec of one character per argument, which parse_args reads:
+ *
+ *   x  a float, as PyFloat_AsDouble converts it
+ *   n  an index, as PyLong_AsSsize_t converts it
+ *   p  a truth value, as PyObject_IsTrue tests it
+ *   d q b f  a float64, int64, bool or float32 array; D Q B F if written to
+ *   |  the arguments after it are optional
+ *
+ * Arrays arrive as objects exporting the buffer protocol, such as numpy
+ * arrays: each must be C-contiguous with the item format and size of its
+ * dtype, else the call raises ValueError naming the argument's position.
+ * Row counts come from the buffers' lengths.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -16,10 +24,10 @@
 #include "_gridnav.c"
 #include "_nets.c"
 
-/* The item kinds of get_buffers: the struct formats numpy exports for the
- * dtype, after at most one native byte-order prefix, and the item size. */
+/* The array kinds of a spec: the struct formats numpy exports for the dtype,
+ * after at most one native byte-order prefix, and the item size. */
 struct item_kind {
-    char kind;         /* lower case read-only, upper case writable */
+    char kind;
     const char *formats;
     Py_ssize_t itemsize;
     const char *dtype;
@@ -39,40 +47,65 @@ static int has_format(const Py_buffer *view, const struct item_kind *item)
         && strchr(item->formats, format[0]) != NULL;
 }
 
-/* C-contiguous buffers of args[0..], one per character of `kinds`: 'd'
- * float64, 'q' int64, 'b' bool, 'f' float32, and 'D', 'B', 'F' for writable
- * ones of those. On failure, every buffer taken is released and -1 returned
- * with the exception set. */
-static int get_buffers(const char *name, PyObject *const *args, const char *kinds,
-                       Py_buffer *views)
+/* One Python argument, converted by its spec character: x holds an 'x', n an
+ * 'n' or a 'p', view an array; view.obj is NULL for the other kinds. */
+struct arg {
+    double x;
+    Py_ssize_t n;
+    Py_buffer view;
+};
+
+static void release_args(struct arg *a, Py_ssize_t nargs)
 {
-    for (int i = 0; kinds[i]; i++) {
-        char kind = kinds[i];
+    for (Py_ssize_t i = 0; i < nargs; i++)
+        if (a[i].view.obj)
+            PyBuffer_Release(&a[i].view);
+}
+
+/* args[0..nargs-1] into a[0..nargs-1] by spec (see the top of this file).
+ * On failure, no buffer is held, and -1 is returned with the exception set:
+ * TypeError for a wrong count, else the conversion's own exception. */
+static int parse_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                      const char *spec, struct arg *a)
+{
+    const char *bar = strchr(spec, '|');
+    Py_ssize_t hi = (Py_ssize_t)strlen(spec) - (bar != NULL), lo = bar ? bar - spec : hi;
+    if (nargs < lo || nargs > hi) {
+        if (lo == hi)
+            PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", name, hi, nargs);
+        else
+            PyErr_Format(PyExc_TypeError, "%s takes %zd to %zd arguments (%zd given)", name, lo,
+                         hi, nargs);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < nargs; i++, spec++) {
+        spec += *spec == '|';
+        char kind = *spec;
+        Py_buffer *view = &a[i].view;
         const struct item_kind *item = ITEM_KINDS;
-        while (item->kind != Py_TOLOWER(kind))
-            item++;
         int flags = PyBUF_STRIDES | PyBUF_FORMAT | (Py_ISUPPER(kind) ? PyBUF_WRITABLE : 0);
-        int ok = PyObject_GetBuffer(args[i], &views[i], flags) == 0;
-        if (ok && (!has_format(&views[i], item) || !PyBuffer_IsContiguous(&views[i], 'C'))) {
-            PyBuffer_Release(&views[i]);
-            PyErr_Format(PyExc_ValueError,
-                         "%s: array argument %d must be a C-contiguous %s array",
-                         name, i + 1, item->dtype);
-            ok = 0;
+        int failed;
+        view->obj = NULL;
+        if (kind == 'x')
+            failed = (a[i].x = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred();
+        else if (kind == 'n')
+            failed = (a[i].n = PyLong_AsSsize_t(args[i])) == -1 && PyErr_Occurred();
+        else if (kind == 'p')
+            failed = (a[i].n = PyObject_IsTrue(args[i])) < 0;
+        else if (!(failed = PyObject_GetBuffer(args[i], view, flags) < 0)) {
+            while (item->kind != Py_TOLOWER(kind))
+                item++;
+            if ((failed = !has_format(view, item) || !PyBuffer_IsContiguous(view, 'C')))
+                PyErr_Format(PyExc_ValueError,
+                             "%s: array argument %zd must be a C-contiguous %s array", name,
+                             i + 1, item->dtype);
         }
-        if (!ok) {
-            while (i-- > 0)
-                PyBuffer_Release(&views[i]);
+        if (failed) {
+            release_args(a, i + 1);
             return -1;
         }
     }
     return 0;
-}
-
-static void release_buffers(Py_buffer *views, int n)
-{
-    for (int i = 0; i < n; i++)
-        PyBuffer_Release(&views[i]);
 }
 
 /* Rows of `width` items in a buffer of 8-byte items; -1 with ValueError set
@@ -88,18 +121,6 @@ static Py_ssize_t rows(const char *name, const Py_buffer *view, Py_ssize_t width
     return items / width;
 }
 
-static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
-{
-    if (nargs >= lo && nargs <= hi)
-        return 0;
-    if (lo == hi)
-        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", name, hi, nargs);
-    else
-        PyErr_Format(PyExc_TypeError, "%s takes %zd to %zd arguments (%zd given)", name, lo, hi,
-                     nargs);
-    return -1;
-}
-
 /* NULL with the exception int() raises on a float that int_error (in
  * _gridnav.c) reports: ValueError for NaN, OverflowError for infinity. */
 static PyObject *int_error_raise(int error)
@@ -111,28 +132,18 @@ static PyObject *int_error_raise(int error)
     return NULL;
 }
 
-/* Scalars args[0..n-1] as doubles; -1 with the exception set on failure. */
-static int get_doubles(PyObject *const *args, int n, double *out)
-{
-    for (int i = 0; i < n; i++) {
-        out[i] = PyFloat_AsDouble(args[i]);
-        if (out[i] == -1.0 && PyErr_Occurred())
-            return -1;
-    }
-    return 0;
-}
-
 /* The map's edge table, edge offsets and bboxes (WalkableMap.edges,
  * edge_start and bboxes) with the polygon count; -1 with ValueError set when
  * the offsets do not index the edge table. */
-static int64_t map_polygons(const char *name, const Py_buffer *map)
+static int64_t map_polygons(const char *name, const struct arg *map)
 {
-    Py_ssize_t n_edges = rows(name, &map[0], 4);
-    Py_ssize_t n_polys = rows(name, &map[2], 4);
+    Py_ssize_t n_edges = rows(name, &map[0].view, 4);
+    Py_ssize_t n_polys = rows(name, &map[2].view, 4);
     if (n_edges < 0 || n_polys < 0)
         return -1;
-    const int64_t *edge_start = map[1].buf;
-    if (map[1].len != 8 * (n_polys + 1) || edge_start[0] != 0 || edge_start[n_polys] != n_edges) {
+    const int64_t *edge_start = map[1].view.buf;
+    if (map[1].view.len != 8 * (n_polys + 1) || edge_start[0] != 0
+        || edge_start[n_polys] != n_edges) {
         PyErr_Format(PyExc_ValueError, "%s: edge offsets must run from 0 to the %zd edges",
                      name, n_edges);
         return -1;
@@ -146,32 +157,26 @@ static PyObject *py_point_walkable(PyObject *self, PyObject *const *args, Py_ssi
 {
     (void)self;
     static const char name[] = "point_walkable";
-    double xy[2];
-    Py_buffer map[3];
-    if (check_nargs(name, nargs, 5, 6) < 0 || get_doubles(args, 2, xy) < 0)
-        return NULL;
-    Py_ssize_t polygon = -1;
-    if (nargs == 6 && (polygon = PyLong_AsSsize_t(args[5])) == -1 && PyErr_Occurred())
-        return NULL;
-    if (get_buffers(name, args + 2, "dqd", map) < 0)
+    struct arg a[6];
+    if (parse_args(name, args, nargs, "xxdqd|n", a) < 0)
         return NULL;
     PyObject *result = NULL;
-    int64_t n_polys = map_polygons(name, map);
+    int64_t n_polys = map_polygons(name, &a[2]);
+    const double *edges = a[2].view.buf, *bboxes = a[4].view.buf;
+    const int64_t *edge_start = a[3].view.buf;
     if (n_polys < 0)
         goto done;
-    const double *edges = map[0].buf, *bboxes = map[2].buf;
-    const int64_t *edge_start = map[1].buf;
-    if (nargs == 5) {
-        result = PyBool_FromLong(point_walkable(xy[0], xy[1], edges, edge_start, bboxes, n_polys));
-    } else if (polygon >= 0 && polygon < n_polys) {
-        result = PyBool_FromLong(point_walkable(xy[0], xy[1], edges, edge_start + polygon,
-                                                bboxes + 4 * polygon, 1));
-    } else {
-        PyErr_Format(PyExc_ValueError, "%s: no polygon %zd among %lld", name, polygon,
+    if (nargs == 5)
+        result = PyBool_FromLong(point_walkable(a[0].x, a[1].x, edges, edge_start, bboxes,
+                                                n_polys));
+    else if (a[5].n >= 0 && a[5].n < n_polys)
+        result = PyBool_FromLong(point_walkable(a[0].x, a[1].x, edges, edge_start + a[5].n,
+                                                bboxes + 4 * a[5].n, 1));
+    else
+        PyErr_Format(PyExc_ValueError, "%s: no polygon %zd among %lld", name, a[5].n,
                      (long long)n_polys);
-    }
 done:
-    release_buffers(map, 3);
+    release_args(a, nargs);
     return result;
 }
 
@@ -182,26 +187,17 @@ static PyObject *py_first_disc_holding(PyObject *self, PyObject *const *args, Py
 {
     (void)self;
     static const char name[] = "first_disc_holding";
-    double xym[3];
-    Py_buffer bounds;
-    if (check_nargs(name, nargs, 6, 6) < 0 || get_doubles(args, 3, xym) < 0)
-        return NULL;
-    int closed = PyObject_IsTrue(args[3]);
-    Py_ssize_t start = PyLong_AsSsize_t(args[5]);
-    if (closed < 0 || (start == -1 && PyErr_Occurred()))
-        return NULL;
-    if (start < 0) {
-        PyErr_Format(PyExc_ValueError, "%s: start must be >= 0", name);
-        return NULL;
-    }
-    if (get_buffers(name, args + 4, "d", &bounds) < 0)
+    struct arg a[6];
+    if (parse_args(name, args, nargs, "xxxpdn", a) < 0)
         return NULL;
     PyObject *result = NULL;
-    Py_ssize_t n = rows(name, &bounds, 3);
-    if (n >= 0)
-        result = PyLong_FromLong(first_disc_holding(xym[0], xym[1], xym[2], closed, bounds.buf,
-                                                    start, n));
-    release_buffers(&bounds, 1);
+    Py_ssize_t n, start = a[5].n;
+    if (start < 0)
+        PyErr_Format(PyExc_ValueError, "%s: start must be >= 0", name);
+    else if ((n = rows(name, &a[4].view, 3)) >= 0)
+        result = PyLong_FromLong(first_disc_holding(a[0].x, a[1].x, a[2].x, a[3].n,
+                                                    a[4].view.buf, start, n));
+    release_args(a, nargs);
     return result;
 }
 
@@ -212,34 +208,29 @@ static PyObject *py_raycast_loop(PyObject *self, PyObject *const *args, Py_ssize
 {
     (void)self;
     static const char name[] = "raycast_loop";
-    double s[5];  /* ox, oy, ch, sh, max_range */
-    Py_buffer b[8];
-    if (check_nargs(name, nargs, 13, 13) < 0 || get_doubles(args, 5, s) < 0
-        || get_buffers(name, args + 5, "dddddqdD", b) < 0)
+    struct arg a[13];
+    if (parse_args(name, args, nargs, "xxxxxdddddqdD", a) < 0)
         return NULL;
     PyObject *result = NULL;
-    Py_buffer *units = &b[0], *circles = &b[1], *rect_segs = &b[2], *rect_bounds = &b[3];
-    Py_buffer *map = &b[4], *out = &b[7];
+    Py_buffer *units = &a[5].view, *circles = &a[6].view, *rect_segs = &a[7].view;
+    Py_buffer *rect_bounds = &a[8].view, *out = &a[12].view;
     Py_ssize_t n = out->len / 8;
     Py_ssize_t n_circles = rows(name, circles, 3);
     Py_ssize_t n_rect = rows(name, rect_bounds, 3);
-    int64_t n_polys = n_circles < 0 || n_rect < 0 ? -1 : map_polygons(name, map);
+    int64_t n_polys = n_circles < 0 || n_rect < 0 ? -1 : map_polygons(name, &a[9]);
     if (n_polys < 0)
         goto done;
-    if (units->len != 16 * n || rect_segs->len != 128 * n_rect) {
+    if (units->len != 16 * n || rect_segs->len != 128 * n_rect)
         PyErr_Format(PyExc_ValueError, "%s: %zd rays need 2 x %zd units, and %zd cuboids "
                      "4 x %zd side rows", name, n, n, n_rect, n_rect);
-        goto done;
-    }
-    if (raycast_loop(s[0], s[1], s[2], s[3], units->buf, n, s[4], circles->buf, n_circles,
-                     rect_segs->buf, rect_bounds->buf, n_rect, map[0].buf, map[1].buf,
-                     map[2].buf, n_polys, out->buf)) {
+    else if (raycast_loop(a[0].x, a[1].x, a[2].x, a[3].x, units->buf, n, a[4].x, circles->buf,
+                          n_circles, rect_segs->buf, rect_bounds->buf, n_rect, a[9].view.buf,
+                          a[10].view.buf, a[11].view.buf, n_polys, out->buf))
         PyErr_SetString(PyExc_MemoryError, "raycast kernel could not allocate its scratch buffers");
-        goto done;
-    }
-    result = Py_NewRef(Py_None);
+    else
+        result = Py_NewRef(Py_None);
 done:
-    release_buffers(b, 8);
+    release_args(a, nargs);
     return result;
 }
 
@@ -264,36 +255,24 @@ static PyObject *py_grid_dijkstra(PyObject *self, PyObject *const *args, Py_ssiz
 {
     (void)self;
     static const char name[] = "grid_dijkstra";
-    double costs[2];
-    Py_buffer b[2];
-    if (check_nargs(name, nargs, 6, 6) < 0 || get_doubles(args + 3, 2, costs) < 0)
-        return NULL;
-    Py_ssize_t row = PyLong_AsSsize_t(args[1]);
-    if (row == -1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t col = PyLong_AsSsize_t(args[2]);
-    if (col == -1 && PyErr_Occurred())
-        return NULL;
-    PyObject *pair[2] = {args[0], args[5]};
-    if (get_buffers(name, pair, "bD", b) < 0)
+    struct arg a[6];
+    if (parse_args(name, args, nargs, "bnnxxD", a) < 0)
         return NULL;
     PyObject *result = NULL;
+    Py_ssize_t row = a[1].n, col = a[2].n;
     int64_t ny, nx;
-    if (grid_shape(name, &b[0], &b[1], &ny, &nx) < 0)
+    if (grid_shape(name, &a[0].view, &a[5].view, &ny, &nx) < 0)
         goto done;
-    const unsigned char *free_cells = b[0].buf;
-    if (row < 0 || row >= ny || col < 0 || col >= nx || !free_cells[row * nx + col]) {
+    const unsigned char *free_cells = a[0].view.buf;
+    if (row < 0 || row >= ny || col < 0 || col >= nx || !free_cells[row * nx + col])
         PyErr_Format(PyExc_ValueError, "%s: the source (%zd, %zd) is not a free cell", name, row,
                      col);
-        goto done;
-    }
-    if (grid_dijkstra(free_cells, ny, nx, row, col, costs[0], costs[1], b[1].buf)) {
+    else if (grid_dijkstra(free_cells, ny, nx, row, col, a[3].x, a[4].x, a[5].view.buf))
         PyErr_SetString(PyExc_MemoryError, "grid Dijkstra kernel could not allocate its heap");
-        goto done;
-    }
-    result = Py_NewRef(Py_None);
+    else
+        result = Py_NewRef(Py_None);
 done:
-    release_buffers(b, 2);
+    release_args(a, nargs);
     return result;
 }
 
@@ -304,23 +283,17 @@ static PyObject *py_grid_lookahead(PyObject *self, PyObject *const *args, Py_ssi
 {
     (void)self;
     static const char name[] = "grid_lookahead";
-    double s[8];  /* x, y, lookahead, minx, miny, res, goal_x, goal_y */
-    Py_buffer b[2];
-    if (check_nargs(name, nargs, 10, 10) < 0 || get_doubles(args, 3, s) < 0
-        || get_doubles(args + 5, 5, s + 3) < 0 || get_buffers(name, args + 3, "db", b) < 0)
+    struct arg a[10];
+    if (parse_args(name, args, nargs, "xxxdbxxxxx", a) < 0)
         return NULL;
     PyObject *result = NULL;
     int64_t ny, nx;
     double target[2];
-    if (grid_shape(name, &b[0], &b[1], &ny, &nx) < 0)
-        goto done;
-    if (grid_lookahead(s[0], s[1], s[2], b[0].buf, b[1].buf, ny, nx, s[3], s[4], s[5], s[6],
-                       s[7], target))
-        result = Py_NewRef(Py_None);
-    else
-        result = Py_BuildValue("(dd)", target[0], target[1]);
-done:
-    release_buffers(b, 2);
+    if (grid_shape(name, &a[3].view, &a[4].view, &ny, &nx) == 0)
+        result = grid_lookahead(a[0].x, a[1].x, a[2].x, a[3].view.buf, a[4].view.buf, ny, nx,
+                                a[5].x, a[6].x, a[7].x, a[8].x, a[9].x, target)
+            ? Py_NewRef(Py_None) : Py_BuildValue("(dd)", target[0], target[1]);
+    release_args(a, nargs);
     return result;
 }
 
@@ -330,15 +303,12 @@ done:
 static PyObject *py_corridor_hit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
-    static const char name[] = "corridor_hit";
-    double s[3];  /* bearing, half_angle, half_width */
-    Py_buffer lidar;
-    if (check_nargs(name, nargs, 4, 4) < 0 || get_doubles(args + 1, 3, s) < 0
-        || get_buffers(name, args, "d", &lidar) < 0)
+    struct arg a[4];
+    if (parse_args("corridor_hit", args, nargs, "dxxx", a) < 0)
         return NULL;
     double hit[2];
-    int error = corridor_hit(lidar.buf, lidar.len / 8, s[0], s[1], s[2], hit);
-    release_buffers(&lidar, 1);
+    int error = corridor_hit(a[0].view.buf, a[0].view.len / 8, a[1].x, a[2].x, a[3].x, hit);
+    release_args(a, nargs);
     if (error)
         return int_error_raise(error);
     return Py_BuildValue("(dd)", hit[0], hit[1]);
@@ -351,24 +321,23 @@ static PyObject *py_stamp_obstacles(PyObject *self, PyObject *const *args, Py_ss
 {
     (void)self;
     static const char name[] = "stamp_obstacles";
-    double s[4];  /* minx, miny, res, inflate */
-    Py_buffer b[2];
-    if (check_nargs(name, nargs, 6, 6) < 0 || get_doubles(args + 2, 4, s) < 0
-        || get_buffers(name, args, "Bd", b) < 0)
+    struct arg a[6];
+    if (parse_args(name, args, nargs, "Bdxxxx", a) < 0)
         return NULL;
     PyObject *result = NULL;
-    Py_ssize_t n = rows(name, &b[1], 9);
+    Py_buffer *raster = &a[0].view;
+    Py_ssize_t n = rows(name, &a[1].view, 9);
     if (n < 0)
         goto done;
-    if (b[0].ndim != 2) {
+    if (raster->ndim != 2) {
         PyErr_Format(PyExc_ValueError, "%s: the raster must be 2-D", name);
         goto done;
     }
-    int error = stamp_obstacles(b[0].buf, b[0].shape[0], b[0].shape[1], b[1].buf, n, s[0], s[1],
-                                s[2], s[3]);
+    int error = stamp_obstacles(raster->buf, raster->shape[0], raster->shape[1], a[1].view.buf,
+                                n, a[2].x, a[3].x, a[4].x, a[5].x);
     result = error ? int_error_raise(error) : Py_NewRef(Py_None);
 done:
-    release_buffers(b, 2);
+    release_args(a, nargs);
     return result;
 }
 
@@ -380,23 +349,23 @@ static PyObject *py_adam_step(PyObject *self, PyObject *const *args, Py_ssize_t 
 {
     (void)self;
     static const char name[] = "adam_step";
-    double d[N_SCALARS];
-    float s[N_SCALARS];
-    Py_buffer b[4];
-    if (check_nargs(name, nargs, 4 + N_SCALARS, 4 + N_SCALARS) < 0
-        || get_doubles(args + 4, N_SCALARS, d) < 0 || get_buffers(name, args, "FfFF", b) < 0)
+    struct arg a[4 + N_SCALARS];
+    if (parse_args(name, args, nargs, "FfFFxxxxxxxx", a) < 0)  /* N_SCALARS x's */
         return NULL;
     PyObject *result = NULL;
-    if (b[1].len != b[0].len || b[2].len != b[0].len || b[3].len != b[0].len) {
+    Py_ssize_t len = a[0].view.len;
+    if (a[1].view.len != len || a[2].view.len != len || a[3].view.len != len) {
         PyErr_Format(PyExc_ValueError, "%s: the parameters, gradient and moments must have one "
                      "length", name);
         goto done;
     }
+    float s[N_SCALARS];
     for (int i = 0; i < N_SCALARS; i++)
-        s[i] = (float)d[i];
-    result = PyBool_FromLong(adam_step(b[0].buf, b[1].buf, b[2].buf, b[3].buf, b[0].len / 4, s));
+        s[i] = (float)a[4 + i].x;
+    result = PyBool_FromLong(adam_step(a[0].view.buf, a[1].view.buf, a[2].view.buf,
+                                       a[3].view.buf, len / 4, s));
 done:
-    release_buffers(b, 4);
+    release_args(a, nargs);
     return result;
 }
 

@@ -91,7 +91,6 @@ def evaluate(policy, configs: list[EpisodeConfig], n_episodes: int, seed: int = 
     else:
         records = [_run_indexed_episode(j) for j in jobs]
 
-    records.sort(key=lambda r: r["index"])
     counts = {k: 0 for k in OUTCOMES}
     for r in records:
         counts[r["outcome"]] += 1

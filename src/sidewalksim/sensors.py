@@ -36,6 +36,8 @@ GPS_LATENCY_STEPS = 3
 _PIX = np.arange(BEV_SIZE, dtype=float)
 _FWD = ((BEV_SIZE / 2.0) - _PIX)[:, None] * BEV_RESOLUTION * np.ones((1, BEV_SIZE))
 _RIGHT = (_PIX - (BEV_SIZE / 2.0))[None, :] * BEV_RESOLUTION * np.ones((BEV_SIZE, 1))
+# bev_pixel_world_coords' output and scratch, made once: per-frame 128 KiB arrays cost page faults
+_WXY = np.empty((3, BEV_SIZE, BEV_SIZE))
 
 
 class GoalPolar(NamedTuple):
@@ -64,10 +66,14 @@ class Observation:
 
 
 def bev_pixel_world_coords(agent: AgentState):
-    """World coordinates of all pixel centers, heading-up, agent at (64, 64)."""
+    """World coordinates of all pixel centers, heading-up, agent at (64, 64),
+    into the first two arrays of _WXY, which the next call overwrites."""
     c, s = math.cos(agent.heading), math.sin(agent.heading)
-    wx = agent.x + _FWD * c + _RIGHT * s
-    wy = agent.y + _FWD * s - _RIGHT * c
+    wx, wy, t = _WXY
+    np.add(np.add(agent.x, np.multiply(_FWD, c, out=wx), out=wx),
+           np.multiply(_RIGHT, s, out=t), out=wx)
+    np.subtract(np.add(agent.y, np.multiply(_FWD, s, out=wy), out=wy),
+                np.multiply(_RIGHT, c, out=t), out=wy)
     return wx, wy
 
 

@@ -150,50 +150,119 @@ def test_the_kernels_reject_arrays_of_another_format():
     # numpy exports int64 as "l" here, and long long as "q": both are int64
     assert kernels.point_walkable(0.0, 0.0, edges, starts.astype(np.longlong), boxes) in (
         True, False)
+    # each bad call with the position in the call of its bad array
     bad_calls = {
         "point_walkable": [
-            lambda: kernels.point_walkable(0.0, 0.0, as_int64(edges), starts, boxes),
-            lambda: kernels.point_walkable(0.0, 0.0, edges, starts.view(np.float64), boxes),
-            lambda: kernels.point_walkable(0.0, 0.0, edges, starts, boxes.astype(">f8")),
+            (3, lambda: kernels.point_walkable(0.0, 0.0, as_int64(edges), starts, boxes)),
+            (4, lambda: kernels.point_walkable(0.0, 0.0, edges, starts.view(np.float64), boxes)),
+            (5, lambda: kernels.point_walkable(0.0, 0.0, edges, starts, boxes.astype(">f8"))),
         ],
         "raycast_loop": [
-            lambda: kernels.raycast_loop(0.0, 0.0, 1.0, 0.0, 6.0, as_int64(units), *tables,
-                                         edges, starts, boxes, out),
-            lambda: kernels.raycast_loop(0.0, 0.0, 1.0, 0.0, 6.0, units, *tables, edges,
-                                         starts, boxes, as_int64(out)),
+            (6, lambda: kernels.raycast_loop(0.0, 0.0, 1.0, 0.0, 6.0, as_int64(units), *tables,
+                                             edges, starts, boxes, out)),
+            (7, lambda: kernels.raycast_loop(0.0, 0.0, 1.0, 0.0, 6.0, units,
+                                             as_int64(tables[0]), *tables[1:], edges, starts,
+                                             boxes, out)),
+            (13, lambda: kernels.raycast_loop(0.0, 0.0, 1.0, 0.0, 6.0, units, *tables, edges,
+                                              starts, boxes, as_int64(out))),
         ],
         "first_disc_holding": [
-            lambda: kernels.first_disc_holding(0.0, 0.0, 0.0, True, as_int64(bounds), 0),
+            (5, lambda: kernels.first_disc_holding(0.0, 0.0, 0.0, True, as_int64(bounds), 0)),
         ],
         "grid_dijkstra": [
-            lambda: kernels.grid_dijkstra(grid.free.view(np.uint8), *source, 1.0, 1.5, values),
-            lambda: kernels.grid_dijkstra(grid.free, *source, 1.0, 1.5, as_int64(values)),
+            (1, lambda: kernels.grid_dijkstra(grid.free.view(np.uint8), *source, 1.0, 1.5,
+                                              values)),
+            (6, lambda: kernels.grid_dijkstra(grid.free, *source, 1.0, 1.5, as_int64(values))),
         ],
         "grid_lookahead": [
-            lambda: kernels.grid_lookahead(*goal, 1.2, as_int64(values), grid.free, grid.minx,
-                                           grid.miny, gridnav.NAV_RESOLUTION, *goal),
-            lambda: kernels.grid_lookahead(*goal, 1.2, values, grid.free.view(np.int8),
-                                           grid.minx, grid.miny, gridnav.NAV_RESOLUTION, *goal),
+            (4, lambda: kernels.grid_lookahead(*goal, 1.2, as_int64(values), grid.free,
+                                               grid.minx, grid.miny, gridnav.NAV_RESOLUTION,
+                                               *goal)),
+            (5, lambda: kernels.grid_lookahead(*goal, 1.2, values, grid.free.view(np.int8),
+                                               grid.minx, grid.miny, gridnav.NAV_RESOLUTION,
+                                               *goal)),
         ],
         "corridor_hit": [
-            lambda: kernels.corridor_hit(as_int64(lidar), 0.0, 0.4, 0.35),
+            (1, lambda: kernels.corridor_hit(as_int64(lidar), 0.0, 0.4, 0.35)),
         ],
         "stamp_obstacles": [
-            lambda: kernels.stamp_obstacles(grid.free.copy().view(np.uint8), rows, grid.minx,
-                                            grid.miny, gridnav.NAV_RESOLUTION, 0.0),
-            lambda: kernels.stamp_obstacles(grid.free.copy(), as_int64(rows), grid.minx,
-                                            grid.miny, gridnav.NAV_RESOLUTION, 0.0),
+            (1, lambda: kernels.stamp_obstacles(grid.free.copy().view(np.uint8), rows,
+                                                grid.minx, grid.miny, gridnav.NAV_RESOLUTION,
+                                                0.0)),
+            (2, lambda: kernels.stamp_obstacles(grid.free.copy(), as_int64(rows), grid.minx,
+                                                grid.miny, gridnav.NAV_RESOLUTION, 0.0)),
         ],
         "adam_step": [
-            lambda: kernels.adam_step(w1, g.astype(np.int32), m, v, *scalars),
-            lambda: kernels.adam_step(w1, g, m.view(np.int32), v, *scalars),
+            (2, lambda: kernels.adam_step(w1, g.astype(np.int32), m, v, *scalars)),
+            (3, lambda: kernels.adam_step(w1, g, m.view(np.int32), v, *scalars)),
+            (4, lambda: kernels.adam_step(w1, g, m, v.view(np.int32), *scalars)),
         ],
     }
     assert sorted(bad_calls) == sorted(_ckernel.KERNELS)
     for name, calls in bad_calls.items():
-        for call in calls:
-            with pytest.raises(ValueError, match=f"{name}: array argument"):
+        for position, call in calls:
+            with pytest.raises(ValueError, match=f"^{name}: array argument {position} must "):
                 call()
+
+
+def kernel_calls(kernels):
+    """Each kernel's name with the arguments of one call that succeeds, on
+    bench_config's map and planning grid; every array is one the call alone
+    holds."""
+    wmap = suites.bench_config().map
+    grid = free_space_grid(wmap)
+    row, col = (int(v) for v in np.argwhere(grid.free)[0])
+    x, y = grid.center_of(row, col)
+    values = np.empty(grid.free.shape)
+    kernels.grid_dijkstra(grid.free, row, col, 1.0, 1.5, values)
+    origin = (grid.minx, grid.miny, gridnav.NAV_RESOLUTION)
+    w1 = StudentNet(seed=0).params[0]
+    scalars = (0.9, 0.1, 0.999, 0.001, 1e-3, 0.1, 0.001, 1e-8)
+
+    def map_tables():
+        return [wmap.edges.copy(), wmap.edge_start.copy(), wmap.bboxes.copy()]
+
+    return {
+        "point_walkable": [0.0, 0.0, *map_tables()],
+        "first_disc_holding": [0.0, 0.0, 0.1, True, np.zeros((2, 3)), 0],
+        "raycast_loop": [0.0, 0.0, 1.0, 0.0, 6.0, sensors._ray_units(8).copy(), np.zeros((0, 3)),
+                         np.zeros((0, 4)), np.zeros((0, 3)), *map_tables(), np.empty(8)],
+        "grid_dijkstra": [grid.free.copy(), row, col, 1.0, 1.5, np.empty(grid.free.shape)],
+        "grid_lookahead": [x, y, 1.2, values, grid.free.copy(), *origin, x, y],
+        "corridor_hit": [np.full(8, 9.0), 0.0, 0.4, 0.35],
+        "stamp_obstacles": [grid.free.copy(), np.zeros((1, 9)), *origin, 0.0],
+        "adam_step": [w1.copy(), *(np.zeros_like(w1) for _ in range(3)), *scalars],
+    }
+
+
+@needs_c_compiler
+def test_a_failed_call_holds_no_buffer():
+    kernels = _ckernel.load()
+    assert kernels is not None, "the C kernels failed to build or load"
+    calls = kernel_calls(kernels)
+    assert sorted(calls) == sorted(_ckernel.KERNELS)
+    another_format = {np.dtype(np.float64): np.int64, np.dtype(np.bool_): np.uint8,
+                      np.dtype(np.float32): np.int32}
+    for name in list(calls):
+        args = calls.pop(name)  # so that only args and arrays hold the arrays
+        kernel = getattr(kernels, name)
+        kernel(*args)
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        last = max(i for i, a in enumerate(args) if isinstance(a, np.ndarray))
+        args[last] = np.zeros(args[last].shape, another_format[args[last].dtype])
+        arrays.append(args[last])
+        with pytest.raises(ValueError, match=f"^{name}: array argument {last + 1} must "):
+            kernel(*args)
+        most = len(args) + (name == "point_walkable")  # whose polygon is optional
+        with pytest.raises(TypeError, match=f"^{name} takes "):
+            kernel(*args[:-1])
+        with pytest.raises(TypeError, match=f"^{name} takes "):
+            kernel(*args, *[0] * (most + 1 - len(args)))
+        del args
+        while arrays:  # the arrays of both calls
+            array = arrays.pop()
+            # raises ValueError while a buffer still holds the array
+            array.resize(array.size + 1, refcheck=True)
 
 
 @needs_c_compiler

@@ -100,6 +100,7 @@ def test_kernel_fields_equal_heapq_on_suite_grids():
     ([[True, True, False, True, True],        # two components
       [True, True, False, True, True],
       [True, True, False, True, True]], (1, 0)),
+    (np.ones((200, 200), dtype=bool), (100, 100)),  # a frontier that grows the heap past 1 000
 ])
 def test_kernel_fields_equal_heapq_on_edge_cases(free, source):
     assert _ckernel.load() is not None

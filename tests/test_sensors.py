@@ -116,6 +116,16 @@ def test_bev_cylinder_dead_ahead(big_plane):
     assert radius_px == pytest.approx(0.5 / BEV_RESOLUTION, abs=0.5)
 
 
+def test_bev_pixel_world_coords_equal_the_array_expression_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        agent = AgentState(*rng.uniform(-300.0, 300.0, 2), rng.uniform(-4.0, 4.0))
+        c, s = math.cos(agent.heading), math.sin(agent.heading)
+        wx, wy = bev_pixel_world_coords(agent)
+        assert wx.tobytes() == (agent.x + sensors._FWD * c + sensors._RIGHT * s).tobytes()
+        assert wy.tobytes() == (agent.y + sensors._FWD * s - sensors._RIGHT * c).tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bev_matches_bruteforce_exactly(seed):
     w = random_world(seed)
